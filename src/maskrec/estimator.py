@@ -4,8 +4,7 @@ The estimator thresholds the average spectrogram of the filtered
 observations at one quarter of its maximum.  The threshold is relative, so
 the estimate is invariant under rescaling of the noise level: for a fixed
 seed the returned mask is bit-identical for every sigma.  Nothing in this
-module accepts a noise variance; the optional ``sigma_known`` field on
-:class:`AvgSpectrogram` is carried for diagnostics only.
+module accepts a noise variance.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
 from .noise import KIND_COMPLEXIFIED, NoiseBatch, complexify, filter_batch
-from .tfcore import TFGrid, Window
+from .tfcore import TFGrid, Window, quadratic_field
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,6 @@ class AvgSpectrogram:
     grid: TFGrid
     count: int
     window_label: str
-    sigma_known: float | None = None
 
 
 @dataclass(frozen=True)
@@ -40,15 +38,13 @@ class MaskEstimate:
     max_rho: float
 
 
-def average_spectrogram(
-    filtered: np.ndarray, phi: Window, sigma_known: float | None = None
-) -> AvgSpectrogram:
+def average_spectrogram(filtered: np.ndarray, phi: Window) -> AvgSpectrogram:
     """rho(z) = mean_k of n * |stft(y_k, phi)(z)|^2.
 
     The density scaling matches the field of ``locop.theta``: at unit noise
     variance the expectation of rho is exactly that field.  The factor n
-    cancels the transform's 1/sqrt(n), so each row is the plain DFT power
-    of the windowed realization.
+    cancels the transform's 1/sqrt(n), so rho is the quadratic form
+    ``<A pi(z)phi, pi(z)phi>`` of the sample covariance ``(1/K) sum_k y_k y_k^H``.
     """
     filtered = np.atleast_2d(np.asarray(filtered, dtype=np.complex128))
     if filtered.shape[0] < 1 or filtered.size == 0:
@@ -58,16 +54,13 @@ def average_spectrogram(
         raise DimensionError(
             f"realization length {filtered.shape[1]} != window length {n}"
         )
-    rho = np.empty((n, n))
-    for x in range(n):
-        B = np.fft.fft(filtered * np.conj(np.roll(phi.samples, x)), axis=1)
-        rho[x] = np.mean(np.abs(B) ** 2, axis=0)
+    count = filtered.shape[0]
+    covariance = filtered.T @ np.conj(filtered) / count
     return AvgSpectrogram(
-        rho=rho,
+        rho=quadratic_field(covariance, phi),
         grid=phi.grid,
-        count=filtered.shape[0],
+        count=count,
         window_label=phi.label,
-        sigma_known=sigma_known,
     )
 
 

@@ -9,7 +9,6 @@ results are merged in trial order.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -201,14 +200,10 @@ def run_trial(
         pipeline.grid, sc.count, sc.sigma, kind=sc.noise_kind, seed=seed
     )
     if sc.noise_kind == noise.KIND_REAL:
-        paired = noise.complexify(batch)
-        avg = estimator.average_spectrogram(
-            noise.filter_batch(paired, pipeline.H), pipeline.recon
-        )
-    else:
-        avg = estimator.average_spectrogram(
-            noise.filter_batch(batch, pipeline.H), pipeline.recon
-        )
+        batch = noise.complexify(batch)
+    avg = estimator.average_spectrogram(
+        noise.filter_batch(batch, pipeline.H), pipeline.recon
+    )
     est = estimator.estimate_mask(avg)
     report = maskgeom.error_report(pipeline.truth, est)
     success = tuple(report.containment_radius <= r for r in sc.r_list)
@@ -265,8 +260,6 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
         return format(value, ".17g")
     return str(value)
 
@@ -455,10 +448,7 @@ def _reproducing_defect(g: Window, rng: np.random.Generator, points: int = 12) -
     # all time-frequency shifts of g, flattened as pi(x, xi) -> row x*n+xi
     t = np.arange(n)
     phases = np.exp(2j * np.pi * np.outer(t, t) / n)  # [xi, t]
-    rolled = np.empty((n, n), dtype=np.complex128)
-    for x in range(n):
-        rolled[x] = np.roll(g.samples, x)
-    shifts = np.einsum("xt,ft->xft", rolled, phases).reshape(n * n, n)
+    shifts = np.einsum("xt,ft->xft", tfcore.translates(g), phases).reshape(n * n, n)
     worst = 0.0
     zs = rng.integers(0, n, size=(points, 2))
     for zx, zf in zs:
@@ -649,17 +639,13 @@ def run_verify(
             )
         )
 
-        est = estimator.estimate_mask(
-            estimator.average_spectrogram(noise.filter_batch(batch, H), phi)
-        )
+        avg = estimator.average_spectrogram(filtered, phi)
+        est = estimator.estimate_mask(avg)
         sane = (0.0 < est.threshold <= est.max_rho) and bool(est.cells.any())
         checks.append(
             CheckResult(f"estimator.threshold_sanity[n={n}]", 0.0 if sane else 1.0, 0.0)
         )
-        level = estimator.level_set(
-            estimator.average_spectrogram(noise.filter_batch(batch, H), phi),
-            est.threshold,
-        )
+        level = estimator.level_set(avg, est.threshold)
         checks.append(
             CheckResult(
                 f"estimator.level_set_match[n={n}]",

@@ -20,33 +20,22 @@ import numpy as np
 
 from .errors import DimensionError, ModelError, NumericError
 from .maskgeom import Mask, distance_field, measure, perimeter
-from .tfcore import TFGrid, Window, offset_distances, stft
+from .tfcore import (
+    TFGrid, Window, mask_operator, offset_distances, quadratic_field, stft, stft_stack,
+)
 
 _EIG_RANGE_TOL = 1e-8
-_THETA_CHUNK = 64
 
 
 def assemble_locop(mask: Mask, g: Window) -> np.ndarray:
     """Matrix of f -> istft(chi * stft(f, g), g); Hermitian and PSD.
 
-    Built from the kernel
-    ``H[t, s] = (1/n) sum_{(x, xi) in mask} g(t-x) conj(g(s-x)) e^{2 pi i xi (t-s)/n}``
-    by accumulating, for each time column x, the frequency sum as an inverse
-    DFT of the mask row.
+    This is ``(1/n) sum_{z in mask} pi(z)g (pi(z)g)^H``, the adjoint of the
+    lattice quadratic form applied to the mask indicator.
     """
     if mask.grid.n != g.n:
         raise DimensionError(f"mask grid {mask.grid.n} != window length {g.n}")
-    n = g.n
-    # E[x, tau] = sum_xi chi(x, xi) e^{2 pi i xi tau / n}
-    E = n * np.fft.ifft(mask.cells.astype(np.complex128), axis=1)
-    diff = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    H = np.zeros((n, n), dtype=np.complex128)
-    for x in range(n):
-        gx = np.roll(g.samples, x)
-        H += np.outer(gx, np.conj(gx)) * E[x][diff]
-    H /= n
-    # enforce exact Hermitian symmetry against rounding drift
-    return (H + H.conj().T) / 2
+    return mask_operator(mask.cells, g) / g.n
 
 
 @dataclass(frozen=True)
@@ -93,32 +82,6 @@ def spectrum(H: np.ndarray, omega_measure: float) -> LocOpSpectrum:
     )
 
 
-def _eigenfunction_power(
-    spec: LocOpSpectrum, phi: Window, weights: np.ndarray
-) -> np.ndarray:
-    """sum_m weights[m] * n * |stft(f_m, phi)(z)|^2, accumulated in chunks.
-
-    With the transform's normalization, n * |stft|^2 equals the squared
-    modulus of the plain DFT of the windowed signal, so the factor n is
-    absorbed by skipping the 1/sqrt(n) scaling.
-    """
-    n = spec.grid.n
-    if phi.n != n:
-        raise DimensionError("window length does not match the spectrum's grid")
-    out = np.zeros((n, n))
-    vectors = spec.eigenvectors.T  # rows are eigenvectors
-    for start in range(0, n, _THETA_CHUNK):
-        stop = min(start + _THETA_CHUNK, n)
-        block = vectors[start:stop]
-        w = weights[start:stop]
-        if not np.any(w):
-            continue
-        for x in range(n):
-            B = np.fft.fft(block * np.conj(np.roll(phi.samples, x)), axis=1)
-            out[x] += np.einsum("m,mf->f", w, np.abs(B) ** 2)
-    return out
-
-
 @dataclass(frozen=True)
 class ThetaField:
     """Noise-free profile of the averaged observed spectrogram at unit variance."""
@@ -131,9 +94,11 @@ def theta(spec: LocOpSpectrum, phi: Window) -> ThetaField:
     """Field theta(z) = sum_m lambda_m^2 * n * |stft(f_m, phi)(z)|^2.
 
     Bounded by 1 everywhere; its plane integral is at most the mask
-    measure.  For the full mask it is identically 1.
+    measure.  For the full mask it is identically 1.  It is the quadratic
+    form of ``V diag(lambda^2) V^H``, which is H^2.
     """
-    values = _eigenfunction_power(spec, phi, spec.eigenvalues**2)
+    V = spec.eigenvectors
+    values = quadratic_field((V * spec.eigenvalues**2) @ V.conj().T, phi)
     return ThetaField(values=values, grid=spec.grid)
 
 
@@ -147,7 +112,8 @@ def theta_first_moment(
     already carries one factor of the cell measure).  Returns the maximum
     absolute difference over the lattice; expected < 1e-8.
     """
-    lhs = _eigenfunction_power(spec, phi, spec.eigenvalues)
+    V = spec.eigenvectors
+    lhs = quadratic_field((V * spec.eigenvalues) @ V.conj().T, phi)
     q = np.abs(stft(g.samples, phi).values) ** 2
     rhs = np.real(np.fft.ifft2(np.fft.fft2(mask.cells.astype(float)) * np.fft.fft2(q)))
     return float(np.max(np.abs(lhs - rhs)))
@@ -164,14 +130,7 @@ def double_orthogonality_defect(
     """
     if m_max > spec.grid.n:
         raise DimensionError(f"m_max {m_max} exceeds grid size {spec.grid.n}")
-    n = spec.grid.n
-    vectors = spec.eigenvectors.T[:m_max]
-    transforms = np.empty((m_max, n, n), dtype=np.complex128)
-    for x in range(n):
-        transforms[:, x, :] = np.fft.fft(
-            vectors * np.conj(np.roll(g.samples, x)), axis=1
-        )
-    transforms /= np.sqrt(n)
+    transforms = stft_stack(spec.eigenvectors.T[:m_max], g)
     gram = np.einsum(
         "mxf,nxf->mn", transforms * mask.cells[None], np.conj(transforms)
     )

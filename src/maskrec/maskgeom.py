@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,13 @@ class Mask:
                 f"mask shape {cells.shape} does not match grid {self.grid.n}"
             )
         object.__setattr__(self, "cells", cells)
+
+    @cached_property
+    def boundary_distance(self) -> np.ndarray:
+        """Read-only torus distance to the boundary cells, computed once per mask."""
+        dist = distance_field(boundary_cells(self), self.grid)
+        dist.flags.writeable = False
+        return dist
 
 
 def measure(mask: Mask) -> float:
@@ -87,7 +95,7 @@ def boundary_neighborhood(mask: Mask, r: float) -> np.ndarray:
     """Cells whose torus distance to the mask's boundary cells is < r."""
     if r < 0:
         raise ConfigurationError(f"neighborhood radius must be >= 0, got {r}")
-    return distance_field(boundary_cells(mask), mask.grid) < r
+    return mask.boundary_distance < r
 
 
 def dilate(mask: Mask, r: float) -> Mask:
@@ -133,7 +141,7 @@ def error_report(truth: Mask, estimate) -> ErrorReport:
     if not err.any():
         radius = 0.0
     else:
-        dist = distance_field(boundary_cells(truth), truth.grid)
+        dist = truth.boundary_distance
         radius = max(float(dist[err].max()), 0.5 * truth.grid.cell_side)
     if sym == 0.0:
         ratio = 0.0

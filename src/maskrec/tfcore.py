@@ -20,6 +20,13 @@ recovered by ``spectrogram`` which multiplies by n.  All continuum-style
 identities in the package (trace, double orthogonality, moments) hold
 exactly on the lattice under this dictionary.
 
+Every spectrogram field of the package is the quadratic form
+``Q_A(z) = <A pi(z)phi, pi(z)phi>`` of some matrix A (:func:`quadratic_field`):
+the average spectrogram for the sample covariance, theta for H^2, the
+first-moment field for H.  Its adjoint, ``sum_z chi(z) Q_A(z) =
+sum_{t,s} A[t, s] conj(M[t, s])`` with ``M = sum_z chi(z) pi(z)g (pi(z)g)^H``
+(:func:`mask_operator`), builds the localization operator ``H = M / n``.
+
 All functions here are pure; inputs are never mutated.
 """
 
@@ -161,6 +168,12 @@ def _check_pair(f: np.ndarray, g: Window) -> np.ndarray:
     return f
 
 
+def translates(g: Window) -> np.ndarray:
+    """All cyclic translates of the window: ``T[x, t] = g((t - x) mod n)``."""
+    t = np.arange(g.n)
+    return g.samples[(t[None, :] - t[:, None]) % g.n]
+
+
 def stft_stack(signals: np.ndarray, g: Window) -> np.ndarray:
     """Full-lattice transform of a stack of signals.
 
@@ -168,12 +181,8 @@ def stft_stack(signals: np.ndarray, g: Window) -> np.ndarray:
     the time index x before the frequency index xi.
     """
     signals = _check_pair(signals, g)
-    n = g.n
-    out = np.empty(signals.shape[:-1] + (n, n), dtype=np.complex128)
-    for x in range(n):
-        out[..., x, :] = np.fft.fft(signals * np.conj(np.roll(g.samples, x)), axis=-1)
-    out /= np.sqrt(n)
-    return out
+    windowed = signals[..., None, :] * np.conj(translates(g))
+    return np.fft.fft(windowed, axis=-1, norm="ortho")
 
 
 def stft(f: np.ndarray, g: Window) -> TFMatrix:
@@ -188,11 +197,8 @@ def istft(F: TFMatrix, g: Window) -> np.ndarray:
     """Adjoint of :func:`stft`; inverts it on the range for a unit window."""
     if F.grid.n != g.n:
         raise DimensionError(f"grid size {F.grid.n} != window length {g.n}")
-    n = g.n
-    f = np.zeros(n, dtype=np.complex128)
-    for x in range(n):
-        f += np.roll(g.samples, x) * np.fft.ifft(F.values[x]) * n
-    return f / np.sqrt(n)
+    rows = np.fft.ifft(F.values, axis=1, norm="ortho")
+    return np.sum(translates(g) * rows, axis=0)
 
 
 def spectrogram(F: TFMatrix) -> np.ndarray:
@@ -231,13 +237,58 @@ def offset_distances(grid: TFGrid) -> np.ndarray:
     return np.sqrt(d[:, None] ** 2 + d[None, :] ** 2) / np.sqrt(grid.n)
 
 
-def ambiguity_l1(g: Window) -> float:
-    """Diagnostic: lattice stand-in for the integral of |V_g g| over the plane.
+def _diagonals(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(t, lags)`` such that ``A[t, lags][t, tau] = A[t, (t + tau) mod n]``."""
+    t = np.arange(n)[:, None]
+    return t, (t + t.T) % n
 
-    The continuum quantity has no canonical discrete unit on this lattice;
-    the value returned here (amplitude rescaled to density units, summed
-    against the cell measure) is reported for inspection only and feeds no
-    estimator.
+
+def quadratic_field(A: np.ndarray, phi: Window) -> np.ndarray:
+    """The real field ``Q[x, xi] = <A pi(z)phi, pi(z)phi>`` of a Hermitian A.
+
+    With ``s = t + tau``, ``Q(x, xi)`` is the DFT over the lag tau of the
+    cyclic correlation over t of the diagonal ``D[t, tau] = A[t, t + tau]``
+    with the window lag products ``P[u, tau] = conj(phi(u)) phi(u + tau)``.
+    Both steps are FFTs, so the cost is O(n^2 log n).
     """
-    values = stft(g.samples, g).values
-    return float(np.sum(np.abs(values)) / np.sqrt(g.n))
+    A = np.asarray(A, dtype=np.complex128)
+    n = phi.n
+    if A.shape != (n, n):
+        raise DimensionError(f"matrix shape {A.shape} != window length {n}")
+    t, lags = _diagonals(n)
+    # 1-D transforms in place (numpy's ifft2 ignores an aliased out) keep two
+    # n x n temporaries; the unnormalized inverses end the correlation over t
+    # and take the DFT over the lags tau
+    X = A[t, lags]
+    P = phi.samples[lags]
+    del lags
+    P *= np.conj(phi.samples[t])
+    np.fft.fft(X, axis=0, out=X)
+    X *= np.fft.ifft(P, axis=0, out=P)
+    del P
+    for axis in (0, 1):
+        np.fft.ifft(X, axis=axis, norm="forward", out=X)
+    return X.real.copy()
+
+
+def mask_operator(cells: np.ndarray, g: Window) -> np.ndarray:
+    """The matrix ``sum_z chi(z) pi(z)g (pi(z)g)^H`` of real cell weights chi.
+
+    The adjoint of :func:`quadratic_field`, taking its steps in reverse: a
+    DFT of chi over frequency, then a cyclic convolution over time with the
+    lag products ``g(u) conj(g(u + tau))`` gives the diagonals.  The result
+    is exactly Hermitian.
+    """
+    cells = np.asarray(cells, dtype=float)
+    n = g.n
+    if cells.shape != (n, n):
+        raise DimensionError(f"cell array shape {cells.shape} != window length {n}")
+    t, lags = _diagonals(n)
+    X = np.fft.fft2(cells)
+    X *= np.fft.fft(g.samples[t] * np.conj(g.samples[lags]), axis=0)
+    M = np.empty_like(X)
+    M[t, lags] = np.fft.ifft(X, axis=0)
+    del X
+    M += M.conj().T
+    M /= 2
+    return M

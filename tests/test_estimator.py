@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -15,6 +16,8 @@ from maskrec.locop import assemble_locop, spectrum, theta
 from maskrec.maskgeom import disc_mask, measure
 from maskrec.noise import complexify, filter_batch, sample_noise
 from maskrec.tfcore import TFGrid, make_window
+
+from helpers import brute_stft
 
 
 def _pipeline(n=32, mask_measure=8.0, seed=41, count=16, sigma=1.0, kind="complex"):
@@ -45,6 +48,17 @@ def test_average_spectrogram_length_mismatch():
     phi = make_window(TFGrid(16), "gaussian")
     with pytest.raises(errors.DimensionError):
         average_spectrogram(np.zeros((2, 8), complex), phi)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_rho_matches_brute_spectrograms(n):
+    grid = TFGrid(n)
+    phi = make_window(grid, "gaussian")
+    rng = np.random.default_rng(40 + n)
+    ys = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    expected = np.mean([n * np.abs(brute_stft(y, phi.samples)) ** 2 for y in ys], axis=0)
+    rho = average_spectrogram(ys, phi).rho
+    assert np.max(np.abs(rho - expected)) < 1e-12 * expected.max()
 
 
 def test_sigma_squared_scaling_of_rho():
@@ -167,7 +181,10 @@ def test_complexify_commutes_with_filtering():
 
 def test_estimation_path_never_sees_sigma():
     # the threshold is relative, so no estimator signature or body may
-    # consult a noise level; sigma_known is a diagnostics-only field
+    # consult a noise level, and the averaged field carries none
+    assert list(inspect.signature(average_spectrogram).parameters) == ["filtered", "phi"]
+    assert "sigma" not in inspect.getsource(average_spectrogram)
+    assert not any("sigma" in f.name for f in dataclasses.fields(AvgSpectrogram))
     assert "sigma" not in inspect.signature(estimate_mask).parameters
     assert "sigma" not in inspect.getsource(estimate_mask)
     assert "sigma" not in inspect.getsource(level_set)

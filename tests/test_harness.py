@@ -163,6 +163,11 @@ def test_threads_env_fallback(monkeypatch):
     assert harness._resolve_threads(2) == 2
 
 
+def test_fmt_keeps_the_sign_of_infinity():
+    assert harness._fmt(float("-inf")) == "-inf"
+    assert harness._fmt(float("inf")) == "inf"
+
+
 # ------------------------------------------------------------------ sweeps
 
 

@@ -13,9 +13,9 @@ from maskrec.locop import (
     theta_first_moment,
 )
 from maskrec.maskgeom import Mask, disc_mask, measure, perimeter
-from maskrec.tfcore import TFGrid, make_window, tf_shift
+from maskrec.tfcore import TFGrid, make_window, quadratic_field, tf_shift
 
-from helpers import brute_locop, random_cells
+from helpers import brute_locop, brute_stft, random_cells
 
 
 def _mask(cells, n):
@@ -210,6 +210,19 @@ def test_theta_bounds():
     assert th.values.sum() / n <= measure(mask) + 1e-9
 
 
+def test_theta_matches_eigenfunction_spectrograms():
+    n = 16
+    grid = TFGrid(n)
+    g = make_window(grid, "gaussian_t2")
+    phi = make_window(grid, "gaussian")
+    spec = _spec(disc_mask(grid, 4.0), g)
+    expected = sum(
+        lam**2 * n * np.abs(brute_stft(f, phi.samples)) ** 2
+        for lam, f in zip(spec.eigenvalues, spec.eigenvectors.T)
+    )
+    assert np.max(np.abs(theta(spec, phi).values - expected)) < 1e-12
+
+
 @pytest.mark.parametrize("model_label", ["gaussian", "gaussian_t2"])
 def test_theta_l1_distance_bounded_by_moment(model_label):
     n = 32
@@ -253,7 +266,8 @@ def test_first_moment_against_quadratic_form():
     mask = disc_mask(grid, 4.0)
     H = assemble_locop(mask, g)
     spec = spectrum(H, measure(mask))
-    lhs = locop._eigenfunction_power(spec, phi, spec.eigenvalues)
+    V = spec.eigenvectors
+    lhs = quadratic_field((V * spec.eigenvalues) @ V.conj().T, phi)
     rng = np.random.default_rng(35)
     for _ in range(5):
         z = tuple(int(v) for v in rng.integers(0, n, 2))

@@ -155,6 +155,18 @@ def test_distance_field_empty_source_is_infinite():
     assert np.all(np.isinf(d))
 
 
+def test_boundary_distance_is_computed_once_and_read_only():
+    n = 16
+    rng = np.random.default_rng(22)
+    m = _mask(random_cells(n, rng), n)
+    d = m.boundary_distance
+    assert d is m.boundary_distance
+    want = brute_torus_distance(maskgeom.boundary_cells(m), n)
+    assert np.max(np.abs(d - want)) < 1e-10
+    with pytest.raises(ValueError):
+        d[0, 0] = 0.0
+
+
 def test_boundary_neighborhood_zero_radius_is_empty():
     m = disc_mask(TFGrid(16), 4.0)
     assert not boundary_neighborhood(m, 0.0).any()

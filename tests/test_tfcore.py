@@ -234,7 +234,35 @@ def test_offset_distances():
     assert d[8, 8] == pytest.approx(np.sqrt(128) / 4)
 
 
-def test_ambiguity_l1_diagnostic_positive():
-    g = make_window(TFGrid(32), "gaussian")
-    value = tfcore.ambiguity_l1(g)
-    assert value > 0
+def test_quadratic_field_and_mask_operator_are_adjoint():
+    # sum_z chi(z) <A pi(z)g, pi(z)g> = sum_{t,s} A[t, s] conj(M_chi[t, s]) for
+    # Hermitian A and real weights chi, M_chi = sum_z chi(z) pi(z)g (pi(z)g)^H
+    n = 16
+    rng = np.random.default_rng(12)
+    g = make_window(TFGrid(n), "gaussian_t2")
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A = A + A.conj().T
+    chi = rng.standard_normal((n, n))
+    lhs = np.sum(chi * tfcore.quadratic_field(A, g))
+    rhs = np.sum(A * np.conj(tfcore.mask_operator(chi, g)))
+    assert abs(lhs - rhs) < 1e-10 * np.sum(np.abs(A))
+
+
+def test_quadratic_field_of_real_symmetric_matrix():
+    # a real A is taken as complex; the identity gives ||pi(z)phi||^2 = 1
+    # everywhere, and a real diagonal A = diag(a) gives sum_t a(t) |phi(t - x)|^2
+    n = 16
+    g = make_window(TFGrid(n), "gaussian")
+    assert np.allclose(tfcore.quadratic_field(np.eye(n), g), 1.0, atol=1e-12)
+    a = np.arange(n, dtype=float)
+    expected = np.abs(tfcore.translates(g)) ** 2 @ a
+    Q = tfcore.quadratic_field(np.diag(a), g)
+    assert np.allclose(Q, expected[:, None], atol=1e-12)
+
+
+def test_quadratic_field_shape_mismatch():
+    g = make_window(TFGrid(16), "gaussian")
+    with pytest.raises(errors.DimensionError):
+        tfcore.quadratic_field(np.eye(8), g)
+    with pytest.raises(errors.DimensionError):
+        tfcore.mask_operator(np.ones((8, 8)), g)
