@@ -52,7 +52,6 @@ from .estimator import (
     MaskEstimate,
     average_spectrogram,
     estimate_mask,
-    estimate_mask_real,
     level_set,
 )
 from .harness import PRESETS, Scenario, run_simulate, run_spectrum, run_sweep, run_verify

@@ -1,7 +1,9 @@
 """Command-line harness: simulate, sweep, spectrum, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numeric/model failure.
+A scenario flag is ``--`` plus a key of ``harness.SCENARIO_KEYS`` (``_`` as
+``-``); ``harness.scenario_from_mapping`` parses its string.  Exit codes: 0
+success, 1 a failed verification and nothing else, 2 any malformed flag,
+config file, shape spec, comma list or PGM image, 3 numeric/model failure.
 """
 
 from __future__ import annotations
@@ -24,6 +26,15 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
+_HELP = {
+    "n": "grid size",
+    "shape": "mask shape spec, e.g. disc:measure=100",
+    "K": "noise realizations per trial",
+    "noise_kind": "complex or real",
+    "r_list": "comma-separated radii",
+}
+
+
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key/value scenario config file")
     parser.add_argument(
@@ -31,36 +42,18 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
         choices=sorted(harness.PRESETS),
         help="start from a named scenario preset",
     )
-    parser.add_argument("--n", type=int, help="grid size")
-    parser.add_argument("--shape", help="mask shape spec, e.g. disc:measure=100")
-    parser.add_argument("--model-window", dest="model_window")
-    parser.add_argument("--recon-window", dest="recon_window")
-    parser.add_argument("--K", dest="count", type=int, help="noise realizations per trial")
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--noise-kind", dest="noise_kind", choices=["complex", "real"])
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--r-list", dest="r_list", help="comma-separated radii")
+    for key in harness.SCENARIO_KEYS:
+        flag = "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=_HELP.get(key))
     parser.add_argument("--out-dir", default="out", help="artifact directory")
     parser.add_argument("--threads", type=int, help="worker threads (or MASKREC_THREADS)")
 
 
 def _scenario_from_args(args: argparse.Namespace) -> harness.Scenario:
-    base = None
-    if args.scenario_preset:
-        base = harness.PRESETS[args.scenario_preset]
+    base = harness.PRESETS.get(args.scenario_preset)
     if args.config:
         base = harness.scenario_from_mapping(harness.load_config(args.config), base)
-    overrides: dict[str, str] = {}
-    for key, attr in [
-        ("n", "n"), ("shape", "shape"), ("model_window", "model_window"),
-        ("recon_window", "recon_window"), ("K", "count"), ("sigma", "sigma"),
-        ("noise_kind", "noise_kind"), ("trials", "trials"), ("seed", "seed"),
-        ("r_list", "r_list"),
-    ]:
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = str(value)
+    overrides = {k: v for k, v in vars(args).items() if k in harness.SCENARIO_KEYS}
     if base is None and not overrides:
         raise ConfigurationError(
             "no scenario given: use --config, --scenario-preset, or flags"
@@ -96,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify":
-        sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
+        sizes = harness.parse_list("--sizes", args.sizes, int)
         checks = harness.run_verify(ns=sizes, seed=args.seed)
         failures = [c for c in checks if not c.passed]
         for check in checks:
@@ -114,16 +107,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     if args.command == "sweep":
-        values_str = [v for v in args.values.split(",") if v.strip()]
-        values = [int(v) if args.axis == "K" else float(v) for v in values_str]
+        kind = int if args.axis == "K" else float
+        values = harness.parse_list("--values", args.values, kind)
         rows = harness.run_sweep(scenario, args.axis, values, args.out_dir, args.threads)
         print(f"{len(rows)} sweep rows -> {args.out_dir}/summary.csv")
         return EXIT_OK
-    if args.command == "spectrum":
-        path = harness.run_spectrum(scenario, args.out_dir)
-        print(f"spectrum -> {path}")
-        return EXIT_OK
-    raise ConfigurationError(f"unknown command {args.command!r}")
+    path = harness.run_spectrum(scenario, args.out_dir)
+    print(f"spectrum -> {path}")
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
-from .noise import KIND_COMPLEXIFIED, NoiseBatch, complexify, filter_batch
 from .tfcore import TFGrid, Window, quadratic_field
 
 
@@ -90,20 +89,3 @@ def level_set(avg: AvgSpectrogram, delta: float) -> np.ndarray:
         raise ConfigurationError(f"level-set threshold must be positive, got {delta}")
     return avg.rho >= delta
 
-
-def estimate_mask_real(batch: NoiseBatch, H: np.ndarray, phi: Window) -> MaskEstimate:
-    """Estimate from noise of either kind via pairwise complexification.
-
-    Requires K >= 4 realizations; uses the K' = floor(K/2) complexified
-    realizations.  Valid regardless of whether the ambient noise is real or
-    complex.
-    """
-    if batch.kind == KIND_COMPLEXIFIED:
-        raise ConfigurationError("batch has already been complexified")
-    if batch.count < 4:
-        raise ConfigurationError(
-            f"the complexified estimator needs K >= 4, got {batch.count}"
-        )
-    paired = complexify(batch)
-    filtered = filter_batch(paired, H)
-    return estimate_mask(average_spectrogram(filtered, phi))

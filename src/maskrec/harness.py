@@ -9,11 +9,13 @@ results are merged in trial order.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -55,15 +57,18 @@ class Scenario:
             raise ConfigurationError("real noise needs K >= 4")
         if self.noise_kind not in (noise.KIND_COMPLEX, noise.KIND_REAL):
             raise ConfigurationError(f"unknown noise kind {self.noise_kind!r}")
-        if self.sigma <= 0:
-            raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigurationError(f"sigma must be positive and finite, got {self.sigma}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not self.r_list:
             side = TFGrid(self.n).cell_side
             object.__setattr__(
                 self, "r_list", tuple(c * side for c in DEFAULT_R_CELLS)
             )
-        if list(self.r_list) != sorted(self.r_list):
-            raise ConfigurationError("r_list must be sorted ascending")
+        r_list = list(self.r_list)
+        if not all(map(math.isfinite, r_list)) or r_list != sorted(r_list):
+            raise ConfigurationError(f"r_list must be finite and ascending, got {r_list}")
 
 
 PRESETS: dict[str, Scenario] = {
@@ -92,8 +97,12 @@ SPECTRUM_BANK: tuple[tuple[str, int, str], ...] = (
 
 def load_config(path: str | Path) -> dict[str, str]:
     """Parse a key/value config file: one ``key = value`` per line, # comments."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {str(path)!r}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -104,40 +113,51 @@ def load_config(path: str | Path) -> dict[str, str]:
     return values
 
 
-_SCENARIO_KEYS = {
-    "n": int,
-    "shape": str,
-    "model_window": str,
-    "recon_window": str,
-    "K": int,
-    "sigma": float,
-    "noise_kind": str,
-    "trials": int,
-    "seed": int,
-    "r_list": str,
-}
+def _convert(name: str, text: str, kind: type):
+    """Convert one string to ``kind``; floats must be finite."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ConfigurationError(f"bad value for {name}: {text!r}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {text!r}")
+    return value
 
-_KEY_TO_FIELD = {"K": "count"}
+
+def parse_list(name: str, text: str, kind: type) -> tuple:
+    """Parse a non-empty comma-separated list of ints or floats."""
+    values = tuple(_convert(name, item, kind) for item in text.split(",") if item.strip())
+    if not values:
+        raise ConfigurationError(f"{name} needs at least one value, got {text!r}")
+    return values
+
+
+#: Scenario field of each config key: the field names, with ``K`` for ``count``.
+_FIELD_OF_KEY = {("K" if f.name == "count" else f.name): f.name for f in fields(Scenario)}
+SCENARIO_KEYS = tuple(_FIELD_OF_KEY)
+_FIELD_TYPES = get_type_hints(Scenario)
 
 
 def scenario_from_mapping(values: dict[str, str], base: Scenario | None = None) -> Scenario:
-    """Build a scenario from string key/value pairs, over an optional base."""
+    """Build a scenario from string key/value pairs, over an optional base.
+
+    A base that keeps its default radii gets those of an overridden ``n``.
+    """
     kwargs = {}
-    for key, value in values.items():
-        if key not in _SCENARIO_KEYS:
+    for key, text in values.items():
+        if key not in _FIELD_OF_KEY:
             raise ConfigurationError(f"unknown scenario key {key!r}")
-        conv = _SCENARIO_KEYS[key]
-        field_name = _KEY_TO_FIELD.get(key, key)
-        if key == "r_list":
-            kwargs[field_name] = tuple(float(v) for v in value.split(",") if v.strip())
+        field_name = _FIELD_OF_KEY[key]
+        kind = _FIELD_TYPES[field_name]
+        if get_origin(kind) is tuple:
+            kwargs[field_name] = parse_list(key, text, get_args(kind)[0])
         else:
-            try:
-                kwargs[field_name] = conv(value)
-            except ValueError as exc:
-                raise ConfigurationError(f"bad value for {key}: {value!r}") from exc
-    if base is not None:
-        return replace(base, **kwargs)
-    return Scenario(**kwargs)
+            kwargs[field_name] = _convert(key, text, kind)
+    if base is None:
+        return Scenario(**kwargs)
+    if "n" in kwargs and "r_list" not in kwargs and base.r_list == Scenario(n=base.n).r_list:
+        kwargs["r_list"] = ()
+    return replace(base, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +240,18 @@ def run_trial(
 
 
 def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
     env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigurationError(f"bad {THREADS_ENV_VAR}={env!r}") from exc
-    return 1
+    if threads is None and env:
+        threads = _convert(THREADS_ENV_VAR, env, int)
+    return max(1, threads or 1)
 
 
 def run_trials(
     pipeline: Pipeline, threads: int | None = None
 ) -> tuple[list[TrialResult], dict]:
-    """Run all trials of a scenario; deterministic ordered merge."""
+    """Run all trials of a scenario on at most one worker per trial; ordered merge."""
     sc = pipeline.scenario
-    workers = _resolve_threads(threads)
+    workers = min(_resolve_threads(threads), sc.trials)
     indices = range(sc.trials)
     if workers == 1:
         outcomes = [run_trial(pipeline, t, keep_fields=(t == 0)) for t in indices]
@@ -472,6 +487,8 @@ def run_verify(
     for n in ns:
         if not 8 <= n <= 64:
             raise ConfigurationError(f"verify sizes must lie in [8, 64], got {n}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     checks: list[CheckResult] = []
     rng = np.random.default_rng(seed)
 

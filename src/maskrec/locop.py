@@ -102,6 +102,17 @@ def theta(spec: LocOpSpectrum, phi: Window) -> ThetaField:
     return ThetaField(values=values, grid=spec.grid)
 
 
+def _density(g: Window, phi: Window) -> np.ndarray:
+    """Cross-ambiguity density |stft(g, phi)|^2, a unit-mass lattice kernel."""
+    return np.abs(stft(g.samples, phi).values) ** 2
+
+
+def _smooth(mask: Mask, q: np.ndarray) -> np.ndarray:
+    """Cyclic convolution of the mask indicator with the kernel q."""
+    chi = mask.cells.astype(float)
+    return np.real(np.fft.ifft2(np.fft.fft2(chi) * np.fft.fft2(q)))
+
+
 def theta_first_moment(
     spec: LocOpSpectrum, phi: Window, mask: Mask, g: Window
 ) -> float:
@@ -114,9 +125,7 @@ def theta_first_moment(
     """
     V = spec.eigenvectors
     lhs = quadratic_field((V * spec.eigenvalues) @ V.conj().T, phi)
-    q = np.abs(stft(g.samples, phi).values) ** 2
-    rhs = np.real(np.fft.ifft2(np.fft.fft2(mask.cells.astype(float)) * np.fft.fft2(q)))
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(lhs - _smooth(mask, _density(g, phi)))))
 
 
 def double_orthogonality_defect(
@@ -144,8 +153,7 @@ def ambiguity_moment(f: Window, window: Window) -> float:
     in continuous units; the raw squared transform integrates to 1, so this
     matches the continuum moment of the unit-mass density.
     """
-    values = np.abs(stft(f.samples, window).values) ** 2
-    return float(np.sum(values * offset_distances(window.grid)))
+    return float(np.sum(_density(f, window) * offset_distances(window.grid)))
 
 
 @dataclass(frozen=True)
@@ -189,7 +197,7 @@ def far_field_defect(
     outside = distance_field(mask.cells, mask.grid)
     radius = np.where(mask.cells, inside, outside)
 
-    q = np.abs(stft(g.samples, phi).values) ** 2
+    q = _density(g, phi)
     dist = offset_distances(mask.grid)
     order = np.argsort(dist.ravel(), kind="stable")
     sorted_dist = dist.ravel()[order]
@@ -209,9 +217,7 @@ def regularization_defect(mask: Mask, g: Window, phi: Window) -> tuple[float, fl
     rhs = moment(g, phi) * perimeter.  The bound holds exactly on the
     lattice; callers compare with a small slack for grid effects.
     """
-    q = np.abs(stft(g.samples, phi).values) ** 2
-    chi = mask.cells.astype(float)
-    conv = np.real(np.fft.ifft2(np.fft.fft2(chi) * np.fft.fft2(q)))
-    lhs = float(np.sum(np.abs(conv - q.sum() * chi)) * mask.grid.cell_measure)
-    rhs = ambiguity_moment(g, phi) * perimeter(mask)
-    return lhs, rhs
+    q = _density(g, phi)
+    defect = _smooth(mask, q) - q.sum() * mask.cells
+    lhs = float(np.sum(np.abs(defect)) * mask.grid.cell_measure)
+    return lhs, ambiguity_moment(g, phi) * perimeter(mask)

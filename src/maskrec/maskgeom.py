@@ -165,9 +165,9 @@ def _cell_distances_sq(grid: TFGrid, center: tuple[float, float]) -> np.ndarray:
     """Squared torus distance (in cells) from each cell to an arbitrary center."""
     n = grid.n
     i = np.arange(n, dtype=float)
-    dx = np.abs(i - center[0])
+    dx = np.abs(i - center[0] % n)
     dx = np.minimum(dx, n - dx)
-    df = np.abs(i - center[1])
+    df = np.abs(i - center[1] % n)
     df = np.minimum(df, n - df)
     return dx[:, None] ** 2 + df[None, :] ** 2
 
@@ -203,8 +203,8 @@ def rect_mask(grid: TFGrid, x0: int, f0: int, width: int, height: int) -> Mask:
     if width > grid.n or height > grid.n:
         raise ConfigurationError("rectangle exceeds the grid")
     cells = np.zeros((grid.n, grid.n), dtype=bool)
-    xs = (x0 + np.arange(width)) % grid.n
-    fs = (f0 + np.arange(height)) % grid.n
+    xs = (x0 % grid.n + np.arange(width)) % grid.n
+    fs = (f0 % grid.n + np.arange(height)) % grid.n
     cells[np.ix_(xs, fs)] = True
     return Mask(cells=cells, grid=grid)
 
@@ -223,7 +223,7 @@ def annulus_mask(
     return Mask(cells=outer.cells & ~inner.cells, grid=grid)
 
 
-def union_of_discs(grid: TFGrid, discs: list[tuple[tuple[float, float], float]]) -> Mask:
+def union_of_discs(grid: TFGrid, discs: list[tuple[tuple[float, float] | None, float]]) -> Mask:
     """Union of discs given as (center, measure) pairs; overlaps are not compensated."""
     cells = np.zeros((grid.n, grid.n), dtype=bool)
     for center, m in discs:
@@ -242,8 +242,23 @@ def _parse_kv(body: str) -> dict[str, float]:
         m = _KV_RE.match(item)
         if not m:
             raise ConfigurationError(f"cannot parse shape parameter {item!r}")
-        params[m.group(1)] = float(m.group(2))
+        try:
+            value = float(m.group(2))
+        except ValueError:
+            raise ConfigurationError(f"bad shape parameter value {item!r}") from None
+        if not np.isfinite(value):
+            raise ConfigurationError(f"shape parameter must be finite: {item!r}")
+        params[m.group(1)] = value
     return params
+
+
+def _disc_params(p: dict[str, float], kind: str) -> tuple[float, tuple[float, float] | None]:
+    """The measure and the optional centre of a disc-like spec; a centre needs cx and cf."""
+    if "measure" not in p:
+        raise ConfigurationError(f"{kind} spec requires measure=")
+    if ("cx" in p) != ("cf" in p):
+        raise ConfigurationError(f"{kind} center requires both cx= and cf=")
+    return p["measure"], ((p["cx"], p["cf"]) if "cx" in p else None)
 
 
 def make_mask(grid: TFGrid, spec: str) -> Mask:
@@ -272,13 +287,7 @@ def make_mask(grid: TFGrid, spec: str) -> Mask:
     if kind == "image":
         return read_mask_pgm(body.strip(), grid)
     if kind == "disc":
-        p = _parse_kv(body)
-        if "measure" not in p:
-            raise ConfigurationError("disc spec requires measure=")
-        center = (p["cx"], p["cf"]) if "cx" in p or "cf" in p else None
-        if center is not None and ("cx" not in p or "cf" not in p):
-            raise ConfigurationError("disc center requires both cx= and cf=")
-        return disc_mask(grid, p["measure"], center)
+        return disc_mask(grid, *_disc_params(_parse_kv(body), kind))
     if kind == "rect":
         p = _parse_kv(body)
         try:
@@ -287,18 +296,16 @@ def make_mask(grid: TFGrid, spec: str) -> Mask:
             raise ConfigurationError(f"rect spec missing {exc}") from exc
     if kind == "annulus":
         p = _parse_kv(body)
-        if "measure" not in p:
-            raise ConfigurationError("annulus spec requires measure=")
-        center = (p["cx"], p["cf"]) if "cx" in p else None
-        return annulus_mask(grid, p["measure"], p.get("hole", 0.0), center)
+        target, center = _disc_params(p, kind)
+        return annulus_mask(grid, target, p.get("hole", 0.0), center)
     if kind == "discs":
         discs = []
         for part in body.split("+"):
             part = part.strip()
             if not (part.startswith("(") and part.endswith(")")):
                 raise ConfigurationError(f"bad union-of-discs term {part!r}")
-            p = _parse_kv(part[1:-1])
-            discs.append(((p["cx"], p["cf"]), p["measure"]))
+            target, center = _disc_params(_parse_kv(part[1:-1]), kind)
+            discs.append((center, target))
         return union_of_discs(grid, discs)
     raise ConfigurationError(f"unknown shape spec {spec!r}")
 
@@ -350,32 +357,27 @@ def _write_pgm(path: str | Path, data: np.ndarray) -> None:
         fh.write(data.tobytes())
 
 
+# magic, width, height, maxval, separated by whitespace and #-comments; one
+# whitespace byte ends the header
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s")
+
+
 def read_mask_pgm(path: str | Path, grid: TFGrid | None = None) -> Mask:
     """Read a binary P5 image back into a mask (values >= 128 count as inside)."""
-    raw = Path(path).read_bytes()
-    if not raw.startswith(b"P5"):
-        raise ConfigurationError(f"{path}: not a binary P5 PGM file")
-    # header = magic, width, height, maxval; tokens may be separated by
-    # arbitrary whitespace and #-comments
-    tokens: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(raw[start:pos])
-    pos += 1  # single whitespace byte after maxval
-    width, height, maxval = (int(t) for t in tokens)
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read mask image {str(path)!r}: {exc}") from exc
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise ConfigurationError(f"{path}: no binary P5 PGM header")
+    width, height, maxval = (int(t) for t in header.groups())
     if maxval > 255:
         raise ConfigurationError(f"{path}: 16-bit PGM not supported")
-    data = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=pos)
-    cells = data.reshape(height, width) >= 128
+    data = raw[header.end() : header.end() + width * height]
+    if len(data) != width * height:
+        raise ConfigurationError(f"{path}: truncated PGM payload")
+    cells = np.frombuffer(data, dtype=np.uint8).reshape(height, width) >= 128
     if grid is None:
         if height != width:
             raise DimensionError(f"{path}: mask image must be square")

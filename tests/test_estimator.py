@@ -9,7 +9,6 @@ from maskrec.estimator import (
     AvgSpectrogram,
     average_spectrogram,
     estimate_mask,
-    estimate_mask_real,
     level_set,
 )
 from maskrec.locop import assemble_locop, spectrum, theta
@@ -147,29 +146,6 @@ def test_level_set_examples():
         level_set(avg, 0.0)
 
 
-def test_real_estimator_uses_floor_half_pairs():
-    grid, phi, mask, H, batch = _pipeline(count=4, kind="real", seed=45)
-    est = estimate_mask_real(batch, H, phi)
-    paired = complexify(batch)
-    assert paired.count == 2
-    manual = estimate_mask(average_spectrogram(filter_batch(paired, H), phi))
-    assert np.array_equal(est.cells, manual.cells)
-
-
-def test_real_estimator_rejects_small_batches():
-    grid = TFGrid(16)
-    phi = make_window(grid, "gaussian")
-    batch = sample_noise(grid, 3, 1.0, kind="real", seed=46)
-    with pytest.raises(errors.ConfigurationError):
-        estimate_mask_real(batch, np.eye(16), phi)
-
-
-def test_real_estimator_accepts_complex_noise():
-    grid, phi, mask, H, batch = _pipeline(count=8, kind="complex", seed=47)
-    est = estimate_mask_real(batch, H, phi)
-    assert est.cells.any()
-
-
 def test_complexify_commutes_with_filtering():
     grid, phi, mask, H, batch = _pipeline(count=8, kind="real", seed=48)
     via_pairs = filter_batch(complexify(batch), H)
@@ -188,5 +164,3 @@ def test_estimation_path_never_sees_sigma():
     assert "sigma" not in inspect.signature(estimate_mask).parameters
     assert "sigma" not in inspect.getsource(estimate_mask)
     assert "sigma" not in inspect.getsource(level_set)
-    params = inspect.signature(estimate_mask_real).parameters
-    assert list(params) == ["batch", "H", "phi"]

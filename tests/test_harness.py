@@ -47,11 +47,26 @@ def test_scenario_validation():
         Scenario(noise_kind="pink")
     with pytest.raises(errors.ConfigurationError):
         Scenario(r_list=(0.5, 0.2))
+    for bad in ({"sigma": float("nan")}, {"sigma": float("inf")}, {"seed": -1},
+                {"r_list": (0.2, float("nan"))}, {"r_list": (0.2, float("inf"))}):
+        with pytest.raises(errors.ConfigurationError):
+            Scenario(**bad)
 
 
 def test_default_r_list_scales_with_cell_side():
     sc = Scenario(n=256)
     assert sc.r_list == tuple(c / 16.0 for c in (2.0, 3.0, 4.0))
+
+
+def test_default_radii_follow_an_overridden_n():
+    left = PRESETS["figure1-left"]
+    sc = scenario_from_mapping({"n": "32"}, base=left)
+    assert sc.r_list == Scenario(n=32).r_list != left.r_list
+    explicit = scenario_from_mapping({"n": "32", "r_list": "0.1,0.2"}, base=left)
+    assert explicit.r_list == (0.1, 0.2)
+    # radii the base set itself are kept
+    assert scenario_from_mapping({"n": "64"}, base=SMALL).r_list == SMALL.r_list
+    assert scenario_from_mapping({"trials": "2"}, base=left).r_list == left.r_list
 
 
 def test_presets_cover_both_figure_columns():
@@ -161,6 +176,32 @@ def test_threads_env_fallback(monkeypatch):
     with pytest.raises(errors.ConfigurationError):
         harness._resolve_threads(None)
     assert harness._resolve_threads(2) == 2
+
+
+def test_thread_pool_is_capped_at_the_trial_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    pipeline = build_pipeline(SMALL)
+    results, _ = harness.run_trials(pipeline, threads=64)
+    assert sizes == [SMALL.trials]
+    assert [r.trial_index for r in results] == list(range(SMALL.trials))
+    monkeypatch.setenv(harness.THREADS_ENV_VAR, "1000")
+    harness.run_trials(pipeline)
+    assert sizes == [SMALL.trials] * 2
 
 
 def test_fmt_keeps_the_sign_of_infinity():

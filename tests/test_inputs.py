@@ -1,0 +1,177 @@
+"""The input contract: malformed scenarios, lists, shape specs, configs and
+PGM files raise a MaskrecError, and the CLI turns each into exit 2."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from maskrec import cli, harness
+from maskrec.errors import MaskrecError
+from maskrec.maskgeom import make_mask, read_mask_pgm
+from maskrec.tfcore import TFGrid
+
+# ------------------------------------------------------------ CLI exit codes
+
+_SMALL = ["--n", "16", "--K", "4", "--trials", "1"]
+_DISC = ["--shape", "disc:measure=2"]
+
+# each row is a malformed input; files named here are written by the test
+CLI_ROWS = {
+    "sigma-nan": ["simulate", *_SMALL, *_DISC, "--sigma", "nan"],
+    "sigma-inf": ["simulate", *_SMALL, *_DISC, "--sigma", "inf"],
+    "r-list-nan": ["simulate", *_SMALL, *_DISC, "--r-list", "nan"],
+    "annulus-cf-only": ["simulate", *_SMALL, "--shape", "annulus:measure=4,cf=2"],
+    "seed-negative": ["simulate", *_SMALL, *_DISC, "--seed", "-1"],
+    "verify-seed-negative": ["verify", "--sizes", "8", "--seed", "-1"],
+    "discs-cx-only": ["simulate", *_SMALL, "--shape", "discs:(cx=1,measure=2)"],
+    "annulus-cx-only": ["simulate", *_SMALL, "--shape", "annulus:measure=4,cx=2"],
+    "disc-measure-nan": ["simulate", *_SMALL, "--shape", "disc:measure=nan"],
+    "disc-measure-abc": ["simulate", *_SMALL, "--shape", "disc:measure=abc"],
+    "sweep-values-nan": ["sweep", "--axis", "measure", "--values", "1,nan", *_SMALL, *_DISC],
+    "r-list-letters": ["simulate", *_SMALL, *_DISC, "--r-list", "a,b"],
+    "config-r-list": ["simulate", "--config", "{tmp}/r_list.cfg"],
+    "sweep-values-letter": ["sweep", "--axis", "K", "--values", "4,x", *_SMALL, *_DISC],
+    "verify-sizes-letter": ["verify", "--sizes", "8,x"],
+    "pgm-truncated-header": ["simulate", *_SMALL, "--shape", "image:{tmp}/head.pgm"],
+    "pgm-truncated-payload": ["simulate", *_SMALL, "--shape", "image:{tmp}/payload.pgm"],
+    "config-missing": ["simulate", "--config", "{tmp}/missing.cfg"],
+    "image-missing": ["simulate", *_SMALL, "--shape", "image:{tmp}/missing.pgm"],
+}
+
+
+@pytest.mark.parametrize("row", sorted(CLI_ROWS))
+def test_malformed_input_exits_2_with_one_error_line(row, tmp_path, capsys):
+    (tmp_path / "r_list.cfg").write_text("n = 16\nshape = disc:measure=2\nr_list = x\n")
+    (tmp_path / "head.pgm").write_bytes(b"P5\n16 ")
+    (tmp_path / "payload.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(100))
+    argv = [arg.format(tmp=tmp_path) for arg in CLI_ROWS[row]]
+    if argv[0] != "verify":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_comma_bearing_rect_shape(route, tmp_path):
+    shape = "rect:x0=0,f0=0,w=4,h=4"
+    if route == "config":
+        cfg = tmp_path / "rect.cfg"
+        cfg.write_text(f"n = 16\nshape = {shape}\nK = 4\ntrials = 1\n")
+        argv = ["simulate", "--config", str(cfg)]
+    else:
+        argv = ["simulate", *_SMALL, "--shape", shape]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+    truth = read_mask_pgm(tmp_path / "out" / "truth.pgm")
+    assert np.count_nonzero(truth.cells) == 16
+    assert truth.cells[:4, :4].all()
+
+
+# ------------------------------------------------------- property tests
+
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    """One file that each example of a property test overwrites."""
+    return tmp_path_factory.mktemp("inputs") / "input"
+
+
+_numbers = st.one_of(
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", " ", "abc", "1e999", "-0", "0x10", "1_0"]),
+)
+_values = st.one_of(
+    st.text(max_size=12),
+    _numbers,
+    st.lists(_numbers, max_size=4).map(",".join),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.dictionaries(
+        st.one_of(st.sampled_from(harness.SCENARIO_KEYS), st.text(max_size=6)), _values
+    ),
+    preset=st.sampled_from([None, *sorted(harness.PRESETS)]),
+)
+def test_scenario_from_mapping_raises_only_package_errors(values, preset):
+    base = harness.PRESETS[preset] if preset else None
+    try:
+        harness.scenario_from_mapping(values, base)
+    except MaskrecError:
+        pass
+
+
+_kv = st.tuples(
+    st.sampled_from(["measure", "cx", "cf", "hole", "x0", "f0", "w", "h", "zz"]), _numbers
+).map("=".join)
+_body = st.lists(_kv, max_size=5).map(",".join)
+_specs = st.one_of(
+    st.text(max_size=20),
+    st.tuples(st.sampled_from(["disc", "annulus", "rect", "not:disc", "blob"]), _body).map(
+        ":".join
+    ),
+    st.lists(_body.map("({})".format), min_size=1, max_size=3).map(
+        lambda terms: "discs:" + "+".join(terms)
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_specs)
+def test_make_mask_raises_only_package_errors(spec):
+    assume("image" not in spec.lower())  # never open a path
+    try:
+        make_mask(TFGrid(16), spec)
+    except MaskrecError:
+        pass
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    content=st.one_of(
+        st.binary(max_size=64),
+        st.lists(
+            st.tuples(st.sampled_from([*harness.SCENARIO_KEYS, "", "x"]), _values).map(
+                " = ".join
+            ),
+            max_size=4,
+        ).map(lambda lines: "\n".join(lines).encode()),
+        st.text(max_size=40).map(str.encode),
+    )
+)
+def test_load_config_raises_only_package_errors(content, input_file):
+    path = input_file
+    path.write_bytes(content)
+    try:
+        harness.scenario_from_mapping(harness.load_config(path))
+    except MaskrecError:
+        pass
+
+
+_sep = st.sampled_from([b" ", b"\n", b"\t", b"#c\n", b" #\n", b""])
+_token = st.one_of(
+    st.integers(0, 20).map(lambda v: str(v).encode()),
+    st.sampled_from([b"255", b"65535", b"9999999999", b"x", b""]),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    content=st.one_of(
+        st.binary(max_size=64),
+        st.tuples(
+            st.sampled_from([b"P5", b"P2", b""]), _sep, _token, _sep, _token, _sep, _token,
+            _sep, st.binary(max_size=300),
+        ).map(b"".join),
+    )
+)
+def test_read_mask_pgm_raises_only_package_errors(content, input_file):
+    path = input_file
+    path.write_bytes(content)
+    try:
+        read_mask_pgm(path)
+    except MaskrecError:
+        pass

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from maskrec import errors, locop
 from maskrec.locop import (
@@ -139,6 +140,19 @@ def test_disc_eigenvalue_plateau_n64():
     spec = _spec(disc_mask(TFGrid(n), 8.0), g)
     assert np.all(spec.eigenvalues[:4] >= 0.75)
     assert plateau_violations(spec) == 0
+
+
+@pytest.mark.parametrize("n,omega,tol", [(64, 8.0, 3.5e-4), (128, 20.0, 1.8e-4)])
+def test_disc_spectrum_matches_daubechies_closed_form(n, omega, tol):
+    # Daubechies (1988): for the Gaussian window and a centred disc the
+    # eigenvalues are lambda_k = P(k + 1, |disc|), the regularized lower
+    # incomplete gamma function; the lattice gap is 3.3e-4 and 1.7e-4 here
+    grid = TFGrid(n)
+    mask = disc_mask(grid, omega)
+    assert measure(mask) == omega
+    spec = spectrum(assemble_locop(mask, make_window(grid, "gaussian")), omega)
+    k = np.arange(n)
+    assert np.max(np.abs(spec.eigenvalues - gammainc(k + 1, omega))) < tol
 
 
 def test_eigenvalue_monotonicity_under_mask_growth():

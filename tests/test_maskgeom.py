@@ -320,6 +320,15 @@ def test_pgm_round_trip(tmp_path):
     assert back.grid.n == 16
 
 
+def test_pgm_header_with_comments(tmp_path):
+    path = tmp_path / "commented.pgm"
+    payload = bytes([255, 0, 0, 0, 0, 255, 0, 0, 0, 0, 255, 0, 0, 0, 0, 200])
+    path.write_bytes(b"P5 # hand-made\n4 # width\n# height next\n4\n255\n" + payload)
+    m = read_mask_pgm(path)
+    assert m.grid.n == 4
+    assert np.array_equal(m.cells, np.eye(4, dtype=bool))
+
+
 def test_pgm_layout_row_is_time():
     n = 16
     m = _single(n, at=(3, 9))  # time 3, frequency 9
