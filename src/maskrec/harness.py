@@ -192,7 +192,12 @@ def build_pipeline(scenario: Scenario) -> Pipeline:
     grid = TFGrid(scenario.n)
     truth = make_mask(grid, scenario.shape)
     model = make_window(grid, scenario.model_window)
-    recon = make_window(grid, scenario.recon_window)
+    # windows are immutable, so equal labels share one window and its lag plan
+    recon = (
+        model
+        if scenario.recon_window == scenario.model_window
+        else make_window(grid, scenario.recon_window)
+    )
     H = locop.assemble_locop(truth, model)
     return Pipeline(
         scenario=scenario, grid=grid, truth=truth, model=model, recon=recon, H=H
@@ -292,12 +297,21 @@ def _success_columns(r_list: tuple[float, ...]) -> list[str]:
     return [f"success_r_{format(r, 'g')}" for r in r_list]
 
 
+def _output_dir(out_dir: str | Path) -> Path:
+    """Create the output directory; a path that cannot be one is a ConfigurationError."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {str(out)!r}: {exc}") from exc
+    return out
+
+
 def run_simulate(
     scenario: Scenario, out_dir: str | Path, threads: int | None = None
 ) -> list[TrialResult]:
     """Run the scenario and emit trials.csv plus first-trial PGM artifacts."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     pipeline = build_pipeline(scenario)
     results, extras = run_trials(pipeline, threads)
 
@@ -341,25 +355,29 @@ def run_sweep(
     out_dir: str | Path,
     threads: int | None = None,
 ) -> list[dict]:
-    """Sweep K, sigma, or the mask measure; emit one summary row per value."""
+    """Sweep K, sigma, or the mask measure; emit one summary row per value.
+
+    K and sigma leave the truth, the windows and H unchanged, so their values
+    share one pipeline and only its scenario is replaced; a measure sweep
+    builds one pipeline per value.
+    """
     if axis not in ("K", "sigma", "measure"):
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
     if list(values) != sorted(values):
         raise ConfigurationError("sweep values must be sorted ascending")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
 
+    shared = None if axis == "measure" else build_pipeline(scenario)
     summary_rows: list[dict] = []
     for value in values:
         if axis == "K":
-            sweep_scenario = replace(scenario, count=int(value))
+            pipeline = replace(shared, scenario=replace(scenario, count=int(value)))
         elif axis == "sigma":
-            sweep_scenario = replace(scenario, sigma=float(value))
+            pipeline = replace(shared, scenario=replace(scenario, sigma=float(value)))
         else:
-            sweep_scenario = replace(
-                scenario, shape=scaled_shape_spec(scenario.shape, float(value))
+            pipeline = build_pipeline(
+                replace(scenario, shape=scaled_shape_spec(scenario.shape, float(value)))
             )
-        pipeline = build_pipeline(sweep_scenario)
         results, _ = run_trials(pipeline, threads)
         sym = np.array([r.error.sym_diff_measure for r in results])
         ratios = np.array([r.error.ratio for r in results])
@@ -409,8 +427,7 @@ def _failure_decay_comment(summary_rows: list[dict]) -> str:
 
 def run_spectrum(scenario: Scenario, out_dir: str | Path) -> Path:
     """Eigenvalue profile of the scenario's operator, with plateau columns."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     pipeline = build_pipeline(scenario)
     omega = maskgeom.measure(pipeline.truth)
     spec = locop.spectrum(pipeline.H, omega)
@@ -481,8 +498,9 @@ def run_verify(
 ) -> list[CheckResult]:
     """Run every module invariant at oracle-speed sizes.
 
-    ``corrupt_window`` is a test hook that breaks the window normalization
-    before the isometry check; it must turn that check red.
+    ``corrupt_window`` is a test hook that scales the transforms by 1 + 1e-4,
+    as a window off unit norm would, before the isometry check; it must turn
+    that check red.
     """
     for n in ns:
         if not 8 <= n <= 64:
@@ -498,11 +516,10 @@ def run_verify(
         phi = make_window(grid, tfcore.WINDOW_GAUSSIAN)
         g2 = make_window(grid, tfcore.WINDOW_GAUSSIAN_T2)
 
-        iso_window = make_window(grid, tfcore.WINDOW_GAUSSIAN)
-        if corrupt_window:
-            iso_window.samples = iso_window.samples * (1.0 + 1e-4)
         signals = rng.standard_normal((100, n)) + 1j * rng.standard_normal((100, n))
-        transforms = tfcore.stft_stack(signals, iso_window)
+        transforms = tfcore.stft_stack(signals, g)
+        if corrupt_window:
+            transforms *= 1.0 + 1e-4
         energies = np.sum(np.abs(transforms) ** 2, axis=(1, 2))
         defect = float(np.max(np.abs(energies - np.sum(np.abs(signals) ** 2, axis=1))))
         checks.append(CheckResult(f"tfcore.isometry[n={n}]", defect, 1e-10))

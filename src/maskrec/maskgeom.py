@@ -233,8 +233,16 @@ def union_of_discs(grid: TFGrid, discs: list[tuple[tuple[float, float] | None, f
 
 _KV_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*=\s*([^,]+?)\s*$")
 
+#: The parameters each kind of shape spec accepts; ``discs`` terms are discs.
+_SHAPE_KEYS = {
+    "disc": ("measure", "cx", "cf"),
+    "discs": ("measure", "cx", "cf"),
+    "annulus": ("measure", "hole", "cx", "cf"),
+    "rect": ("x0", "f0", "w", "h"),
+}
 
-def _parse_kv(body: str) -> dict[str, float]:
+
+def _parse_kv(body: str, kind: str) -> dict[str, float]:
     params: dict[str, float] = {}
     if not body:
         return params
@@ -242,6 +250,11 @@ def _parse_kv(body: str) -> dict[str, float]:
         m = _KV_RE.match(item)
         if not m:
             raise ConfigurationError(f"cannot parse shape parameter {item!r}")
+        if m.group(1) not in _SHAPE_KEYS[kind]:
+            raise ConfigurationError(
+                f"unknown {kind} parameter {m.group(1)!r}; "
+                f"expected {', '.join(_SHAPE_KEYS[kind])}"
+            )
         try:
             value = float(m.group(2))
         except ValueError:
@@ -287,15 +300,15 @@ def make_mask(grid: TFGrid, spec: str) -> Mask:
     if kind == "image":
         return read_mask_pgm(body.strip(), grid)
     if kind == "disc":
-        return disc_mask(grid, *_disc_params(_parse_kv(body), kind))
+        return disc_mask(grid, *_disc_params(_parse_kv(body, kind), kind))
     if kind == "rect":
-        p = _parse_kv(body)
+        p = _parse_kv(body, kind)
         try:
             return rect_mask(grid, int(p["x0"]), int(p["f0"]), int(p["w"]), int(p["h"]))
         except KeyError as exc:
             raise ConfigurationError(f"rect spec missing {exc}") from exc
     if kind == "annulus":
-        p = _parse_kv(body)
+        p = _parse_kv(body, kind)
         target, center = _disc_params(p, kind)
         return annulus_mask(grid, target, p.get("hole", 0.0), center)
     if kind == "discs":
@@ -304,7 +317,7 @@ def make_mask(grid: TFGrid, spec: str) -> Mask:
             part = part.strip()
             if not (part.startswith("(") and part.endswith(")")):
                 raise ConfigurationError(f"bad union-of-discs term {part!r}")
-            target, center = _disc_params(_parse_kv(part[1:-1]), kind)
+            target, center = _disc_params(_parse_kv(part[1:-1], kind), kind)
             discs.append((center, target))
         return union_of_discs(grid, discs)
     raise ConfigurationError(f"unknown shape spec {spec!r}")
@@ -313,11 +326,12 @@ def make_mask(grid: TFGrid, spec: str) -> Mask:
 def scaled_shape_spec(spec: str, target_measure: float) -> str:
     """Rewrite the measure parameter of a disc/annulus spec (used by sweeps)."""
     kind, _, body = spec.partition(":")
-    if kind.strip().lower() not in ("disc", "annulus"):
+    kind = kind.strip().lower()
+    if kind not in ("disc", "annulus"):
         raise ConfigurationError(
             f"measure sweeps need a disc or annulus shape, got {spec!r}"
         )
-    params = _parse_kv(body)
+    params = _parse_kv(body, kind)
     params["measure"] = target_measure
     body = ",".join(f"{k}={v:g}" for k, v in params.items())
     return f"{kind}:{body}"

@@ -27,12 +27,22 @@ first-moment field for H.  Its adjoint, ``sum_z chi(z) Q_A(z) =
 sum_{t,s} A[t, s] conj(M[t, s])`` with ``M = sum_z chi(z) pi(z)g (pi(z)g)^H``
 (:func:`mask_operator`), builds the localization operator ``H = M / n``.
 
+Both kernels work on the diagonals ``A[t, t + tau]`` of a Hermitian matrix
+at the n/2 + 1 non-negative lags only: the negative lags are the conjugates
+of the positive ones, so the field Q is one inverse real FFT over the lags,
+and M is its half-lag diagonals plus their conjugate transpose.  What
+depends on the window alone, the lag index and the transformed lag products
+``conj(phi(u)) phi(u + tau)``, is the window's :attr:`Window.lag_plan`,
+computed on first use and kept for the window's lifetime; a window is
+frozen with read-only samples, so its plan cannot go stale.
+
 All functions here are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,26 +82,29 @@ class TFGrid:
         return float(self.n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Window:
     """A unit-norm analysis/synthesis window.
 
     ``samples`` must have l2 norm 1 within 1e-12; use :func:`make_window`
-    or :func:`custom_window` to construct one.
+    or :func:`custom_window` to construct one.  The samples are a read-only
+    copy, so the lag plan cached on the window never goes stale.
     """
 
     samples: np.ndarray
     label: str = WINDOW_CUSTOM
 
     def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != 1:
+        samples = np.array(self.samples, dtype=np.complex128)
+        if samples.ndim != 1:
             raise ConfigurationError("window samples must be a 1-D vector")
-        norm = np.linalg.norm(self.samples)
+        norm = np.linalg.norm(samples)
         if abs(norm - 1.0) > _NORM_TOL:
             raise ConfigurationError(
                 f"window is not unit-norm (||g|| = {norm!r}); normalize first"
             )
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
 
     @property
     def n(self) -> int:
@@ -100,6 +113,22 @@ class Window:
     @property
     def grid(self) -> TFGrid:
         return TFGrid(self.n)
+
+    @cached_property
+    def lag_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(t, lags, P)`` over the non-negative lags tau = 0..n/2, built once.
+
+        ``A[t, lags]`` gathers the diagonals ``A[t, (t + tau) mod n]``, and
+        ``P`` is the inverse DFT over u of the lag products
+        ``conj(phi(u)) phi(u + tau)``.  All three are read-only.
+        """
+        n = self.n
+        t = np.arange(n)[:, None]
+        lags = (t + np.arange(n // 2 + 1)) % n
+        P = np.fft.ifft(np.conj(self.samples[t]) * self.samples[lags], axis=0)
+        for array in (t, lags, P):
+            array.flags.writeable = False
+        return t, lags, P
 
 
 @dataclass(frozen=True)
@@ -237,58 +266,53 @@ def offset_distances(grid: TFGrid) -> np.ndarray:
     return np.sqrt(d[:, None] ** 2 + d[None, :] ** 2) / np.sqrt(grid.n)
 
 
-def _diagonals(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(t, lags)`` such that ``A[t, lags][t, tau] = A[t, (t + tau) mod n]``."""
-    t = np.arange(n)[:, None]
-    return t, (t + t.T) % n
-
-
 def quadratic_field(A: np.ndarray, phi: Window) -> np.ndarray:
     """The real field ``Q[x, xi] = <A pi(z)phi, pi(z)phi>`` of a Hermitian A.
 
     With ``s = t + tau``, ``Q(x, xi)`` is the DFT over the lag tau of the
-    cyclic correlation over t of the diagonal ``D[t, tau] = A[t, t + tau]``
-    with the window lag products ``P[u, tau] = conj(phi(u)) phi(u + tau)``.
-    Both steps are FFTs, so the cost is O(n^2 log n).
+    cyclic correlation ``C[x, tau]`` over t of the diagonal
+    ``D[t, tau] = A[t, t + tau]`` with the window lag products
+    ``P[u, tau] = conj(phi(u)) phi(u + tau)``.  For Hermitian A,
+    ``C[x, -tau] = conj(C[x, tau])``, so the lags 0..n/2 determine C and one
+    inverse real FFT over them gives Q.  The cost is O(n^2 log n).
     """
     A = np.asarray(A, dtype=np.complex128)
     n = phi.n
     if A.shape != (n, n):
         raise DimensionError(f"matrix shape {A.shape} != window length {n}")
-    t, lags = _diagonals(n)
-    # 1-D transforms in place (numpy's ifft2 ignores an aliased out) keep two
-    # n x n temporaries; the unnormalized inverses end the correlation over t
-    # and take the DFT over the lags tau
+    t, lags, P = phi.lag_plan
+    # the unnormalized inverses end the correlation over t and take the DFT
+    # over the lags tau
     X = A[t, lags]
-    P = phi.samples[lags]
-    del lags
-    P *= np.conj(phi.samples[t])
     np.fft.fft(X, axis=0, out=X)
-    X *= np.fft.ifft(P, axis=0, out=P)
-    del P
-    for axis in (0, 1):
-        np.fft.ifft(X, axis=axis, norm="forward", out=X)
-    return X.real.copy()
+    X *= P
+    np.fft.ifft(X, axis=0, norm="forward", out=X)
+    return np.fft.irfft(X, n, axis=1, norm="forward")
 
 
 def mask_operator(cells: np.ndarray, g: Window) -> np.ndarray:
     """The matrix ``sum_z chi(z) pi(z)g (pi(z)g)^H`` of real cell weights chi.
 
     The adjoint of :func:`quadratic_field`, taking its steps in reverse: a
-    DFT of chi over frequency, then a cyclic convolution over time with the
-    lag products ``g(u) conj(g(u + tau))`` gives the diagonals.  The result
-    is exactly Hermitian.
+    real DFT of chi over frequency, then a cyclic convolution over time with
+    the lag products ``g(u) conj(g(u + tau))`` (the window's plan,
+    conjugated) gives the diagonals at lags 0..n/2.  Halving lag 0 and, for
+    even n, lag n/2 and adding the conjugate transpose fills the other lags;
+    the result is exactly Hermitian.
     """
     cells = np.asarray(cells, dtype=float)
     n = g.n
     if cells.shape != (n, n):
         raise DimensionError(f"cell array shape {cells.shape} != window length {n}")
-    t, lags = _diagonals(n)
-    X = np.fft.fft2(cells)
-    X *= np.fft.fft(g.samples[t] * np.conj(g.samples[lags]), axis=0)
-    M = np.empty_like(X)
-    M[t, lags] = np.fft.ifft(X, axis=0)
+    t, lags, P = g.lag_plan
+    X = np.fft.rfft2(cells)
+    X *= np.conj(P)
+    np.fft.ifft(X, axis=0, norm="forward", out=X)
+    X[:, 0] /= 2
+    if n % 2 == 0:
+        X[:, -1] /= 2
+    M = np.zeros((n, n), dtype=np.complex128)
+    M[t, lags] = X
     del X
     M += M.conj().T
-    M /= 2
     return M

@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from maskrec import cli, errors, harness
@@ -113,6 +116,14 @@ def test_config_errors(tmp_path):
 # ------------------------------------------------------------------ trials
 
 
+def test_pipeline_shares_a_window_between_equal_labels():
+    left = build_pipeline(replace(PRESETS["figure1-left"], n=32, shape="disc:measure=6"))
+    right = build_pipeline(replace(PRESETS["figure1-right"], n=32, shape="disc:measure=6"))
+    assert left.recon is left.model
+    assert right.recon is not right.model
+    assert right.model.label == "gaussian_t2" and right.recon.label == "gaussian"
+
+
 def test_trial_seed_depends_only_on_indices():
     assert trial_seed(7, 3) == trial_seed(7, 3)
     assert trial_seed(7, 3) != trial_seed(7, 4)
@@ -218,6 +229,39 @@ def test_sweep_sigma_invariance(tmp_path):
     for row in rows[1:]:
         assert row["success_rates"] == base["success_rates"]
         assert row["median_sym_diff"] == base["median_sym_diff"]
+
+
+@pytest.mark.parametrize(
+    "axis,values,builds",
+    [("K", [2, 4, 8], 1), ("sigma", [0.5, 2.0], 1), ("measure", [4.0, 6.0], 2)],
+)
+def test_sweep_builds_one_pipeline_per_scenario_layout(axis, values, builds, tmp_path, monkeypatch):
+    # K and sigma leave truth, windows and H alone; a measure value changes the truth
+    calls = []
+
+    def counting(scenario):
+        calls.append(scenario)
+        return build_pipeline(scenario)
+
+    monkeypatch.setattr(harness, "build_pipeline", counting)
+    rows = run_sweep(SMALL, axis, values, tmp_path)
+    assert len(calls) == builds
+    assert [row["value"] for row in rows] == values
+
+
+def test_sweep_k_rows_match_separate_pipelines(tmp_path):
+    values = [2, 4, 8]
+    rows = run_sweep(SMALL, "K", values, tmp_path, threads=2)
+    for k, row in zip(values, rows):
+        results, _ = harness.run_trials(build_pipeline(replace(SMALL, count=k)))
+        sym = [r.error.sym_diff_measure for r in results]
+        assert row["trials"] == len(results)
+        assert row["mean_sym_diff"] == np.mean(sym)
+        assert row["median_sym_diff"] == np.median(sym)
+        assert row["mean_ratio"] == np.mean([r.error.ratio for r in results])
+        assert row["success_rates"] == tuple(
+            np.mean([r.success_at_r for r in results], axis=0)
+        )
 
 
 def test_sweep_requires_sorted_values(tmp_path):

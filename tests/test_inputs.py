@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from maskrec import cli, harness
-from maskrec.errors import MaskrecError
+from maskrec.errors import ConfigurationError, MaskrecError
 from maskrec.maskgeom import make_mask, read_mask_pgm
 from maskrec.tfcore import TFGrid
 
@@ -37,6 +37,8 @@ CLI_ROWS = {
     "pgm-truncated-payload": ["simulate", *_SMALL, "--shape", "image:{tmp}/payload.pgm"],
     "config-missing": ["simulate", "--config", "{tmp}/missing.cfg"],
     "image-missing": ["simulate", *_SMALL, "--shape", "image:{tmp}/missing.pgm"],
+    "disc-unknown-key": ["simulate", *_SMALL, "--shape", "disc:measure=4,radius=3"],
+    "rect-unknown-key": ["simulate", *_SMALL, "--shape", "rect:x0=0,f0=0,w=2,h=2,q=1"],
 }
 
 
@@ -51,6 +53,37 @@ def test_malformed_input_exits_2_with_one_error_line(row, tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+_COMMANDS = {
+    "simulate": [],
+    "sweep": ["--axis", "K", "--values", "4"],
+    "spectrum": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_unusable_out_dir_exits_2(command, tmp_path, capsys):
+    # a regular file as the parent of the output directory
+    (tmp_path / "file").write_text("")
+    argv = [command, *_COMMANDS[command], *_SMALL, *_DISC]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "file" / "x")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot create output directory")
+
+
+def test_unusable_out_dir_is_a_configuration_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "x"
+    sc = harness.Scenario(n=16, shape="disc:measure=2", count=4, trials=1)
+    for run in (
+        lambda: harness.run_simulate(sc, out),
+        lambda: harness.run_sweep(sc, "K", [4], out),
+        lambda: harness.run_spectrum(sc, out),
+        lambda: harness.run_simulate(sc, tmp_path / "file"),
+    ):
+        with pytest.raises(ConfigurationError, match="output directory"):
+            run()
 
 
 @pytest.mark.parametrize("route", ["config", "flag"])

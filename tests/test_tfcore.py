@@ -1,10 +1,14 @@
+import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from maskrec import errors, tfcore
 from maskrec.tfcore import TFGrid, TFMatrix, istft, make_window, stft, stft_stack
 
-from helpers import brute_istft, brute_stft
+from helpers import brute_istft, brute_locop, brute_stft
 
 
 def test_grid_rejects_tiny_n():
@@ -53,6 +57,17 @@ def test_custom_window_normalizes():
 def test_window_rejects_bad_norm():
     with pytest.raises(errors.ConfigurationError):
         tfcore.Window(samples=np.ones(8))
+
+
+def test_window_samples_are_a_read_only_copy():
+    source = np.ones(8, dtype=complex) / np.sqrt(8)
+    w = tfcore.Window(samples=source)
+    source[0] = 5.0
+    assert w.samples[0] == 1 / np.sqrt(8)
+    with pytest.raises(ValueError):
+        w.samples[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.samples = np.ones(8) / np.sqrt(8)
 
 
 def test_stft_of_window_with_itself_at_origin():
@@ -266,3 +281,69 @@ def test_quadratic_field_shape_mismatch():
         tfcore.quadratic_field(np.eye(8), g)
     with pytest.raises(errors.DimensionError):
         tfcore.mask_operator(np.ones((8, 8)), g)
+
+
+def _windows(n, rng):
+    """The Gaussian and a random complex window of length n."""
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return make_window(TFGrid(n), "gaussian"), tfcore.custom_window(noise)
+
+
+@pytest.mark.parametrize("n", [9, 15, 16])
+def test_quadratic_field_matches_brute_stft(n):
+    # for Hermitian A = sum_j mu_j u_j u_j^H, <A pi(z)phi, pi(z)phi> is
+    # sum_j mu_j n |V_phi u_j(z)|^2; odd and even n cover the lag n/2 edge
+    rng = np.random.default_rng(20 + n)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A = A + A.conj().T
+    mu, U = np.linalg.eigh(A)
+    for phi in _windows(n, rng):
+        expected = sum(
+            m * n * np.abs(brute_stft(u, phi.samples)) ** 2 for m, u in zip(mu, U.T)
+        )
+        Q = tfcore.quadratic_field(A, phi)
+        assert Q.dtype == np.float64
+        assert np.max(np.abs(Q - expected)) < 1e-12 * np.sum(np.abs(A))
+
+
+@pytest.mark.parametrize("n", [9, 15, 16])
+def test_mask_operator_matches_brute_locop_and_is_hermitian(n):
+    rng = np.random.default_rng(30 + n)
+    cells = rng.random((n, n)) < 0.3
+    for g in _windows(n, rng):
+        M = tfcore.mask_operator(cells, g)
+        assert np.max(np.abs(M / n - brute_locop(cells, g.samples))) < 1e-13
+        assert np.array_equal(M, M.conj().T)
+
+
+def test_lag_plan_is_built_once_per_window():
+    n = 16
+    g = make_window(TFGrid(n), "gaussian")
+    assert "lag_plan" not in vars(g)
+    tfcore.quadratic_field(np.eye(n), g)
+    plan = vars(g)["lag_plan"]
+    tfcore.mask_operator(np.ones((n, n)), g)
+    tfcore.quadratic_field(np.eye(n), g)
+    assert g.lag_plan is plan
+    assert all(not array.flags.writeable for array in plan)
+    assert "lag_plan" not in vars(make_window(TFGrid(n), "gaussian"))
+
+
+def test_lag_plan_shared_by_concurrent_callers():
+    # pool threads share one window; its lazily built plan must give every
+    # caller the serial result, however the threads interleave
+    n = 32
+    rng = np.random.default_rng(40)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A = A + A.conj().T
+    expected = tfcore.quadratic_field(A, make_window(TFGrid(n), "gaussian"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            g = make_window(TFGrid(n), "gaussian")
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                fields = list(pool.map(lambda _: tfcore.quadratic_field(A, g), range(32)))
+            assert all(np.array_equal(Q, expected) for Q in fields)
+    finally:
+        sys.setswitchinterval(interval)
