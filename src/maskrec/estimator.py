@@ -54,9 +54,11 @@ def average_spectrogram(filtered: np.ndarray, phi: Window) -> AvgSpectrogram:
             f"realization length {filtered.shape[1]} != window length {n}"
         )
     count = filtered.shape[0]
-    covariance = filtered.T @ np.conj(filtered) / count
+    # the field is linear in the covariance, so the 1/K goes on the real field
+    rho = quadratic_field(filtered.T @ np.conj(filtered), phi)
+    rho /= count
     return AvgSpectrogram(
-        rho=quadratic_field(covariance, phi),
+        rho=rho,
         grid=phi.grid,
         count=count,
         window_label=phi.label,

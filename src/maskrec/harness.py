@@ -30,13 +30,21 @@ THREADS_ENV_VAR = "MASKREC_THREADS"
 #: Default containment radii (continuous units): small cell-side multiples.
 DEFAULT_R_CELLS = (2.0, 3.0, 4.0)
 
+#: The default truth: a disc of measure 100 on the 256-grid.
+DEFAULT_SHAPE = "disc:measure=100"
+
+
+def default_shape(n: int) -> str:
+    """The default disc on an n-grid, covering the same share of the plane."""
+    return scaled_shape_spec(DEFAULT_SHAPE, 100.0 * n / 256)
+
 
 @dataclass(frozen=True)
 class Scenario:
     """One fully specified estimation experiment."""
 
     n: int = 256
-    shape: str = "disc:measure=100"
+    shape: str = DEFAULT_SHAPE
     model_window: str = tfcore.WINDOW_GAUSSIAN
     recon_window: str = tfcore.WINDOW_GAUSSIAN
     count: int = 20
@@ -141,7 +149,8 @@ _FIELD_TYPES = get_type_hints(Scenario)
 def scenario_from_mapping(values: dict[str, str], base: Scenario | None = None) -> Scenario:
     """Build a scenario from string key/value pairs, over an optional base.
 
-    A base that keeps its default radii gets those of an overridden ``n``.
+    A base that keeps its default radii or its default disc gets those of
+    an overridden ``n``.
     """
     kwargs = {}
     for key, text in values.items():
@@ -153,10 +162,12 @@ def scenario_from_mapping(values: dict[str, str], base: Scenario | None = None) 
             kwargs[field_name] = parse_list(key, text, get_args(kind)[0])
         else:
             kwargs[field_name] = _convert(key, text, kind)
-    if base is None:
-        return Scenario(**kwargs)
-    if "n" in kwargs and "r_list" not in kwargs and base.r_list == Scenario(n=base.n).r_list:
-        kwargs["r_list"] = ()
+    base = Scenario() if base is None else base
+    if "n" in kwargs:
+        if "r_list" not in kwargs and base.r_list == Scenario(n=base.n).r_list:
+            kwargs["r_list"] = ()
+        if "shape" not in kwargs and base.shape == default_shape(base.n):
+            kwargs["shape"] = default_shape(kwargs["n"])
     return replace(base, **kwargs)
 
 
@@ -245,10 +256,15 @@ def run_trial(
 
 
 def _resolve_threads(threads: int | None) -> int:
+    """The worker count: ``threads``, else MASKREC_THREADS, else 1; at least 1."""
     env = os.environ.get(THREADS_ENV_VAR)
     if threads is None and env:
         threads = _convert(THREADS_ENV_VAR, env, int)
-    return max(1, threads or 1)
+    if threads is None:
+        return 1
+    if threads < 1:
+        raise ConfigurationError(f"thread count must be >= 1, got {threads}")
+    return threads
 
 
 def run_trials(

@@ -47,6 +47,11 @@ class Mask:
         dist.flags.writeable = False
         return dist
 
+    @cached_property
+    def perimeter(self) -> float:
+        """The :func:`perimeter` of the mask, computed once per mask."""
+        return perimeter(self)
+
 
 def measure(mask: Mask) -> float:
     """Plane measure of the mask: (number of cells) / n."""
@@ -137,7 +142,7 @@ def error_report(truth: Mask, estimate) -> ErrorReport:
         raise DimensionError("estimate shape does not match the truth mask")
     err = truth.cells ^ est
     sym = float(np.count_nonzero(err)) * truth.grid.cell_measure
-    perim = perimeter(truth)
+    perim = truth.perimeter
     if not err.any():
         radius = 0.0
     else:

@@ -1,6 +1,6 @@
 """Seeded white-noise batches, complexification, and filtering.
 
-Realization k of a batch is drawn from its own counter-based Philox stream
+Realization k of a batch is drawn from the counter-based Philox stream
 keyed by ``(seed, k)``, so a realization depends only on the seed and its
 index: batches are reproducible, independent of generation order, and safe
 to produce in parallel.  Standard-normal draws are scaled by sigma, which
@@ -39,18 +39,16 @@ class NoiseBatch:
         return self.realizations.shape[0]
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def sample_noise(
     grid: TFGrid, count: int, sigma: float, kind: str = KIND_COMPLEX, seed: int = 0
 ) -> NoiseBatch:
     """Draw ``count`` independent white-noise realizations of length n.
 
     Complex noise has independent real and imaginary parts of variance
-    sigma^2 / 2 each; real noise has variance sigma^2.
+    sigma^2 / 2 each; real noise has variance sigma^2.  One Philox
+    generator is re-keyed to ``(seed, k)`` (counter 0, empty buffer) before
+    realization k, which draws the same numbers as a fresh generator with
+    that key.
     """
     if count < 1:
         raise ConfigurationError(f"need at least one realization, got {count}")
@@ -59,14 +57,23 @@ def sample_noise(
     if kind not in (KIND_COMPLEX, KIND_REAL):
         raise ConfigurationError(f"unknown noise kind {kind!r}")
     n = grid.n
-    out = np.empty((count, n), dtype=np.complex128)
+    parts = 2 if kind == KIND_COMPLEX else 1
+    draws = np.empty((count, parts, n))
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = state["state"]["key"]
     for k in range(count):
-        rng = _stream(seed, k)
-        if kind == KIND_COMPLEX:
-            z = rng.standard_normal(2 * n)
-            out[k] = (z[:n] + 1j * z[n:]) / np.sqrt(2.0)
-        else:
-            out[k] = rng.standard_normal(n)
+        key[:] = (seed & _MASK64, k & _MASK64)
+        bitgen.state = state
+        rng.standard_normal(out=draws[k])
+    out = np.empty((count, n), dtype=np.complex128)
+    out.real = draws[:, 0]
+    if kind == KIND_COMPLEX:
+        out.imag = draws[:, 1]
+        out /= np.sqrt(2.0)
+    else:
+        out.imag = 0.0
     out *= sigma
     return NoiseBatch(realizations=out, sigma=float(sigma), kind=kind, seed=seed)
 

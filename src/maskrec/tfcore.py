@@ -115,20 +115,22 @@ class Window:
         return TFGrid(self.n)
 
     @cached_property
-    def lag_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(t, lags, P)`` over the non-negative lags tau = 0..n/2, built once.
+    def lag_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(index, P)`` over the non-negative lags tau = 0..n/2, built once.
 
-        ``A[t, lags]`` gathers the diagonals ``A[t, (t + tau) mod n]``, and
-        ``P`` is the inverse DFT over u of the lag products
-        ``conj(phi(u)) phi(u + tau)``.  All three are read-only.
+        ``index[t, tau] = t * n + (t + tau) mod n`` is the flat position of
+        ``A[t, t + tau]`` in a C-ordered n x n matrix, and ``P`` is the
+        inverse DFT over u of the lag products ``conj(phi(u)) phi(u + tau)``.
+        Both are read-only.
         """
         n = self.n
         t = np.arange(n)[:, None]
         lags = (t + np.arange(n // 2 + 1)) % n
+        index = t * n + lags
         P = np.fft.ifft(np.conj(self.samples[t]) * self.samples[lags], axis=0)
-        for array in (t, lags, P):
+        for array in (index, P):
             array.flags.writeable = False
-        return t, lags, P
+        return index, P
 
 
 @dataclass(frozen=True)
@@ -280,10 +282,10 @@ def quadratic_field(A: np.ndarray, phi: Window) -> np.ndarray:
     n = phi.n
     if A.shape != (n, n):
         raise DimensionError(f"matrix shape {A.shape} != window length {n}")
-    t, lags, P = phi.lag_plan
+    index, P = phi.lag_plan
     # the unnormalized inverses end the correlation over t and take the DFT
     # over the lags tau
-    X = A[t, lags]
+    X = A.take(index)
     np.fft.fft(X, axis=0, out=X)
     X *= P
     np.fft.ifft(X, axis=0, norm="forward", out=X)
@@ -304,7 +306,7 @@ def mask_operator(cells: np.ndarray, g: Window) -> np.ndarray:
     n = g.n
     if cells.shape != (n, n):
         raise DimensionError(f"cell array shape {cells.shape} != window length {n}")
-    t, lags, P = g.lag_plan
+    index, P = g.lag_plan
     X = np.fft.rfft2(cells)
     X *= np.conj(P)
     np.fft.ifft(X, axis=0, norm="forward", out=X)
@@ -312,7 +314,7 @@ def mask_operator(cells: np.ndarray, g: Window) -> np.ndarray:
     if n % 2 == 0:
         X[:, -1] /= 2
     M = np.zeros((n, n), dtype=np.complex128)
-    M[t, lags] = X
+    M.ravel()[index] = X
     del X
     M += M.conj().T
     return M

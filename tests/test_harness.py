@@ -72,6 +72,26 @@ def test_default_radii_follow_an_overridden_n():
     assert scenario_from_mapping({"trials": "2"}, base=left).r_list == left.r_list
 
 
+def test_default_disc_follows_an_overridden_n():
+    left = PRESETS["figure1-left"]
+    assert left.shape == scenario_from_mapping({"n": "256"}, base=left).shape
+    assert left.shape == "disc:measure=100"
+    for base in (None, left):
+        sc = scenario_from_mapping({"n": "32"}, base=base)
+        assert sc.shape == "disc:measure=12.5"
+        # the same share of the plane: 100 of 256
+        assert sc.shape == harness.default_shape(32)
+    # an explicit shape wins, in the same mapping or in the base
+    assert scenario_from_mapping({"n": "32", "shape": "disc:measure=3"}).shape == "disc:measure=3"
+    assert scenario_from_mapping({"n": "64"}, base=SMALL).shape == SMALL.shape
+
+
+def test_flag_only_k_sweep_on_a_small_grid(tmp_path):
+    argv = ["sweep", "--axis", "K", "--values", "4,8", "--n", "32", "--trials", "2"]
+    assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "summary.csv").exists()
+
+
 def test_presets_cover_both_figure_columns():
     left = PRESETS["figure1-left"]
     right = PRESETS["figure1-right"]

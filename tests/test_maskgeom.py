@@ -167,6 +167,26 @@ def test_boundary_distance_is_computed_once_and_read_only():
         d[0, 0] = 0.0
 
 
+def test_truth_perimeter_is_computed_once(monkeypatch):
+    n = 16
+    rng = np.random.default_rng(23)
+    truth = _mask(random_cells(n, rng), n)
+    want = perimeter(truth)
+    calls = []
+    real = maskgeom.perimeter
+    monkeypatch.setattr(maskgeom, "perimeter", lambda m: calls.append(m) or real(m))
+    for _ in range(3):
+        error_report(truth, random_cells(n, rng))
+    assert len(calls) == 1 and calls[0] is truth
+    assert truth.perimeter == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=masks_16, b=masks_16)
+def test_error_report_perimeter_is_the_truth_perimeter(a, b):
+    assert error_report(a, b).perimeter == perimeter(a)
+
+
 def test_boundary_neighborhood_zero_radius_is_empty():
     m = disc_mask(TFGrid(16), 4.0)
     assert not boundary_neighborhood(m, 0.0).any()

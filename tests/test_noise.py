@@ -8,6 +8,8 @@ from maskrec.maskgeom import disc_mask, measure
 from maskrec.noise import complexify, eigen_coefficients, filter_batch, sample_noise
 from maskrec.tfcore import TFGrid, make_window
 
+from helpers import oracle_noise
+
 GRID64 = TFGrid(64)
 
 
@@ -34,6 +36,16 @@ def test_real_noise_second_moment():
     mean_power = np.mean(batch.realizations.real**2)
     # Var((N^2)) = 2 for the standard normal: band 1 +- 5*sqrt(2/64000)
     assert abs(mean_power - 1.0) < 5 * np.sqrt(2 / 64000)
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+@pytest.mark.parametrize("count", [1, 4, 20, 64])
+def test_noise_matches_per_realization_generators_bit_for_bit(kind, count):
+    for n, sigma, seed in ((16, 1.0, 0), (64, 0.37, 7), (17, 3.5, 2**63 + 11)):
+        batch = sample_noise(TFGrid(n), count, sigma, kind=kind, seed=seed)
+        expected = oracle_noise(n, count, sigma, kind, seed)
+        assert batch.realizations.dtype == np.complex128
+        assert batch.realizations.tobytes() == expected.tobytes()
 
 
 def test_same_seed_same_batch():

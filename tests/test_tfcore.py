@@ -329,6 +329,19 @@ def test_lag_plan_is_built_once_per_window():
     assert "lag_plan" not in vars(make_window(TFGrid(n), "gaussian"))
 
 
+@pytest.mark.parametrize("n", [9, 16])
+def test_lag_plan_index_is_the_flat_lag_diagonal(n):
+    index, P = make_window(TFGrid(n), "gaussian").lag_plan
+    assert index.shape == P.shape == (n, n // 2 + 1)
+    rows, cols = np.divmod(index, n)
+    t, tau = np.meshgrid(np.arange(n), np.arange(n // 2 + 1), indexing="ij")
+    assert np.array_equal(rows, t)
+    assert np.array_equal(cols, (t + tau) % n)
+    for array in (index, P):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
+
+
 def test_lag_plan_shared_by_concurrent_callers():
     # pool threads share one window; its lazily built plan must give every
     # caller the serial result, however the threads interleave
