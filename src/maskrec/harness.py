@@ -41,10 +41,14 @@ def default_shape(n: int) -> str:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One fully specified estimation experiment."""
+    """One fully specified estimation experiment.
+
+    An empty ``shape`` or ``r_list`` is filled in with the default disc or
+    the default radii of the grid size ``n``.
+    """
 
     n: int = 256
-    shape: str = DEFAULT_SHAPE
+    shape: str = ""
     model_window: str = tfcore.WINDOW_GAUSSIAN
     recon_window: str = tfcore.WINDOW_GAUSSIAN
     count: int = 20
@@ -69,6 +73,8 @@ class Scenario:
             raise ConfigurationError(f"sigma must be positive and finite, got {self.sigma}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if not self.shape:
+            object.__setattr__(self, "shape", default_shape(self.n))
         if not self.r_list:
             side = TFGrid(self.n).cell_side
             object.__setattr__(
@@ -122,7 +128,9 @@ def load_config(path: str | Path) -> dict[str, str]:
 
 
 def _convert(name: str, text: str, kind: type):
-    """Convert one string to ``kind``; floats must be finite."""
+    """Convert one non-blank string to ``kind``; floats must be finite."""
+    if not text.strip():
+        raise ConfigurationError(f"bad value for {name}: {text!r}")
     try:
         value = kind(text)
     except ValueError:
@@ -164,10 +172,11 @@ def scenario_from_mapping(values: dict[str, str], base: Scenario | None = None) 
             kwargs[field_name] = _convert(key, text, kind)
     base = Scenario() if base is None else base
     if "n" in kwargs:
-        if "r_list" not in kwargs and base.r_list == Scenario(n=base.n).r_list:
+        default = Scenario(n=base.n)
+        if "r_list" not in kwargs and base.r_list == default.r_list:
             kwargs["r_list"] = ()
-        if "shape" not in kwargs and base.shape == default_shape(base.n):
-            kwargs["shape"] = default_shape(kwargs["n"])
+        if "shape" not in kwargs and base.shape == default.shape:
+            kwargs["shape"] = ""
     return replace(base, **kwargs)
 
 

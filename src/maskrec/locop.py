@@ -5,16 +5,21 @@ n x n Hermitian matrix.  On the full lattice the analysis map is an
 isometry, so the operator is positive semidefinite with eigenvalues in
 [0, 1] and trace equal to the mask measure, exactly.
 
+:func:`spectrum` computes the eigenvalues only; the eigenvectors are
+computed on first read, by the diagnostics that check the eigenbasis.
+
 The auxiliary field computed by :func:`theta` is the noise-free profile the
-averaged observed spectrogram concentrates around; its normalization is
-fixed once by the analytically forced case (full mask -> field identically
-1, equivalently a factor n on raw squared transform values) and the same
-scale is used everywhere in the package.
+averaged observed spectrogram concentrates around: the lattice quadratic
+form of H^2.  Its normalization is fixed once by the analytically forced
+case (full mask -> field identically 1, equivalently a factor n on raw
+squared transform values) and the same scale is used everywhere in the
+package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,52 +36,72 @@ def assemble_locop(mask: Mask, g: Window) -> np.ndarray:
     """Matrix of f -> istft(chi * stft(f, g), g); Hermitian and PSD.
 
     This is ``(1/n) sum_{z in mask} pi(z)g (pi(z)g)^H``, the adjoint of the
-    lattice quadratic form applied to the mask indicator.
+    lattice quadratic form applied to the mask indicator.  The result is
+    read-only, so :func:`spectrum` keeps it without a copy.
     """
     if mask.grid.n != g.n:
         raise DimensionError(f"mask grid {mask.grid.n} != window length {g.n}")
-    return mask_operator(mask.cells, g) / g.n
+    H = mask_operator(mask.cells, g)
+    H /= g.n
+    H.flags.writeable = False
+    return H
 
 
 @dataclass(frozen=True)
 class LocOpSpectrum:
-    """Full eigendecomposition of a localization operator.
+    """Eigenvalues of a localization operator, with the operator itself.
 
-    ``eigenvalues`` are descending and clamped to [0, 1]; column m of
-    ``eigenvectors`` is the orthonormal eigenvector for eigenvalue m.
+    ``eigenvalues`` come from ``eigvalsh``, descending and clamped to
+    [0, 1].  ``H`` is read-only.  ``eigenvectors`` runs one ``eigh`` on
+    first read; its eigenvalues match ``eigenvalues`` to about 1e-15, so
+    consumers that pair the two mix the calls at that level.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    H: np.ndarray
     omega_measure: float
     grid: TFGrid
 
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Read-only orthonormal eigenvectors; column m belongs to ``eigenvalues[m]``."""
+        try:
+            _, vecs = np.linalg.eigh(self.H)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigendecomposition failed: {exc}") from exc
+        vecs.flags.writeable = False
+        return vecs[:, ::-1]
+
 
 def spectrum(H: np.ndarray, omega_measure: float) -> LocOpSpectrum:
-    """Eigendecompose a Hermitian localization operator.
+    """Eigenvalues of a Hermitian localization operator.
 
     Eigenvalues outside [-1e-8, 1 + 1e-8] indicate a broken operator and
     raise :class:`ModelError`; smaller excursions are clamped to keep
-    downstream squared sums stable.
+    downstream squared sums stable.  A read-only ``H`` is kept as it is;
+    a writeable one is copied, so later writes by the caller cannot
+    change the spectrum's eigenvectors or theta.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise DimensionError(f"operator must be square, got shape {H.shape}")
     if np.max(np.abs(H - H.conj().T)) > 1e-10:
         raise DimensionError("operator is not Hermitian")
+    if H.flags.writeable:
+        H = H.copy()
+        H.flags.writeable = False
     try:
-        vals, vecs = np.linalg.eigh(H)
+        vals = np.linalg.eigvalsh(H)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+        raise NumericError(f"eigenvalue solve failed: {exc}") from exc
     if vals.min() < -_EIG_RANGE_TOL or vals.max() > 1 + _EIG_RANGE_TOL:
         raise ModelError(
             f"eigenvalues outside [0, 1] beyond tolerance: "
             f"min={vals.min()!r} max={vals.max()!r}"
         )
-    order = slice(None, None, -1)
     return LocOpSpectrum(
-        eigenvalues=np.clip(vals[order], 0.0, 1.0),
-        eigenvectors=vecs[:, order],
+        eigenvalues=np.clip(vals[::-1], 0.0, 1.0),
+        H=H,
         omega_measure=float(omega_measure),
         grid=TFGrid(H.shape[0]),
     )
@@ -94,12 +119,10 @@ def theta(spec: LocOpSpectrum, phi: Window) -> ThetaField:
     """Field theta(z) = sum_m lambda_m^2 * n * |stft(f_m, phi)(z)|^2.
 
     Bounded by 1 everywhere; its plane integral is at most the mask
-    measure.  For the full mask it is identically 1.  It is the quadratic
-    form of ``V diag(lambda^2) V^H``, which is H^2.
+    measure.  For the full mask it is identically 1.  It is computed as the
+    quadratic form of H^2, with no eigenvectors.
     """
-    V = spec.eigenvectors
-    values = quadratic_field((V * spec.eigenvalues**2) @ V.conj().T, phi)
-    return ThetaField(values=values, grid=spec.grid)
+    return ThetaField(values=quadratic_field(spec.H @ spec.H, phi), grid=spec.grid)
 
 
 def _density(g: Window, phi: Window) -> np.ndarray:

@@ -27,17 +27,22 @@ from .tfcore import TFGrid
 
 @dataclass(frozen=True)
 class Mask:
-    """A binary region of the time-frequency plane."""
+    """A binary region of the time-frequency plane.
+
+    ``cells`` is a read-only copy, so the geometry cached on the mask never
+    goes stale.
+    """
 
     cells: np.ndarray
     grid: TFGrid
 
     def __post_init__(self) -> None:
-        cells = np.asarray(self.cells, dtype=bool)
+        cells = np.array(self.cells, dtype=bool)
         if cells.shape != (self.grid.n, self.grid.n):
             raise DimensionError(
                 f"mask shape {cells.shape} does not match grid {self.grid.n}"
             )
+        cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
 
     @cached_property

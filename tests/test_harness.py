@@ -86,6 +86,14 @@ def test_default_disc_follows_an_overridden_n():
     assert scenario_from_mapping({"n": "64"}, base=SMALL).shape == SMALL.shape
 
 
+def test_a_directly_built_scenario_gets_the_disc_of_its_n():
+    assert Scenario().shape == "disc:measure=100"
+    pipeline = build_pipeline(Scenario(n=32))
+    assert pipeline.scenario.shape == "disc:measure=12.5"
+    assert np.count_nonzero(pipeline.truth.cells) / 32 == pytest.approx(12.5, abs=0.5)
+    assert Scenario(n=32, shape="disc:measure=3").shape == "disc:measure=3"
+
+
 def test_flag_only_k_sweep_on_a_small_grid(tmp_path):
     argv = ["sweep", "--axis", "K", "--values", "4,8", "--n", "32", "--trials", "2"]
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0

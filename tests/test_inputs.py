@@ -29,6 +29,8 @@ CLI_ROWS = {
     "annulus-cx-only": ["simulate", *_SMALL, "--shape", "annulus:measure=4,cx=2"],
     "disc-measure-nan": ["simulate", *_SMALL, "--shape", "disc:measure=nan"],
     "disc-measure-abc": ["simulate", *_SMALL, "--shape", "disc:measure=abc"],
+    "shape-blank": ["simulate", *_SMALL, "--shape", " "],
+    "config-shape-blank": ["simulate", "--config", "{tmp}/blank_shape.cfg"],
     "sweep-values-nan": ["sweep", "--axis", "measure", "--values", "1,nan", *_SMALL, *_DISC],
     "r-list-letters": ["simulate", *_SMALL, *_DISC, "--r-list", "a,b"],
     "config-r-list": ["simulate", "--config", "{tmp}/r_list.cfg"],
@@ -49,6 +51,7 @@ CLI_ROWS = {
 @pytest.mark.parametrize("row", sorted(CLI_ROWS))
 def test_malformed_input_exits_2_with_one_error_line(row, tmp_path, capsys, monkeypatch):
     (tmp_path / "r_list.cfg").write_text("n = 16\nshape = disc:measure=2\nr_list = x\n")
+    (tmp_path / "blank_shape.cfg").write_text("n = 16\nshape =\nK = 4\ntrials = 1\n")
     (tmp_path / "head.pgm").write_bytes(b"P5\n16 ")
     (tmp_path / "payload.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(100))
     argv = [arg.format(tmp=tmp_path) for arg in CLI_ROWS[row]]

@@ -122,6 +122,48 @@ def test_spectrum_rejects_non_hermitian():
         spectrum(H, 0.0)
 
 
+def test_spectrum_eigenvalues_match_descending_eigh():
+    n = 32
+    rng = np.random.default_rng(36)
+    g = make_window(TFGrid(n), "gaussian_t2")
+    H = assemble_locop(_mask(random_cells(n, rng), n), g)
+    want = np.linalg.eigh(H)[0][::-1]
+    assert np.max(np.abs(spectrum(H, 0.0).eigenvalues - want)) < 1e-13
+
+
+def test_spectrum_calls_eigh_only_when_eigenvectors_are_read(tmp_path, monkeypatch):
+    from maskrec import harness
+
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
+    n = 16
+    g = make_window(TFGrid(n), "gaussian")
+    spec = _spec(disc_mask(TFGrid(n), 4.0), g)
+    theta(spec, g)
+    harness.run_spectrum(harness.Scenario(n=n, shape="disc:measure=4"), tmp_path)
+    assert calls == []
+    assert spec.eigenvectors is spec.eigenvectors
+    assert len(calls) == 1
+
+
+def test_spectrum_keeps_a_read_only_operator():
+    n = 16
+    grid = TFGrid(n)
+    g = make_window(grid, "gaussian")
+    H = assemble_locop(disc_mask(grid, 4.0), g)
+    assert spectrum(H, 4.0).H is H
+    writeable = np.array(H)
+    spec = spectrum(writeable, 4.0)
+    assert not spec.H.flags.writeable
+    before = theta(spec, g).values
+    writeable[:] = 0.0
+    assert np.array_equal(theta(spec, g).values, before)
+    assert np.array_equal(spec.eigenvectors, spectrum(H, 4.0).eigenvectors)
+    with pytest.raises(ValueError):
+        spec.H[0, 0] = 0.0
+
+
 def test_spectrum_descending_orthonormal():
     n = 16
     g = make_window(TFGrid(n), "gaussian")
@@ -253,6 +295,23 @@ def test_theta_matches_eigenfunction_spectrograms():
         for lam, f in zip(spec.eigenvalues, spec.eigenvectors.T)
     )
     assert np.max(np.abs(theta(spec, phi).values - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [9, 16])
+def test_theta_matches_spectrograms_of_eigh_eigenvectors(n):
+    # theta is the quadratic form of H^2; the oracle takes the eigenpairs
+    # from eigh directly and evaluates each transform by its triple sum
+    grid = TFGrid(n)
+    g = make_window(grid, "gaussian")
+    phi = make_window(grid, "gaussian_t2")
+    mask = disc_mask(grid, n / 4)
+    H = assemble_locop(mask, g)
+    lams, V = np.linalg.eigh(H)
+    expected = sum(
+        lam**2 * n * np.abs(brute_stft(f, phi.samples)) ** 2 for lam, f in zip(lams, V.T)
+    )
+    field = theta(spectrum(H, measure(mask)), phi).values
+    assert np.max(np.abs(field - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("model_label", ["gaussian", "gaussian_t2"])

@@ -181,6 +181,21 @@ def test_truth_perimeter_is_computed_once(monkeypatch):
     assert truth.perimeter == want
 
 
+def test_cached_geometry_ignores_later_writes_to_the_callers_array():
+    n = 16
+    cells = np.zeros((n, n), bool)
+    cells[2:6, 2:6] = True
+    m = Mask(cells=cells, grid=TFGrid(n))
+    assert m.perimeter == 4.0
+    d = m.boundary_distance.copy()
+    cells[10:14, 10:14] = True
+    assert m.perimeter == perimeter(m) == 4.0
+    assert np.array_equal(m.boundary_distance, d)
+    assert np.count_nonzero(m.cells) == 16
+    with pytest.raises(ValueError):
+        m.cells[0, 0] = True
+
+
 @settings(max_examples=20, deadline=None)
 @given(a=masks_16, b=masks_16)
 def test_error_report_perimeter_is_the_truth_perimeter(a, b):
