@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, DimensionError
+from .errors import ConfigurationError, DegenerateInputError, DimensionError, NumericError
 from .tfcore import TFGrid, Window, quadratic_field
 
 
@@ -71,9 +71,12 @@ def estimate_mask(avg: AvgSpectrogram) -> MaskEstimate:
     Ties at the threshold are included.  An identically-zero rho has no
     scale to threshold against and raises :class:`DegenerateInputError`
     rather than returning an empty mask, since the noise model guarantees
-    rho > 0 almost surely and silence would hide upstream bugs.
+    rho > 0 almost surely and silence would hide upstream bugs.  For the
+    same reason a NaN or infinite rho raises :class:`NumericError`.
     """
     max_rho = float(avg.rho.max())
+    if not np.isfinite(max_rho):
+        raise NumericError(f"average spectrogram is not finite (max {max_rho})")
     if max_rho <= 0.0:
         raise DegenerateInputError("average spectrogram is identically zero")
     threshold = max_rho / 4.0
@@ -87,7 +90,9 @@ def estimate_mask(avg: AvgSpectrogram) -> MaskEstimate:
 
 def level_set(avg: AvgSpectrogram, delta: float) -> np.ndarray:
     """Deterministic-threshold level set {z : rho(z) >= delta}."""
-    if delta <= 0:
-        raise ConfigurationError(f"level-set threshold must be positive, got {delta}")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ConfigurationError(
+            f"level-set threshold must be positive and finite, got {delta}"
+        )
     return avg.rho >= delta
 

@@ -132,6 +132,25 @@ def test_estimate_mask_degenerate_zero():
         estimate_mask(avg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_estimate_mask_rejects_a_non_finite_sample(bad):
+    # one bad sample spreads through the covariance; an empty mask with
+    # max_rho = nan must not reach trials.csv
+    _, phi, _, H, batch = _pipeline(count=4)
+    filtered = filter_batch(batch, H)
+    filtered[1, 5] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(errors.NumericError):
+        estimate_mask(average_spectrogram(filtered, phi))
+
+
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+def test_level_set_rejects_a_non_finite_threshold(delta):
+    grid = TFGrid(16)
+    avg = AvgSpectrogram(rho=np.ones((16, 16)), grid=grid, count=1, window_label="x")
+    with pytest.raises(errors.ConfigurationError):
+        level_set(avg, delta)
+
+
 def test_level_set_examples():
     grid = TFGrid(16)
     rng = np.random.default_rng(44)

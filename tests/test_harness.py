@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maskrec import cli, errors, harness
+import maskrec
+from maskrec import cli, errors, harness, noise
 from maskrec.harness import (
     PRESETS,
     Scenario,
@@ -355,6 +360,36 @@ def test_verify_corrupted_window_fails_isometry():
     assert any(name.startswith("tfcore.isometry") for name in failing)
 
 
+# the child blocks scipy before the first import of maskrec, so any scipy
+# import on the simulate or verify path fails there
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from maskrec import harness
+
+results = harness.run_simulate(harness.Scenario(n=32, count=6, trials=2), sys.argv[1])
+checks = harness.run_verify(ns=(8,))
+assert len(results) == 2, results
+assert checks and all(c.passed for c in checks), [c.line() for c in checks]
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod]
+assert not loaded, loaded
+print("ran without scipy")
+"""
+
+
+def test_simulate_and_verify_run_without_scipy(tmp_path):
+    src = str(Path(maskrec.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ran without scipy"
+    assert (tmp_path / "trials.csv").exists()
+
+
 def test_verify_rejects_out_of_range_sizes():
     with pytest.raises(errors.ConfigurationError):
         run_verify(ns=(4,))
@@ -386,6 +421,23 @@ def test_cli_preset_with_overrides(tmp_path):
         ]
     )
     assert code == 0
+
+
+def test_cli_non_finite_samples_exit_3_without_a_csv(tmp_path, monkeypatch, capsys):
+    real = noise.filter_batch
+
+    def poisoned(batch, H):
+        out = real(batch, H)
+        out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(noise, "filter_batch", poisoned)
+    code = cli.main(
+        ["simulate", "--n", "32", "--K", "4", "--trials", "1", "--out-dir", str(tmp_path)]
+    )
+    assert code == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "trials.csv").exists()
 
 
 def test_cli_requires_a_scenario():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import distance_transform_edt
 
 from maskrec import errors, maskgeom
 from maskrec.maskgeom import (
@@ -148,6 +149,47 @@ def test_distance_field_matches_brute_force():
     got = maskgeom.distance_field(source, TFGrid(n))
     want = brute_torus_distance(source, n)
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+def _tiled_scipy_distance(source, n):
+    # scipy's exact EDT of a 3 x 3 tiling: the centre tile sees every
+    # minimal image of the source
+    tiled = distance_transform_edt(np.tile(~source, (3, 3)))
+    return tiled[n : 2 * n, n : 2 * n] * TFGrid(n).cell_side
+
+
+def _oracle_sources(n):
+    rng = np.random.default_rng(1000 + n)
+    for fill in (0.0005, 0.05, 0.5, 1.0):
+        source = random_cells(n, rng, fill=fill)
+        if source.any():
+            yield f"fill={fill}", source
+    single = np.zeros((n, n), bool)
+    single[tuple(rng.integers(n, size=2))] = True
+    yield "single", single
+    if n == 256:
+        disc = disc_mask(TFGrid(n), 100.0)
+        yield "disc-boundary", maskgeom.boundary_cells(disc)
+        yield "disc-complement", ~disc.cells
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 16, 17, 64, 256])
+def test_distance_field_is_identical_to_the_tiled_scipy_edt(n):
+    for label, source in _oracle_sources(n):
+        got = maskgeom.distance_field(source, TFGrid(n))
+        assert np.array_equal(got, _tiled_scipy_distance(source, n)), label
+
+
+def test_distance_field_takes_the_shift_at_a_stop_check():
+    # on the 18-torus with sources (0, 0) and (9, 8), the farthest cells are
+    # at 9^2 + 1 after eight frequency shifts and at 9^2 after the ninth, so
+    # a stop rule one shift too eager leaves them at 9^2 + 1
+    n = 18
+    source = np.zeros((n, n), bool)
+    source[0, 0] = source[9, 8] = True
+    got = maskgeom.distance_field(source, TFGrid(n))
+    assert np.array_equal(got, _tiled_scipy_distance(source, n))
+    assert got.max() == 9 * TFGrid(n).cell_side
 
 
 def test_distance_field_empty_source_is_infinite():
