@@ -31,6 +31,10 @@ from .tfcore import (
 
 _EIG_RANGE_TOL = 1e-8
 
+#: Side of the square blocks in which :func:`spectrum` compares H with its
+#: conjugate transpose, so the check needs no n x n temporaries.
+_HERMITIAN_BLOCK = 128
+
 
 def assemble_locop(mask: Mask, g: Window) -> np.ndarray:
     """Matrix of f -> istft(chi * stft(f, g), g); Hermitian and PSD.
@@ -76,17 +80,28 @@ class LocOpSpectrum:
 def spectrum(H: np.ndarray, omega_measure: float) -> LocOpSpectrum:
     """Eigenvalues of a Hermitian localization operator.
 
-    Eigenvalues outside [-1e-8, 1 + 1e-8] indicate a broken operator and
-    raise :class:`ModelError`; smaller excursions are clamped to keep
-    downstream squared sums stable.  A read-only ``H`` is kept as it is;
+    Before the eigensolve, a non-finite entry raises :class:`NumericError`
+    and an entry further than 1e-10 from the conjugate of its transposed
+    entry raises :class:`DimensionError`.  Eigenvalues outside
+    [-1e-8, 1 + 1e-8] indicate a broken operator and raise
+    :class:`ModelError`; smaller excursions are clamped to keep downstream
+    squared sums stable.  A read-only ``H`` is kept as it is;
     a writeable one is copied, so later writes by the caller cannot
     change the spectrum's eigenvectors or theta.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise DimensionError(f"operator must be square, got shape {H.shape}")
-    if np.max(np.abs(H - H.conj().T)) > 1e-10:
-        raise DimensionError("operator is not Hermitian")
+    if not np.all(np.isfinite(H)):
+        raise NumericError("operator has non-finite entries")
+    n, b = H.shape[0], _HERMITIAN_BLOCK
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            upper, lower = H[i : i + b, j : j + b], H[j : j + b, i : i + b]
+            defect = np.max(np.abs(upper - lower.conj().T))
+            # `not <=`, so that a NaN defect fails as well
+            if not defect <= 1e-10:
+                raise DimensionError("operator is not Hermitian")
     if H.flags.writeable:
         H = H.copy()
         H.flags.writeable = False

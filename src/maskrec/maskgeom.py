@@ -205,11 +205,19 @@ def _cell_distances_sq(grid: TFGrid, center: tuple[float, float]) -> np.ndarray:
 
 
 def _closest_cells(grid: TFGrid, center: tuple[float, float], count: int) -> np.ndarray:
+    """The ``count`` cells nearest the center; ties go to the lower flat index.
+
+    Selection, not a sort: every cell strictly nearer than the count-th
+    smallest distance, then the cells at that distance in flat order, which
+    is the tie order of a stable sort.
+    """
+    if count == 0:
+        return np.zeros((grid.n, grid.n), dtype=bool)
     d2 = _cell_distances_sq(grid, center).ravel()
-    # stable sort keeps the tie-breaking order deterministic
-    order = np.argsort(d2, kind="stable")
-    cells = np.zeros(grid.n * grid.n, dtype=bool)
-    cells[order[:count]] = True
+    cut = np.partition(d2, count - 1)[count - 1]
+    cells = d2 < cut
+    ties = np.flatnonzero(d2 == cut)
+    cells[ties[: count - np.count_nonzero(cells)]] = True
     return cells.reshape(grid.n, grid.n)
 
 
@@ -218,12 +226,14 @@ def disc_mask(grid: TFGrid, target_measure: float, center: tuple[float, float] |
 
     The resulting measure is within one cell of the target.
     """
-    if target_measure < 0 or target_measure > grid.plane_measure:
+    if not 0 <= target_measure <= grid.plane_measure:
         raise ConfigurationError(
             f"disc measure {target_measure} outside [0, {grid.plane_measure}]"
         )
     if center is None:
         center = (grid.n / 2, grid.n / 2)
+    elif not np.all(np.isfinite(center)):
+        raise ConfigurationError(f"disc center must be finite, got {center}")
     count = int(round(target_measure * grid.n))
     return Mask(cells=_closest_cells(grid, center, count), grid=grid)
 

@@ -30,8 +30,9 @@ sum_{t,s} A[t, s] conj(M[t, s])`` with ``M = sum_z chi(z) pi(z)g (pi(z)g)^H``
 Both kernels work on the diagonals ``A[t, t + tau]`` of a Hermitian matrix
 at the n/2 + 1 non-negative lags only: the negative lags are the conjugates
 of the positive ones, so the field Q is one inverse real FFT over the lags,
-and M is its half-lag diagonals plus their conjugate transpose.  What
-depends on the window alone, the lag index and the transformed lag products
+and M is its half-lag diagonals plus their conjugate transpose, written
+straight into the output.  What depends on the window alone, the flat lag
+index, its transposed positions and the transformed lag products
 ``conj(phi(u)) phi(u + tau)``, is the window's :attr:`Window.lag_plan`,
 computed on first use and kept for the window's lifetime; a window is
 frozen with read-only samples, so its plan cannot go stale.
@@ -86,9 +87,10 @@ class TFGrid:
 class Window:
     """A unit-norm analysis/synthesis window.
 
-    ``samples`` must have l2 norm 1 within 1e-12; use :func:`make_window`
-    or :func:`custom_window` to construct one.  The samples are a read-only
-    copy, so the lag plan cached on the window never goes stale.
+    ``samples`` must be finite with l2 norm 1 within 1e-12; use
+    :func:`make_window` or :func:`custom_window` to construct one.  The
+    samples are a read-only copy, so the lag plan cached on the window never
+    goes stale.
     """
 
     samples: np.ndarray
@@ -98,6 +100,8 @@ class Window:
         samples = np.array(self.samples, dtype=np.complex128)
         if samples.ndim != 1:
             raise ConfigurationError("window samples must be a 1-D vector")
+        if not np.all(np.isfinite(samples)):
+            raise ConfigurationError("window samples must be finite")
         norm = np.linalg.norm(samples)
         if abs(norm - 1.0) > _NORM_TOL:
             raise ConfigurationError(
@@ -115,22 +119,24 @@ class Window:
         return TFGrid(self.n)
 
     @cached_property
-    def lag_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(index, P)`` over the non-negative lags tau = 0..n/2, built once.
+    def lag_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(index, transposed, P)`` over the non-negative lags, built once.
 
         ``index[t, tau] = t * n + (t + tau) mod n`` is the flat position of
-        ``A[t, t + tau]`` in a C-ordered n x n matrix, and ``P`` is the
-        inverse DFT over u of the lag products ``conj(phi(u)) phi(u + tau)``.
-        Both are read-only.
+        ``A[t, t + tau]`` in a C-ordered n x n matrix,
+        ``transposed[t, tau] = ((t + tau) mod n) * n + t`` that of
+        ``A[t + tau, t]``, and ``P`` is the inverse DFT over u of the lag
+        products ``conj(phi(u)) phi(u + tau)``.  All three are read-only.
         """
         n = self.n
         t = np.arange(n)[:, None]
         lags = (t + np.arange(n // 2 + 1)) % n
         index = t * n + lags
+        transposed = lags * n + t
         P = np.fft.ifft(np.conj(self.samples[t]) * self.samples[lags], axis=0)
-        for array in (index, P):
+        for array in (index, transposed, P):
             array.flags.writeable = False
-        return index, P
+        return index, transposed, P
 
 
 @dataclass(frozen=True)
@@ -171,6 +177,9 @@ def make_window(grid: TFGrid, label: str) -> Window:
 def custom_window(samples: np.ndarray, normalize: bool = True) -> Window:
     """Wrap user-supplied samples as a window, normalizing by default."""
     samples = np.asarray(samples, dtype=np.complex128)
+    if not np.all(np.isfinite(samples)):
+        # before the norm, which a NaN or inf would spread to every sample
+        raise ConfigurationError("window samples must be finite")
     if normalize:
         norm = np.linalg.norm(samples)
         if norm == 0:
@@ -282,7 +291,7 @@ def quadratic_field(A: np.ndarray, phi: Window) -> np.ndarray:
     n = phi.n
     if A.shape != (n, n):
         raise DimensionError(f"matrix shape {A.shape} != window length {n}")
-    index, P = phi.lag_plan
+    index, _, P = phi.lag_plan
     # the unnormalized inverses end the correlation over t and take the DFT
     # over the lags tau
     X = A.take(index)
@@ -298,23 +307,30 @@ def mask_operator(cells: np.ndarray, g: Window) -> np.ndarray:
     The adjoint of :func:`quadratic_field`, taking its steps in reverse: a
     real DFT of chi over frequency, then a cyclic convolution over time with
     the lag products ``g(u) conj(g(u + tau))`` (the window's plan,
-    conjugated) gives the diagonals at lags 0..n/2.  Halving lag 0 and, for
-    even n, lag n/2 and adding the conjugate transpose fills the other lags;
-    the result is exactly Hermitian.
+    conjugated) gives the diagonals at lags 0..n/2.  They go straight into
+    the output, as they are and, conjugated, at the transposed positions;
+    then the diagonal becomes ``d + conj(d)`` with d lag 0 halved, and for
+    even n lag n/2, its own transpose, ``e + conj(roll(e, -n/2))`` with e
+    lag n/2 halved.  These are the values of the halved diagonals plus their
+    conjugate transpose, with no n x n temporary; the result is exactly
+    Hermitian.
     """
     cells = np.asarray(cells, dtype=float)
     n = g.n
     if cells.shape != (n, n):
         raise DimensionError(f"cell array shape {cells.shape} != window length {n}")
-    index, P = g.lag_plan
+    index, transposed, P = g.lag_plan
     X = np.fft.rfft2(cells)
     X *= np.conj(P)
     np.fft.ifft(X, axis=0, norm="forward", out=X)
-    X[:, 0] /= 2
+    d = X[:, 0] / 2
+    e = X[:, -1] / 2
+    M = np.empty((n, n), dtype=np.complex128)
+    flat = M.ravel()
+    flat[index] = X
+    flat[transposed] = np.conjugate(X, out=X)
+    # lag 0, and lag n/2 for even n, are their own transposes
+    flat[index[:, 0]] = d + np.conj(d)
     if n % 2 == 0:
-        X[:, -1] /= 2
-    M = np.zeros((n, n), dtype=np.complex128)
-    M.ravel()[index] = X
-    del X
-    M += M.conj().T
+        flat[index[:, -1]] = e + np.conj(np.roll(e, -(n // 2)))
     return M

@@ -1,6 +1,10 @@
-"""Brute-force oracles, independent of the package's FFT/EDT code paths."""
+"""Test oracles: brute-force forms, independent of the package's FFT/EDT code
+paths, and the earlier forms of rewritten kernels, which the rewrites must
+match exactly."""
 
 import numpy as np
+
+from maskrec.maskgeom import _cell_distances_sq
 
 
 def brute_stft(f, g):
@@ -41,6 +45,31 @@ def brute_locop(cells, g):
             pzg = np.exp(2j * np.pi * xi * t / n) * np.roll(g, x)
             H += np.outer(pzg, np.conj(pzg))
     return H / n
+
+
+def zero_fill_mask_operator(cells, g):
+    """``sum_z chi(z) pi(z)g (pi(z)g)^H`` by the halved lag diagonals plus their
+    conjugate transpose, on a zero-filled matrix."""
+    n = g.n
+    index, _, P = g.lag_plan
+    X = np.fft.rfft2(np.asarray(cells, dtype=float))
+    X *= np.conj(P)
+    np.fft.ifft(X, axis=0, norm="forward", out=X)
+    X[:, 0] /= 2
+    if n % 2 == 0:
+        X[:, -1] /= 2
+    M = np.zeros((n, n), dtype=np.complex128)
+    M.ravel()[index] = X
+    M += M.conj().T
+    return M
+
+
+def stable_sort_closest_cells(grid, center, count):
+    """The ``count`` cells nearest ``center``, ties in stable-argsort order."""
+    order = np.argsort(_cell_distances_sq(grid, center).ravel(), kind="stable")
+    cells = np.zeros(grid.n * grid.n, dtype=bool)
+    cells[order[:count]] = True
+    return cells.reshape(grid.n, grid.n)
 
 
 def brute_torus_distance(source, n):

@@ -122,6 +122,49 @@ def test_spectrum_rejects_non_hermitian():
         spectrum(H, 0.0)
 
 
+def _half_identity(n, i, j, defect):
+    """0.5 I with ``defect`` added at (i, j) alone."""
+    H = 0.5 * np.eye(n, dtype=complex)
+    H[i, j] += defect
+    return H
+
+
+# positions relative to the 128-cell blocks of the Hermitian check
+@pytest.mark.parametrize(
+    "n, i, j, defect",
+    [
+        (130, 129, 128, 1e-6),  # the ragged last block, 2 x 2
+        (130, 128, 128, 1e-6j),  # its diagonal, imaginary
+        (300, 290, 3, 1e-6),  # a strictly lower block only
+        (300, 200, 200, 2e-6j),  # an imaginary diagonal entry of a middle block
+        (8, 5, 5, 1e-6j),  # a single block
+    ],
+)
+def test_spectrum_blockwise_check_finds_a_single_defect(n, i, j, defect):
+    with pytest.raises(errors.DimensionError):
+        spectrum(_half_identity(n, i, j, defect), 0.0)
+
+
+@pytest.mark.parametrize("n, i, j", [(130, 129, 128), (300, 290, 3), (8, 0, 1)])
+def test_spectrum_accepts_a_defect_of_exactly_1e_10(n, i, j):
+    spec = spectrum(_half_identity(n, i, j, 1e-10), 0.0)
+    assert np.allclose(spec.eigenvalues, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("at", [(0, 0), (3, 1), (140, 7)])
+def test_spectrum_rejects_non_finite_entries_before_the_eigensolve(bad, at, monkeypatch):
+    def no_solve(_):
+        raise AssertionError("eigvalsh ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    H = 0.5 * np.eye(150, dtype=complex)
+    H[at] = bad
+    H[at[::-1]] = np.conj(bad)
+    with pytest.raises(errors.NumericError):
+        spectrum(H, 0.0)
+
+
 def test_spectrum_eigenvalues_match_descending_eigh():
     n = 32
     rng = np.random.default_rng(36)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 
@@ -21,7 +21,7 @@ from maskrec.maskgeom import (
 )
 from maskrec.tfcore import TFGrid
 
-from helpers import brute_torus_distance, random_cells
+from helpers import brute_torus_distance, random_cells, stable_sort_closest_cells
 
 
 def _mask(cells, n):
@@ -99,6 +99,43 @@ def test_disc_measure_within_one_cell():
 def test_disc_rejects_oversized_target():
     with pytest.raises(errors.ConfigurationError):
         disc_mask(TFGrid(16), 17.0)
+
+
+@pytest.mark.parametrize(
+    "measure_, center",
+    [(np.nan, None), (4.0, (np.nan, 3.0)), (4.0, (2.0, np.inf)), (4.0, (-np.inf, 1.0))],
+)
+def test_disc_rejects_a_non_finite_measure_or_center(measure_, center):
+    with pytest.raises(errors.ConfigurationError):
+        disc_mask(TFGrid(16), measure_, center)
+
+
+def _centers(n):
+    # half-integer (ties between cells), off-grid and out-of-range coordinates
+    coordinate = st.one_of(
+        st.integers(-4 * n, 4 * n).map(lambda k: k / 2),
+        st.floats(-3.0 * n, 3.0 * n, allow_nan=False, allow_infinity=False),
+    )
+    return st.tuples(coordinate, coordinate)
+
+
+@st.composite
+def _closest_cells_args(draw):
+    n = draw(st.integers(4, 40))
+    return n, draw(_centers(n)), draw(st.integers(0, n * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_closest_cells_args())
+@example(args=(8, (4.0, 4.0), 0))
+@example(args=(8, (4.0, 4.0), 64))
+@example(args=(9, (4.5, 4.5), 4))
+@example(args=(40, (-0.5, 79.5), 333))
+def test_closest_cells_equals_the_stable_argsort(args):
+    n, center, count = args
+    cells = maskgeom._closest_cells(TFGrid(n), center, count)
+    assert np.array_equal(cells, stable_sort_closest_cells(TFGrid(n), center, count))
+    assert np.count_nonzero(cells) == count
 
 
 def test_annulus_has_hole():

@@ -8,7 +8,7 @@ import pytest
 from maskrec import errors, tfcore
 from maskrec.tfcore import TFGrid, TFMatrix, istft, make_window, stft, stft_stack
 
-from helpers import brute_istft, brute_locop, brute_stft
+from helpers import brute_istft, brute_locop, brute_stft, zero_fill_mask_operator
 
 
 def test_grid_rejects_tiny_n():
@@ -57,6 +57,17 @@ def test_custom_window_normalizes():
 def test_window_rejects_bad_norm():
     with pytest.raises(errors.ConfigurationError):
         tfcore.Window(samples=np.ones(8))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan), complex(-np.inf, 0.0)])
+def test_window_and_custom_window_reject_non_finite_samples(bad):
+    samples = np.full(8, 0.5, dtype=complex)
+    samples[3] = bad
+    with pytest.raises(errors.ConfigurationError, match="finite"):
+        tfcore.Window(samples=samples)
+    for normalize in (True, False):
+        with pytest.raises(errors.ConfigurationError, match="finite"):
+            tfcore.custom_window(samples, normalize=normalize)
 
 
 def test_window_samples_are_a_read_only_copy():
@@ -316,6 +327,17 @@ def test_mask_operator_matches_brute_locop_and_is_hermitian(n):
         assert np.array_equal(M, M.conj().T)
 
 
+@pytest.mark.parametrize("n", [8, 9, 15, 16, 64])
+def test_mask_operator_equals_the_zero_filled_conjugate_transpose_sum(n):
+    # real, non-boolean weights of both signs reach every lag with a value
+    rng = np.random.default_rng(50 + n)
+    weights = 3.0 * rng.random((n, n)) - 1.0
+    for g in _windows(n, rng):
+        M = tfcore.mask_operator(weights, g)
+        assert np.array_equal(M, zero_fill_mask_operator(weights, g))
+        assert np.array_equal(M, M.conj().T)
+
+
 def test_lag_plan_is_built_once_per_window():
     n = 16
     g = make_window(TFGrid(n), "gaussian")
@@ -331,13 +353,17 @@ def test_lag_plan_is_built_once_per_window():
 
 @pytest.mark.parametrize("n", [9, 16])
 def test_lag_plan_index_is_the_flat_lag_diagonal(n):
-    index, P = make_window(TFGrid(n), "gaussian").lag_plan
+    index, transposed, P = make_window(TFGrid(n), "gaussian").lag_plan
     assert index.shape == P.shape == (n, n // 2 + 1)
     rows, cols = np.divmod(index, n)
     t, tau = np.meshgrid(np.arange(n), np.arange(n // 2 + 1), indexing="ij")
     assert np.array_equal(rows, t)
     assert np.array_equal(cols, (t + tau) % n)
-    for array in (index, P):
+    assert np.array_equal(transposed, cols * n + rows)
+    # together the lags 0..n/2 and their transposes reach every position
+    covered = np.union1d(index, transposed)
+    assert np.array_equal(covered, np.arange(n * n))
+    for array in (index, transposed, P):
         with pytest.raises(ValueError):
             array[0, 0] = 0
 
