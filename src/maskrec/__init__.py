@@ -10,7 +10,6 @@ from .errors import (
 )
 from .tfcore import (
     TFGrid,
-    TFMatrix,
     Window,
     istft,
     make_window,

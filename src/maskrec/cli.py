@@ -46,7 +46,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
         flag = "--" + key.replace("_", "-")
         parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=_HELP.get(key))
     parser.add_argument("--out-dir", default="out", help="artifact directory")
-    parser.add_argument("--threads", type=int, help="worker threads (or MASKREC_THREADS)")
+    parser.add_argument("--threads", type=int, help="worker threads (default 1)")
 
 
 def _scenario_from_args(args: argparse.Namespace) -> harness.Scenario:

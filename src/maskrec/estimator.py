@@ -24,7 +24,6 @@ class AvgSpectrogram:
     rho: np.ndarray
     grid: TFGrid
     count: int
-    window_label: str
 
 
 @dataclass(frozen=True)
@@ -57,12 +56,7 @@ def average_spectrogram(filtered: np.ndarray, phi: Window) -> AvgSpectrogram:
     # the field is linear in the covariance, so the 1/K goes on the real field
     rho = quadratic_field(filtered.T @ np.conj(filtered), phi)
     rho /= count
-    return AvgSpectrogram(
-        rho=rho,
-        grid=phi.grid,
-        count=count,
-        window_label=phi.label,
-    )
+    return AvgSpectrogram(rho=rho, grid=phi.grid, count=count)
 
 
 def estimate_mask(avg: AvgSpectrogram) -> MaskEstimate:

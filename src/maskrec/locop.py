@@ -142,7 +142,7 @@ def theta(spec: LocOpSpectrum, phi: Window) -> ThetaField:
 
 def _density(g: Window, phi: Window) -> np.ndarray:
     """Cross-ambiguity density |stft(g, phi)|^2, a unit-mass lattice kernel."""
-    return np.abs(stft(g.samples, phi).values) ** 2
+    return np.abs(stft(g.samples, phi)) ** 2
 
 
 def _smooth(mask: Mask, q: np.ndarray) -> np.ndarray:

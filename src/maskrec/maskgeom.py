@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .tfcore import TFGrid
+from .tfcore import TFGrid, _cell_distances_sq
 
 
 @dataclass(frozen=True)
@@ -191,17 +191,6 @@ def error_report(truth: Mask, estimate) -> ErrorReport:
 
 # ---------------------------------------------------------------------------
 # Mask construction
-
-
-def _cell_distances_sq(grid: TFGrid, center: tuple[float, float]) -> np.ndarray:
-    """Squared torus distance (in cells) from each cell to an arbitrary center."""
-    n = grid.n
-    i = np.arange(n, dtype=float)
-    dx = np.abs(i - center[0] % n)
-    dx = np.minimum(dx, n - dx)
-    df = np.abs(i - center[1] % n)
-    df = np.minimum(df, n - df)
-    return dx[:, None] ** 2 + df[None, :] ** 2
 
 
 def _closest_cells(grid: TFGrid, center: tuple[float, float], count: int) -> np.ndarray:
@@ -389,15 +378,14 @@ def write_mask_pgm(path: str | Path, mask: Mask) -> None:
     _write_pgm(path, data)
 
 
-def write_field_pgm(path: str | Path, values: np.ndarray, max_value: float | None = None) -> float:
-    """Quantize a non-negative field linearly to 8 bits and write it as P5.
+def write_field_pgm(path: str | Path, values: np.ndarray) -> float:
+    """Quantize a non-negative field linearly to 8 bits of its maximum; write P5.
 
-    Returns the maximum used for quantization so callers can record it in a
-    sidecar file and invert the image to band precision.
+    Returns that maximum so callers can record it in a sidecar file and
+    invert the image to band precision.
     """
     values = np.asarray(values, dtype=float)
-    if max_value is None:
-        max_value = float(values.max()) if values.size else 0.0
+    max_value = float(values.max()) if values.size else 0.0
     if max_value <= 0:
         data = np.zeros(values.shape, dtype=np.uint8)
     else:

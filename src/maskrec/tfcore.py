@@ -139,14 +139,6 @@ class Window:
         return index, transposed, P
 
 
-@dataclass(frozen=True)
-class TFMatrix:
-    """Values of a full-lattice transform, indexed ``values[x, xi]``."""
-
-    values: np.ndarray
-    grid: TFGrid
-
-
 def time_coordinates(grid: TFGrid) -> np.ndarray:
     """Continuous time coordinates t_k = (k - n/2)/sqrt(n) of the samples."""
     k = np.arange(grid.n)
@@ -174,18 +166,26 @@ def make_window(grid: TFGrid, label: str) -> Window:
     return Window(samples=samples.astype(np.complex128), label=label)
 
 
-def custom_window(samples: np.ndarray, normalize: bool = True) -> Window:
-    """Wrap user-supplied samples as a window, normalizing by default."""
+def custom_window(samples: np.ndarray) -> Window:
+    """Wrap user-supplied samples as a window, scaled to unit norm.
+
+    Wrap samples that are already unit-norm with :class:`Window` instead.
+    """
     samples = np.asarray(samples, dtype=np.complex128)
     if not np.all(np.isfinite(samples)):
         # before the norm, which a NaN or inf would spread to every sample
         raise ConfigurationError("window samples must be finite")
-    if normalize:
+    with np.errstate(over="ignore"):
         norm = np.linalg.norm(samples)
-        if norm == 0:
+    if norm == 0 or not np.isfinite(norm):
+        # the squared norm under- or overflowed: scale the largest part to 1
+        peak = np.max(np.abs([samples.real, samples.imag]), initial=0.0)
+        if peak == 0:
             raise ConfigurationError("cannot normalize a zero window")
-        samples = samples / norm
-    return Window(samples=samples, label=WINDOW_CUSTOM)
+        # part by part: a complex division by a subnormal peak overflows
+        samples = samples.real / peak + 1j * (samples.imag / peak)
+        norm = np.linalg.norm(samples)
+    return Window(samples=samples / norm, label=WINDOW_CUSTOM)
 
 
 def tf_shift(f: np.ndarray, z: tuple[int, int], grid: TFGrid) -> np.ndarray:
@@ -225,29 +225,37 @@ def stft_stack(signals: np.ndarray, g: Window) -> np.ndarray:
     return np.fft.fft(windowed, axis=-1, norm="ortho")
 
 
-def stft(f: np.ndarray, g: Window) -> TFMatrix:
-    """Analyze a single signal with window ``g``; an exact isometry."""
+def stft(f: np.ndarray, g: Window) -> np.ndarray:
+    """Analyze a single signal with window ``g``; an exact isometry.
+
+    The result is the n x n array ``V[x, xi]``.
+    """
     f = _check_pair(f, g)
     if f.ndim != 1:
         raise DimensionError("stft expects a 1-D signal; use stft_stack for batches")
-    return TFMatrix(values=stft_stack(f, g), grid=g.grid)
+    return stft_stack(f, g)
 
 
-def istft(F: TFMatrix, g: Window) -> np.ndarray:
+def istft(V: np.ndarray, g: Window) -> np.ndarray:
     """Adjoint of :func:`stft`; inverts it on the range for a unit window."""
-    if F.grid.n != g.n:
-        raise DimensionError(f"grid size {F.grid.n} != window length {g.n}")
-    rows = np.fft.ifft(F.values, axis=1, norm="ortho")
+    V = np.asarray(V)
+    if V.shape != (g.n, g.n):
+        raise DimensionError(f"transform shape {V.shape} != window length {g.n}")
+    rows = np.fft.ifft(V, axis=1, norm="ortho")
     return np.sum(translates(g) * rows, axis=0)
 
 
-def spectrogram(F: TFMatrix) -> np.ndarray:
-    """Squared modulus of the transform in plane-density units.
+def spectrogram(V: np.ndarray) -> np.ndarray:
+    """Squared modulus of an n x n transform in plane-density units.
 
-    Summing the result against the cell measure gives ``||f||^2 ||g||^2``,
-    matching the continuum normalization of the energy density.
+    Summing the result against the cell measure 1/n gives
+    ``||f||^2 ||g||^2``, matching the continuum normalization of the energy
+    density.
     """
-    return F.grid.n * np.abs(F.values) ** 2
+    V = np.asarray(V)
+    if V.ndim != 2 or V.shape[0] != V.shape[1]:
+        raise DimensionError(f"transform shape {V.shape} is not n x n")
+    return V.shape[0] * np.abs(V) ** 2
 
 
 def reproducing_kernel(g: Window, z: tuple[int, int], w: tuple[int, int]) -> complex:
@@ -267,14 +275,20 @@ def reproducing_kernel(g: Window, z: tuple[int, int], w: tuple[int, int]) -> com
     return complex(np.dot(a, np.conj(b)))
 
 
-def offset_distances(grid: TFGrid) -> np.ndarray:
-    """Torus distance |z| of every lattice offset from 0, in continuous units.
+def _cell_distances_sq(grid: TFGrid, center: tuple[float, float]) -> np.ndarray:
+    """Squared torus distance (in cells) from each cell to an arbitrary center."""
+    n = grid.n
+    i = np.arange(n, dtype=float)
+    dx = np.abs(i - center[0] % n)
+    dx = np.minimum(dx, n - dx)
+    df = np.abs(i - center[1] % n)
+    df = np.minimum(df, n - df)
+    return dx[:, None] ** 2 + df[None, :] ** 2
 
-    ``|z| = sqrt(min(x, n-x)^2 + min(xi, n-xi)^2) / sqrt(n)``.
-    """
-    i = np.arange(grid.n)
-    d = np.minimum(i, grid.n - i).astype(float)
-    return np.sqrt(d[:, None] ** 2 + d[None, :] ** 2) / np.sqrt(grid.n)
+
+def offset_distances(grid: TFGrid) -> np.ndarray:
+    """Torus distance |z| of every lattice offset from 0, in continuous units."""
+    return np.sqrt(_cell_distances_sq(grid, (0, 0))) / np.sqrt(grid.n)
 
 
 def quadratic_field(A: np.ndarray, phi: Window) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import maskrec
-from maskrec import cli, errors, harness, noise
+from maskrec import cli, errors, harness, noise, tfcore
 from maskrec.harness import (
     PRESETS,
     Scenario,
@@ -213,13 +213,13 @@ def test_real_noise_trial_runs():
     assert results[0].max_rho > 0
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv(harness.THREADS_ENV_VAR, "3")
-    assert harness._resolve_threads(None) == 3
-    monkeypatch.setenv(harness.THREADS_ENV_VAR, "zebra")
-    with pytest.raises(errors.ConfigurationError):
-        harness._resolve_threads(None)
+def test_threads_env_is_ignored(monkeypatch):
+    # --threads / threads= is the only source of the worker count
+    monkeypatch.setenv("MASKREC_THREADS", "3")
+    assert harness._resolve_threads(None) == 1
     assert harness._resolve_threads(2) == 2
+    with pytest.raises(errors.ConfigurationError):
+        harness._resolve_threads(0)
 
 
 def test_thread_pool_is_capped_at_the_trial_count(monkeypatch):
@@ -243,9 +243,8 @@ def test_thread_pool_is_capped_at_the_trial_count(monkeypatch):
     results, _ = harness.run_trials(pipeline, threads=64)
     assert sizes == [SMALL.trials]
     assert [r.trial_index for r in results] == list(range(SMALL.trials))
-    monkeypatch.setenv(harness.THREADS_ENV_VAR, "1000")
     harness.run_trials(pipeline)
-    assert sizes == [SMALL.trials] * 2
+    assert sizes == [SMALL.trials]
 
 
 def test_fmt_keeps_the_sign_of_infinity():
@@ -354,8 +353,11 @@ def test_verify_passes_on_small_sizes():
     assert failed == []
 
 
-def test_verify_corrupted_window_fails_isometry():
-    checks = run_verify(ns=(8,), seed=5, corrupt_window=True)
+def test_verify_corrupted_window_fails_isometry(monkeypatch):
+    # transforms scaled by 1 + 1e-4, as a window off unit norm would give
+    stft_stack = tfcore.stft_stack
+    monkeypatch.setattr(tfcore, "stft_stack", lambda f, g: stft_stack(f, g) * (1.0 + 1e-4))
+    checks = run_verify(ns=(8,), seed=5)
     failing = {c.name for c in checks if not c.passed}
     assert any(name.startswith("tfcore.isometry") for name in failing)
 

@@ -16,8 +16,7 @@ from maskrec.tfcore import TFGrid
 _SMALL = ["--n", "16", "--K", "4", "--trials", "1"]
 _DISC = ["--shape", "disc:measure=2"]
 
-# each row is a malformed input; files named here are written by the test,
-# and a leading NAME=VALUE item is set in the environment
+# each row is a malformed input; files named here are written by the test
 CLI_ROWS = {
     "sigma-nan": ["simulate", *_SMALL, *_DISC, "--sigma", "nan"],
     "sigma-inf": ["simulate", *_SMALL, *_DISC, "--sigma", "inf"],
@@ -44,20 +43,16 @@ CLI_ROWS = {
     "rect-unknown-key": ["simulate", *_SMALL, "--shape", "rect:x0=0,f0=0,w=2,h=2,q=1"],
     "threads-negative": ["simulate", *_SMALL, *_DISC, "--threads", "-3"],
     "threads-zero": ["sweep", "--axis", "K", "--values", "4", *_SMALL, *_DISC, "--threads", "0"],
-    "threads-env-negative": ["MASKREC_THREADS=-5", "simulate", *_SMALL, *_DISC],
 }
 
 
 @pytest.mark.parametrize("row", sorted(CLI_ROWS))
-def test_malformed_input_exits_2_with_one_error_line(row, tmp_path, capsys, monkeypatch):
+def test_malformed_input_exits_2_with_one_error_line(row, tmp_path, capsys):
     (tmp_path / "r_list.cfg").write_text("n = 16\nshape = disc:measure=2\nr_list = x\n")
     (tmp_path / "blank_shape.cfg").write_text("n = 16\nshape =\nK = 4\ntrials = 1\n")
     (tmp_path / "head.pgm").write_bytes(b"P5\n16 ")
     (tmp_path / "payload.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(100))
     argv = [arg.format(tmp=tmp_path) for arg in CLI_ROWS[row]]
-    monkeypatch.delenv(harness.THREADS_ENV_VAR, raising=False)
-    if "=" in argv[0]:
-        monkeypatch.setenv(*argv.pop(0).split("=", 1))
     if argv[0] != "verify":
         argv += ["--out-dir", str(tmp_path / "out")]
     assert cli.main(argv) == 2

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from maskrec import errors, tfcore
-from maskrec.tfcore import TFGrid, TFMatrix, istft, make_window, stft, stft_stack
+from maskrec.maskgeom import _cell_distances_sq
+from maskrec.tfcore import TFGrid, istft, make_window, stft, stft_stack
 
 from helpers import brute_istft, brute_locop, brute_stft, zero_fill_mask_operator
 
@@ -54,6 +55,20 @@ def test_custom_window_normalizes():
         tfcore.custom_window(np.zeros(16))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310])
+def test_custom_window_normalizes_huge_and_tiny_samples(scale):
+    # the plain squared norm overflows to inf or underflows to 0 here
+    w = tfcore.custom_window(np.full(8, scale))
+    assert abs(np.linalg.norm(w.samples) - 1.0) < 1e-15
+    assert np.max(np.abs(w.samples - np.full(8, 8**-0.5))) < 1e-15
+
+
+def test_custom_window_keeps_the_plain_normalization():
+    samples = np.random.default_rng(2).standard_normal(16) + 0.5j
+    w = tfcore.custom_window(samples)
+    assert np.array_equal(w.samples, samples / np.linalg.norm(samples))
+
+
 def test_window_rejects_bad_norm():
     with pytest.raises(errors.ConfigurationError):
         tfcore.Window(samples=np.ones(8))
@@ -65,9 +80,8 @@ def test_window_and_custom_window_reject_non_finite_samples(bad):
     samples[3] = bad
     with pytest.raises(errors.ConfigurationError, match="finite"):
         tfcore.Window(samples=samples)
-    for normalize in (True, False):
-        with pytest.raises(errors.ConfigurationError, match="finite"):
-            tfcore.custom_window(samples, normalize=normalize)
+    with pytest.raises(errors.ConfigurationError, match="finite"):
+        tfcore.custom_window(samples)
 
 
 def test_window_samples_are_a_read_only_copy():
@@ -85,13 +99,13 @@ def test_stft_of_window_with_itself_at_origin():
     n = 16
     g = make_window(TFGrid(n), "gaussian")
     V = stft(g.samples, g)
-    assert V.values[0, 0] == pytest.approx(n**-0.5, abs=1e-12)
+    assert V[0, 0] == pytest.approx(n**-0.5, abs=1e-12)
 
 
 def test_stft_of_zero_signal():
     g = make_window(TFGrid(16), "gaussian")
     V = stft(np.zeros(16, complex), g)
-    assert np.all(V.values == 0)
+    assert np.all(V == 0)
 
 
 def test_stft_of_delta_matches_window_modulus():
@@ -101,7 +115,7 @@ def test_stft_of_delta_matches_window_modulus():
     delta[0] = 1.0
     V = stft(delta, g)
     expected = np.abs(g.samples[(-np.arange(n)) % n]) / np.sqrt(n)
-    assert np.max(np.abs(np.abs(V.values) - expected[:, None])) < 1e-12
+    assert np.max(np.abs(np.abs(V) - expected[:, None])) < 1e-12
 
 
 def test_stft_matches_brute_force():
@@ -109,7 +123,7 @@ def test_stft_matches_brute_force():
     rng = np.random.default_rng(3)
     g = make_window(TFGrid(n), "gaussian")
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert np.max(np.abs(stft(f, g).values - brute_stft(f, g.samples))) < 1e-12
+    assert np.max(np.abs(stft(f, g) - brute_stft(f, g.samples))) < 1e-12
 
 
 def test_stft_length_mismatch():
@@ -129,7 +143,7 @@ def test_istft_inverts_on_range():
 def test_istft_zero():
     n = 16
     g = make_window(TFGrid(n), "gaussian")
-    out = istft(TFMatrix(np.zeros((n, n), complex), TFGrid(n)), g)
+    out = istft(np.zeros((n, n), complex), g)
     assert np.all(out == 0)
 
 
@@ -141,13 +155,13 @@ def test_istft_matches_brute_adjoint():
     V = stft(delta, g)
     recovered = istft(V, g)
     assert np.max(np.abs(recovered - delta)) < 1e-10
-    assert np.max(np.abs(recovered - brute_istft(V.values, g.samples))) < 1e-10
+    assert np.max(np.abs(recovered - brute_istft(V, g.samples))) < 1e-10
 
 
 def test_istft_grid_mismatch():
     g = make_window(TFGrid(16), "gaussian")
     with pytest.raises(errors.DimensionError):
-        istft(TFMatrix(np.zeros((8, 8), complex), TFGrid(8)), g)
+        istft(np.zeros((8, 8), complex), g)
 
 
 def test_isometry_over_random_signals():
@@ -166,9 +180,9 @@ def test_shift_covariance():
     grid = TFGrid(n)
     g = make_window(grid, "gaussian")
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    F = stft(f, g).values
+    F = stft(f, g)
     for z0 in [(0, 0), (5, 11), (n - 1, 3)]:
-        shifted = stft(tfcore.tf_shift(f, z0, grid), g).values
+        shifted = stft(tfcore.tf_shift(f, z0, grid), g)
         assert np.max(np.abs(np.abs(shifted) - np.abs(np.roll(F, z0, axis=(0, 1))))) < 1e-10
 
 
@@ -179,8 +193,8 @@ def test_adjoint_consistency():
     g = make_window(grid, "gaussian")
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    lhs = np.sum(stft(f, g).values * np.conj(G))
-    rhs = np.sum(f * np.conj(istft(TFMatrix(G, grid), g)))
+    lhs = np.sum(stft(f, g) * np.conj(G))
+    rhs = np.sum(f * np.conj(istft(G, g)))
     assert abs(lhs - rhs) < 1e-10
 
 
@@ -214,7 +228,7 @@ def test_reproducing_formula_all_points_n8():
     g = make_window(grid, "gaussian")
     rng = np.random.default_rng(9)
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    V = stft(f, g).values
+    V = stft(f, g)
     for zx in range(n):
         for zf in range(n):
             total = 0.0j
@@ -230,7 +244,7 @@ def test_reproducing_formula_sampled(n):
     g = make_window(grid, "gaussian")
     rng = np.random.default_rng(10 + n)
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    V = stft(f, g).values
+    V = stft(f, g)
     for _ in range(6):
         z = tuple(int(v) for v in rng.integers(0, n, 2))
         total = sum(
@@ -246,9 +260,13 @@ def test_spectrogram_density_mass():
     g = make_window(TFGrid(n), "gaussian")
     rng = np.random.default_rng(11)
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    F = stft(f, g)
-    mass = np.sum(tfcore.spectrogram(F)) * F.grid.cell_measure
+    mass = np.sum(tfcore.spectrogram(stft(f, g))) / n
     assert mass == pytest.approx(np.linalg.norm(f) ** 2, abs=1e-10)
+
+
+def test_spectrogram_rejects_a_non_square_transform():
+    with pytest.raises(errors.DimensionError):
+        tfcore.spectrogram(np.zeros((4, 8), complex))
 
 
 def test_offset_distances():
@@ -258,6 +276,18 @@ def test_offset_distances():
     assert d[1, 0] == pytest.approx(grid.cell_side)
     assert d[15, 0] == pytest.approx(grid.cell_side)  # wraps on the torus
     assert d[8, 8] == pytest.approx(np.sqrt(128) / 4)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 17, 64])
+def test_offset_distances_is_the_shared_cell_distance(n):
+    grid = TFGrid(n)
+    expected = np.sqrt(_cell_distances_sq(grid, (0, 0))) / np.sqrt(n)
+    assert np.array_equal(tfcore.offset_distances(grid), expected)
+    i = np.arange(n)
+    d = np.minimum(i, n - i).astype(float)
+    # the closed form sqrt(min(x, n-x)^2 + min(xi, n-xi)^2) / sqrt(n)
+    closed = np.sqrt(d[:, None] ** 2 + d[None, :] ** 2) / np.sqrt(n)
+    assert np.array_equal(tfcore.offset_distances(grid), closed)
 
 
 def test_quadratic_field_and_mask_operator_are_adjoint():
