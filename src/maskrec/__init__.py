@@ -13,16 +13,12 @@ from .tfcore import (
     Window,
     istft,
     make_window,
-    reproducing_kernel,
-    spectrogram,
     stft,
-    stft_stack,
     tf_shift,
 )
 from .maskgeom import (
     ErrorReport,
     Mask,
-    boundary_neighborhood,
     dilate,
     disc_mask,
     error_report,

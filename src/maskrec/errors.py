@@ -27,4 +27,4 @@ class ModelError(MaskrecError):
 
 
 class DegenerateInputError(MaskrecError):
-    """Input is degenerate (e.g. an identically-zero average spectrogram)."""
+    """Input is degenerate (e.g. identically-zero averaged spectrograms)."""

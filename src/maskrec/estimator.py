@@ -1,6 +1,6 @@
-"""The averaged observed spectrogram and the quantile-threshold mask estimate.
+"""The average of the observed spectrograms and the quantile-threshold mask estimate.
 
-The estimator thresholds the average spectrogram of the filtered
+The estimator thresholds the average of the spectrograms of the filtered
 observations at one quarter of its maximum.  The threshold is relative, so
 the estimate is invariant under rescaling of the noise level: for a fixed
 seed the returned mask is bit-identical for every sigma.  Nothing in this
@@ -19,7 +19,7 @@ from .tfcore import TFGrid, Window, quadratic_field
 
 @dataclass(frozen=True)
 class AvgSpectrogram:
-    """Mean spectrogram of K filtered realizations, in plane-density units."""
+    """Mean of the spectrograms of K filtered realizations, in plane-density units."""
 
     rho: np.ndarray
     grid: TFGrid
@@ -60,7 +60,7 @@ def average_spectrogram(filtered: np.ndarray, phi: Window) -> AvgSpectrogram:
 
 
 def estimate_mask(avg: AvgSpectrogram) -> MaskEstimate:
-    """Threshold the average spectrogram at a quarter of its maximum.
+    """Threshold the averaged spectrograms rho at a quarter of their maximum.
 
     Ties at the threshold are included.  An identically-zero rho has no
     scale to threshold against and raises :class:`DegenerateInputError`
@@ -70,9 +70,9 @@ def estimate_mask(avg: AvgSpectrogram) -> MaskEstimate:
     """
     max_rho = float(avg.rho.max())
     if not np.isfinite(max_rho):
-        raise NumericError(f"average spectrogram is not finite (max {max_rho})")
+        raise NumericError(f"averaged spectrograms are not finite (max {max_rho})")
     if max_rho <= 0.0:
-        raise DegenerateInputError("average spectrogram is identically zero")
+        raise DegenerateInputError("averaged spectrograms are identically zero")
     threshold = max_rho / 4.0
     return MaskEstimate(
         cells=avg.rho >= threshold,

@@ -118,10 +118,12 @@ def load_config(path: str | Path) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
-        values[key.strip()] = value.strip()
+        if key in values:
+            raise ConfigurationError(f"{path}:{lineno}: repeated key {key!r}")
+        values[key] = value
     return values
 
 
@@ -139,11 +141,8 @@ def _convert(name: str, text: str, kind: type):
 
 
 def parse_list(name: str, text: str, kind: type) -> tuple:
-    """Parse a non-empty comma-separated list of ints or floats."""
-    values = tuple(_convert(name, item, kind) for item in text.split(",") if item.strip())
-    if not values:
-        raise ConfigurationError(f"{name} needs at least one value, got {text!r}")
-    return values
+    """Parse a comma-separated list of ints or floats; no item may be blank."""
+    return tuple(_convert(name, item, kind) for item in text.split(","))
 
 
 #: Scenario field of each config key: the field names, with ``K`` for ``count``.
@@ -531,7 +530,7 @@ def run_verify(
         g2 = make_window(grid, tfcore.WINDOW_GAUSSIAN_T2)
 
         signals = rng.standard_normal((100, n)) + 1j * rng.standard_normal((100, n))
-        transforms = tfcore.stft_stack(signals, g)
+        transforms = tfcore.stft(signals, g)
         energies = np.sum(np.abs(transforms) ** 2, axis=(1, 2))
         defect = float(np.max(np.abs(energies - np.sum(np.abs(signals) ** 2, axis=1))))
         checks.append(CheckResult(f"tfcore.isometry[n={n}]", defect, 1e-10))
@@ -680,21 +679,6 @@ def run_verify(
             CheckResult(
                 f"estimator.sigma_invariance[n={n}]",
                 0.0 if all(masks_equal) else 1.0,
-                0.0,
-            )
-        )
-
-        avg = estimator.average_spectrogram(filtered, phi)
-        est = estimator.estimate_mask(avg)
-        sane = (0.0 < est.threshold <= est.max_rho) and bool(est.cells.any())
-        checks.append(
-            CheckResult(f"estimator.threshold_sanity[n={n}]", 0.0 if sane else 1.0, 0.0)
-        )
-        level = estimator.level_set(avg, est.threshold)
-        checks.append(
-            CheckResult(
-                f"estimator.level_set_match[n={n}]",
-                float(np.count_nonzero(level != est.cells)),
                 0.0,
             )
         )

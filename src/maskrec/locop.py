@@ -9,10 +9,10 @@ isometry, so the operator is positive semidefinite with eigenvalues in
 computed on first read, by the diagnostics that check the eigenbasis.
 
 The auxiliary field computed by :func:`theta` is the noise-free profile the
-averaged observed spectrogram concentrates around: the lattice quadratic
-form of H^2.  Its normalization is fixed once by the analytically forced
-case (full mask -> field identically 1, equivalently a factor n on raw
-squared transform values) and the same scale is used everywhere in the
+average of the observed spectrograms concentrates around: the lattice
+quadratic form of H^2.  Its normalization is fixed once by the analytically
+forced case (full mask -> field identically 1, equivalently a factor n on
+raw squared transform values) and the same scale is used everywhere in the
 package.
 """
 
@@ -25,9 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, ModelError, NumericError
 from .maskgeom import Mask, distance_field, measure, perimeter
-from .tfcore import (
-    TFGrid, Window, mask_operator, offset_distances, quadratic_field, stft, stft_stack,
-)
+from .tfcore import TFGrid, Window, mask_operator, offset_distances, quadratic_field, stft
 
 _EIG_RANGE_TOL = 1e-8
 
@@ -124,7 +122,7 @@ def spectrum(H: np.ndarray, omega_measure: float) -> LocOpSpectrum:
 
 @dataclass(frozen=True)
 class ThetaField:
-    """Noise-free profile of the averaged observed spectrogram at unit variance."""
+    """Noise-free profile of the averaged observed spectrograms at unit variance."""
 
     values: np.ndarray
     grid: TFGrid
@@ -177,7 +175,7 @@ def double_orthogonality_defect(
     """
     if m_max > spec.grid.n:
         raise DimensionError(f"m_max {m_max} exceeds grid size {spec.grid.n}")
-    transforms = stft_stack(spec.eigenvectors.T[:m_max], g)
+    transforms = stft(spec.eigenvectors.T[:m_max], g)
     gram = np.einsum(
         "mxf,nxf->mn", transforms * mask.cells[None], np.conj(transforms)
     )

@@ -123,13 +123,6 @@ def distance_field(source: np.ndarray, grid: TFGrid) -> np.ndarray:
     return np.sqrt(d2) * grid.cell_side
 
 
-def boundary_neighborhood(mask: Mask, r: float) -> np.ndarray:
-    """Cells whose torus distance to the mask's boundary cells is < r."""
-    if r < 0:
-        raise ConfigurationError(f"neighborhood radius must be >= 0, got {r}")
-    return mask.boundary_distance < r
-
-
 def dilate(mask: Mask, r: float) -> Mask:
     """Open r-neighborhood of the mask (the mask itself is always included)."""
     if r < 0:
@@ -281,18 +274,20 @@ def _parse_kv(body: str, kind: str) -> dict[str, float]:
         m = _KV_RE.match(item)
         if not m:
             raise ConfigurationError(f"cannot parse shape parameter {item!r}")
-        if m.group(1) not in _SHAPE_KEYS[kind]:
+        key = m.group(1)
+        if key not in _SHAPE_KEYS[kind]:
             raise ConfigurationError(
-                f"unknown {kind} parameter {m.group(1)!r}; "
-                f"expected {', '.join(_SHAPE_KEYS[kind])}"
+                f"unknown {kind} parameter {key!r}; expected {', '.join(_SHAPE_KEYS[kind])}"
             )
+        if key in params:
+            raise ConfigurationError(f"repeated {kind} parameter {key!r}")
         try:
             value = float(m.group(2))
         except ValueError:
             raise ConfigurationError(f"bad shape parameter value {item!r}") from None
         if not np.isfinite(value):
             raise ConfigurationError(f"shape parameter must be finite: {item!r}")
-        params[m.group(1)] = value
+        params[key] = value
     return params
 
 
@@ -334,6 +329,8 @@ def make_mask(grid: TFGrid, spec: str) -> Mask:
         return disc_mask(grid, *_disc_params(_parse_kv(body, kind), kind))
     if kind == "rect":
         p = _parse_kv(body, kind)
+        if not all(v.is_integer() for v in p.values()):
+            raise ConfigurationError(f"rect values must be integers: {body!r}")
         try:
             return rect_mask(grid, int(p["x0"]), int(p["f0"]), int(p["w"]), int(p["h"]))
         except KeyError as exc:
@@ -407,7 +404,7 @@ _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s")
 
 
 def read_mask_pgm(path: str | Path, grid: TFGrid | None = None) -> Mask:
-    """Read a binary P5 image back into a mask (values >= 128 count as inside)."""
+    """Read a binary P5 image back into a mask; a cell is inside when 2 * value > maxval."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -418,10 +415,15 @@ def read_mask_pgm(path: str | Path, grid: TFGrid | None = None) -> Mask:
     width, height, maxval = (int(t) for t in header.groups())
     if maxval > 255:
         raise ConfigurationError(f"{path}: 16-bit PGM not supported")
+    if maxval == 0:
+        raise ConfigurationError(f"{path}: PGM maxval must be positive")
     data = raw[header.end() : header.end() + width * height]
     if len(data) != width * height:
         raise ConfigurationError(f"{path}: truncated PGM payload")
-    cells = np.frombuffer(data, dtype=np.uint8).reshape(height, width) >= 128
+    values = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
+    if values.max(initial=0) > maxval:
+        raise ConfigurationError(f"{path}: PGM sample above maxval {maxval}")
+    cells = values > maxval // 2  # 2 * value > maxval in integers
     if grid is None:
         if height != width:
             raise DimensionError(f"{path}: mask image must be square")

@@ -82,12 +82,10 @@ def complexify(batch: NoiseBatch) -> NoiseBatch:
     """Pair realizations as N'_k = N_k + i N_{k+K'}, K' = floor(K/2).
 
     Turns real noise into K' complex realizations of variance 2 sigma^2
-    (the stored sigma reflects that).  Complex input is accepted as well:
-    the pairing of independent complex realizations is again complex white
-    noise, so the downstream estimator is valid for either kind.
+    (the stored sigma reflects that).
     """
-    if batch.kind == KIND_COMPLEXIFIED:
-        raise ConfigurationError("batch is already complexified")
+    if batch.kind != KIND_REAL:
+        raise ConfigurationError(f"complexify needs real noise, got {batch.kind!r}")
     if batch.count < 2:
         raise ConfigurationError("complexification needs at least 2 realizations")
     half = batch.count // 2

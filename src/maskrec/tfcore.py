@@ -16,13 +16,13 @@ the full-lattice transform is an exact isometry into the n^2-point lattice
 equipped with the counting norm: ``sum |V|^2 = ||f||^2 ||g||^2``.  Because a
 single lattice cell carries measure 1/n, the squared modulus ``|V|^2``
 already absorbs one factor of the cell measure; plane-density units are
-recovered by ``spectrogram`` which multiplies by n.  All continuum-style
-identities in the package (trace, double orthogonality, moments) hold
-exactly on the lattice under this dictionary.
+recovered by multiplying by n.  All continuum-style identities in the
+package (trace, double orthogonality, moments) hold exactly on the lattice
+under this dictionary.
 
-Every spectrogram field of the package is the quadratic form
+Every time-frequency field of the package is the quadratic form
 ``Q_A(z) = <A pi(z)phi, pi(z)phi>`` of some matrix A (:func:`quadratic_field`):
-the average spectrogram for the sample covariance, theta for H^2, the
+the averaged spectrograms for the sample covariance, theta for H^2, the
 first-moment field for H.  Its adjoint, ``sum_z chi(z) Q_A(z) =
 sum_{t,s} A[t, s] conj(M[t, s])`` with ``M = sum_z chi(z) pi(z)g (pi(z)g)^H``
 (:func:`mask_operator`), builds the localization operator ``H = M / n``.
@@ -51,7 +51,6 @@ from .errors import ConfigurationError, DimensionError
 
 WINDOW_GAUSSIAN = "gaussian"
 WINDOW_GAUSSIAN_T2 = "gaussian_t2"
-WINDOW_CUSTOM = "custom"
 
 #: Number of wrap-around periods summed when periodizing the Gaussian.
 #: Three already suffice at double precision for n >= 16; five adds margin.
@@ -94,7 +93,6 @@ class Window:
     """
 
     samples: np.ndarray
-    label: str = WINDOW_CUSTOM
 
     def __post_init__(self) -> None:
         samples = np.array(self.samples, dtype=np.complex128)
@@ -163,7 +161,7 @@ def make_window(grid: TFGrid, label: str) -> Window:
     if label == WINDOW_GAUSSIAN_T2:
         samples = samples * t**2
     samples = samples / np.linalg.norm(samples)
-    return Window(samples=samples.astype(np.complex128), label=label)
+    return Window(samples=samples.astype(np.complex128))
 
 
 def custom_window(samples: np.ndarray) -> Window:
@@ -185,7 +183,7 @@ def custom_window(samples: np.ndarray) -> Window:
         # part by part: a complex division by a subnormal peak overflows
         samples = samples.real / peak + 1j * (samples.imag / peak)
         norm = np.linalg.norm(samples)
-    return Window(samples=samples / norm, label=WINDOW_CUSTOM)
+    return Window(samples=samples / norm)
 
 
 def tf_shift(f: np.ndarray, z: tuple[int, int], grid: TFGrid) -> np.ndarray:
@@ -199,41 +197,26 @@ def tf_shift(f: np.ndarray, z: tuple[int, int], grid: TFGrid) -> np.ndarray:
     return phase * np.roll(f, x, axis=-1)
 
 
-def _check_pair(f: np.ndarray, g: Window) -> np.ndarray:
-    f = np.asarray(f, dtype=np.complex128)
-    if f.shape[-1] != g.n:
-        raise DimensionError(
-            f"signal length {f.shape[-1]} does not match window length {g.n}"
-        )
-    return f
-
-
 def translates(g: Window) -> np.ndarray:
     """All cyclic translates of the window: ``T[x, t] = g((t - x) mod n)``."""
     t = np.arange(g.n)
     return g.samples[(t[None, :] - t[:, None]) % g.n]
 
 
-def stft_stack(signals: np.ndarray, g: Window) -> np.ndarray:
-    """Full-lattice transform of a stack of signals.
-
-    ``signals`` has shape (..., n); the result has shape (..., n, n) with
-    the time index x before the frequency index xi.
-    """
-    signals = _check_pair(signals, g)
-    windowed = signals[..., None, :] * np.conj(translates(g))
-    return np.fft.fft(windowed, axis=-1, norm="ortho")
-
-
 def stft(f: np.ndarray, g: Window) -> np.ndarray:
-    """Analyze a single signal with window ``g``; an exact isometry.
+    """Full-lattice transform with window ``g``; an exact isometry.
 
-    The result is the n x n array ``V[x, xi]``.
+    ``f`` is a signal or a stack of signals of shape (..., n); the result
+    has shape (..., n, n) with the time index x before the frequency
+    index xi.
     """
-    f = _check_pair(f, g)
-    if f.ndim != 1:
-        raise DimensionError("stft expects a 1-D signal; use stft_stack for batches")
-    return stft_stack(f, g)
+    f = np.asarray(f, dtype=np.complex128)
+    if f.shape[-1] != g.n:
+        raise DimensionError(
+            f"signal length {f.shape[-1]} does not match window length {g.n}"
+        )
+    windowed = f[..., None, :] * np.conj(translates(g))
+    return np.fft.fft(windowed, axis=-1, norm="ortho")
 
 
 def istft(V: np.ndarray, g: Window) -> np.ndarray:
@@ -243,36 +226,6 @@ def istft(V: np.ndarray, g: Window) -> np.ndarray:
         raise DimensionError(f"transform shape {V.shape} != window length {g.n}")
     rows = np.fft.ifft(V, axis=1, norm="ortho")
     return np.sum(translates(g) * rows, axis=0)
-
-
-def spectrogram(V: np.ndarray) -> np.ndarray:
-    """Squared modulus of an n x n transform in plane-density units.
-
-    Summing the result against the cell measure 1/n gives
-    ``||f||^2 ||g||^2``, matching the continuum normalization of the energy
-    density.
-    """
-    V = np.asarray(V)
-    if V.ndim != 2 or V.shape[0] != V.shape[1]:
-        raise DimensionError(f"transform shape {V.shape} is not n x n")
-    return V.shape[0] * np.abs(V) ** 2
-
-
-def reproducing_kernel(g: Window, z: tuple[int, int], w: tuple[int, int]) -> complex:
-    """Kernel K_g(z, w) = <pi(w)g, pi(z)g> of the transform's range.
-
-    ``K(z, z) = 1`` for the unit-norm window, and the lattice reproducing
-    identity holds with the cell measure as the integration weight:
-    ``V(z) = sum_w V(w) K_g(z, w) / n``.
-    """
-    n = g.grid.n
-    for point in (z, w):
-        x, xi = point
-        if not (0 <= x < n and 0 <= xi < n):
-            raise DimensionError(f"grid point {point} outside the {n} x {n} lattice")
-    a = tf_shift(g.samples, w, g.grid)
-    b = tf_shift(g.samples, z, g.grid)
-    return complex(np.dot(a, np.conj(b)))
 
 
 def _cell_distances_sq(grid: TFGrid, center: tuple[float, float]) -> np.ndarray:

@@ -154,7 +154,8 @@ def test_pipeline_shares_a_window_between_equal_labels():
     right = build_pipeline(replace(PRESETS["figure1-right"], n=32, shape="disc:measure=6"))
     assert left.recon is left.model
     assert right.recon is not right.model
-    assert right.model.label == "gaussian_t2" and right.recon.label == "gaussian"
+    for window, label in ((right.model, "gaussian_t2"), (right.recon, "gaussian")):
+        assert np.array_equal(window.samples, tfcore.make_window(right.grid, label).samples)
 
 
 def test_trial_seed_depends_only_on_indices():
@@ -355,8 +356,8 @@ def test_verify_passes_on_small_sizes():
 
 def test_verify_corrupted_window_fails_isometry(monkeypatch):
     # transforms scaled by 1 + 1e-4, as a window off unit norm would give
-    stft_stack = tfcore.stft_stack
-    monkeypatch.setattr(tfcore, "stft_stack", lambda f, g: stft_stack(f, g) * (1.0 + 1e-4))
+    stft = tfcore.stft
+    monkeypatch.setattr(tfcore, "stft", lambda f, g: stft(f, g) * (1.0 + 1e-4))
     checks = run_verify(ns=(8,), seed=5)
     failing = {c.name for c in checks if not c.passed}
     assert any(name.startswith("tfcore.isometry") for name in failing)

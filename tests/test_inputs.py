@@ -43,6 +43,12 @@ CLI_ROWS = {
     "rect-unknown-key": ["simulate", *_SMALL, "--shape", "rect:x0=0,f0=0,w=2,h=2,q=1"],
     "threads-negative": ["simulate", *_SMALL, *_DISC, "--threads", "-3"],
     "threads-zero": ["sweep", "--axis", "K", "--values", "4", *_SMALL, *_DISC, "--threads", "0"],
+    "pgm-maxval-zero": ["simulate", *_SMALL, "--shape", "image:{tmp}/maxval0.pgm"],
+    "pgm-sample-above-maxval": ["simulate", *_SMALL, "--shape", "image:{tmp}/above.pgm"],
+    "disc-repeated-key": ["simulate", *_SMALL, "--shape", "disc:measure=4,measure=8"],
+    "config-repeated-key": ["simulate", "--config", "{tmp}/repeated.cfg"],
+    "rect-fractional-width": ["simulate", *_SMALL, "--shape", "rect:x0=0,f0=0,w=2.5,h=2"],
+    "sizes-empty-item": ["verify", "--sizes", "8,,16"],
 }
 
 
@@ -52,6 +58,9 @@ def test_malformed_input_exits_2_with_one_error_line(row, tmp_path, capsys):
     (tmp_path / "blank_shape.cfg").write_text("n = 16\nshape =\nK = 4\ntrials = 1\n")
     (tmp_path / "head.pgm").write_bytes(b"P5\n16 ")
     (tmp_path / "payload.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(100))
+    (tmp_path / "maxval0.pgm").write_bytes(b"P5\n16 16\n0\n" + bytes(256))
+    (tmp_path / "above.pgm").write_bytes(b"P5\n16 16\n1\n" + bytes(255) + b"\x02")
+    (tmp_path / "repeated.cfg").write_text("n = 32\nn = 64\nK = 4\ntrials = 1\n")
     argv = [arg.format(tmp=tmp_path) for arg in CLI_ROWS[row]]
     if argv[0] != "verify":
         argv += ["--out-dir", str(tmp_path / "out")]
@@ -104,6 +113,14 @@ def test_comma_bearing_rect_shape(route, tmp_path):
     truth = read_mask_pgm(tmp_path / "out" / "truth.pgm")
     assert np.count_nonzero(truth.cells) == 16
     assert truth.cells[:4, :4].all()
+
+
+@pytest.mark.parametrize("maxval", [1, 2, 255])
+def test_read_mask_pgm_counts_a_cell_inside_above_half_maxval(maxval, tmp_path):
+    values = (np.arange(256) % (maxval + 1)).reshape(16, 16).astype(np.uint8)
+    path = tmp_path / "mask.pgm"
+    path.write_bytes(f"P5\n16 16\n{maxval}\n".encode() + values.tobytes())
+    assert np.array_equal(read_mask_pgm(path).cells, 2 * values.astype(int) > maxval)
 
 
 # ------------------------------------------------------- property tests

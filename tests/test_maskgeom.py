@@ -8,7 +8,6 @@ from maskrec import errors, maskgeom
 from maskrec.maskgeom import (
     Mask,
     annulus_mask,
-    boundary_neighborhood,
     dilate,
     disc_mask,
     error_report,
@@ -283,19 +282,19 @@ def test_error_report_perimeter_is_the_truth_perimeter(a, b):
 
 def test_boundary_neighborhood_zero_radius_is_empty():
     m = disc_mask(TFGrid(16), 4.0)
-    assert not boundary_neighborhood(m, 0.0).any()
+    assert not (m.boundary_distance < 0.0).any()
 
 
 def test_boundary_neighborhood_large_radius_is_everything():
     m = disc_mask(TFGrid(16), 4.0)
     diameter = np.sqrt(2) * 16 / np.sqrt(16)
-    assert boundary_neighborhood(m, diameter + 1).all()
+    assert (m.boundary_distance < diameter + 1).all()
 
 
 def test_boundary_neighborhood_single_cell_block():
     n = 16
     m = _single(n, at=(5, 5))
-    got = boundary_neighborhood(m, 1.5 / np.sqrt(n))
+    got = m.boundary_distance < 1.5 / np.sqrt(n)
     want = np.zeros((n, n), bool)
     want[4:7, 4:7] = True
     assert np.array_equal(got, want)
@@ -406,9 +405,9 @@ def test_containment_equivalence():
     if rep.containment_radius in (0.0, np.inf, 0.5 / np.sqrt(n)):
         pytest.skip("degenerate draw")
     err = truth.cells ^ est
-    nbhd_above = boundary_neighborhood(truth, rep.containment_radius + 1e-9)
+    nbhd_above = truth.boundary_distance < rep.containment_radius + 1e-9
     assert not (err & ~nbhd_above).any()
-    nbhd_below = boundary_neighborhood(truth, rep.containment_radius - 1e-9)
+    nbhd_below = truth.boundary_distance < rep.containment_radius - 1e-9
     assert (err & ~nbhd_below).any()
 
 

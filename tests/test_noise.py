@@ -107,15 +107,10 @@ def test_complexify_doubles_variance():
     assert abs(mean_power - 2.0) < 5 * np.sqrt(4 / (500 * 64))
 
 
-def test_complexify_accepts_complex_noise():
-    # pairing independent complex realizations is again complex white noise
+def test_complexify_rejects_complex_noise():
     batch = sample_noise(GRID64, 8, 1.0, kind="complex", seed=47)
-    paired = complexify(batch)
-    r = batch.realizations
-    assert paired.count == 4
-    assert np.array_equal(paired.realizations, r[:4] + 1j * r[4:])
-    assert paired.kind == noise.KIND_COMPLEXIFIED
-    assert paired.sigma == pytest.approx(np.sqrt(2.0))
+    with pytest.raises(errors.ConfigurationError, match="real noise"):
+        complexify(batch)
 
 
 def test_complexify_requires_two():
