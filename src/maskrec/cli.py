@@ -2,8 +2,9 @@
 
 A scenario flag is ``--`` plus a key of ``harness.SCENARIO_KEYS`` (``_`` as
 ``-``); ``harness.scenario_from_mapping`` parses its string.  Exit codes: 0
-success, 1 a failed verification and nothing else, 2 any malformed flag,
-config file, shape spec, comma list or PGM image, 3 numeric/model failure.
+success, 1 a failed verification and nothing else, 2 any malformed or
+repeated flag, config file, shape spec, comma list or PGM image, 3
+numeric/model failure.
 """
 
 from __future__ import annotations
@@ -35,18 +36,32 @@ _HELP = {
 }
 
 
+class _Once(argparse.Action):
+    """Store a flag's value; a second occurrence of the flag is malformed."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = namespace.__dict__.setdefault("_given", set())
+        if self.dest in given:
+            raise ConfigurationError(f"{option_string} given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key/value scenario config file")
+    parser.add_argument("--config", action=_Once, help="key/value scenario config file")
     parser.add_argument(
         "--scenario-preset",
+        action=_Once,
         choices=sorted(harness.PRESETS),
         help="start from a named scenario preset",
     )
     for key in harness.SCENARIO_KEYS:
         flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=_HELP.get(key))
-    parser.add_argument("--out-dir", default="out", help="artifact directory")
-    parser.add_argument("--threads", type=int, help="worker threads (default 1)")
+        parser.add_argument(
+            flag, dest=key, action=_Once, default=argparse.SUPPRESS, help=_HELP.get(key)
+        )
+    parser.add_argument("--out-dir", action=_Once, default="out", help="artifact directory")
+    parser.add_argument("--threads", action=_Once, type=int, help="worker threads (default 1)")
 
 
 def _scenario_from_args(args: argparse.Namespace) -> harness.Scenario:
@@ -71,19 +86,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run seeded Monte Carlo trials")
     _add_scenario_args(p_sim)
 
-    p_sweep = sub.add_parser("sweep", help="sweep K, sigma, or mask measure")
+    p_sweep = sub.add_parser("sweep", help="sweep K or the mask measure")
     _add_scenario_args(p_sweep)
-    p_sweep.add_argument("--axis", required=True, choices=["K", "sigma", "measure"])
+    p_sweep.add_argument("--axis", action=_Once, required=True, choices=["K", "measure"])
     p_sweep.add_argument(
-        "--values", required=True, help="comma-separated ascending axis values"
+        "--values", action=_Once, required=True, help="comma-separated ascending axis values"
     )
 
     p_spec = sub.add_parser("spectrum", help="eigenvalue profile of the operator")
     _add_scenario_args(p_spec)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
-    p_verify.add_argument("--sizes", default="8,16,32", help="comma-separated grid sizes")
-    p_verify.add_argument("--seed", type=int, default=20240901)
+    p_verify.add_argument(
+        "--sizes", action=_Once, default="8,16,32", help="comma-separated grid sizes"
+    )
+    p_verify.add_argument("--seed", action=_Once, type=int, default=20240901)
     return parser
 
 
@@ -119,9 +136,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(parser.parse_args(argv))
     except (ConfigurationError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

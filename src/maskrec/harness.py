@@ -374,13 +374,13 @@ def run_sweep(
     out_dir: str | Path,
     threads: int | None = None,
 ) -> list[dict]:
-    """Sweep K, sigma, or the mask measure; emit one summary row per value.
+    """Sweep K or the mask measure; emit one summary row per value.
 
-    K and sigma leave the truth, the windows and H unchanged, so their values
-    share one pipeline and only its scenario is replaced; a measure sweep
-    builds one pipeline per value.
+    K leaves the truth, the windows and H unchanged, so its values share one
+    pipeline and only its scenario is replaced; a measure sweep builds one
+    pipeline per value.
     """
-    if axis not in ("K", "sigma", "measure"):
+    if axis not in ("K", "measure"):
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
     if list(values) != sorted(values):
         raise ConfigurationError("sweep values must be sorted ascending")
@@ -391,8 +391,6 @@ def run_sweep(
     for value in values:
         if axis == "K":
             pipeline = replace(shared, scenario=replace(scenario, count=int(value)))
-        elif axis == "sigma":
-            pipeline = replace(shared, scenario=replace(scenario, sigma=float(value)))
         else:
             pipeline = build_pipeline(
                 replace(scenario, shape=scaled_shape_spec(scenario.shape, float(value)))
@@ -485,12 +483,19 @@ class CheckResult:
         return f"{status} {self.name}: defect={self.defect:.3e} tol={self.tolerance:.3e}"
 
 
-def _random_mask(grid: TFGrid, rng: np.random.Generator, fill: float = 0.2) -> Mask:
-    cells = rng.random((grid.n, grid.n)) < fill
+#: Share of the cells inside a random verify mask.
+_RANDOM_FILL = 0.2
+
+#: Number of points z at which the reproducing identity is checked.
+_REPRODUCING_POINTS = 12
+
+
+def _random_mask(grid: TFGrid, rng: np.random.Generator) -> Mask:
+    cells = rng.random((grid.n, grid.n)) < _RANDOM_FILL
     return Mask(cells=cells, grid=grid)
 
 
-def _reproducing_defect(g: Window, rng: np.random.Generator, points: int = 12) -> float:
+def _reproducing_defect(g: Window, rng: np.random.Generator) -> float:
     """Brute-force kernel-sum check of the lattice reproducing identity."""
     grid = g.grid
     n = grid.n
@@ -501,7 +506,7 @@ def _reproducing_defect(g: Window, rng: np.random.Generator, points: int = 12) -
     phases = np.exp(2j * np.pi * np.outer(t, t) / n)  # [xi, t]
     shifts = np.einsum("xt,ft->xft", tfcore.translates(g), phases).reshape(n * n, n)
     worst = 0.0
-    zs = rng.integers(0, n, size=(points, 2))
+    zs = rng.integers(0, n, size=(_REPRODUCING_POINTS, 2))
     for zx, zf in zs:
         pz = tfcore.tf_shift(g.samples, (int(zx), int(zf)), grid)
         kernel = shifts @ np.conj(pz)  # K(z, w) over all w
@@ -524,178 +529,107 @@ def run_verify(
     rng = np.random.default_rng(seed)
 
     for n in ns:
+        # shared objects; the rng draws keep their order: signals, G, the
+        # reproducing check, then the four random masks
         grid = TFGrid(n)
-        g = make_window(grid, tfcore.WINDOW_GAUSSIAN)
-        phi = make_window(grid, tfcore.WINDOW_GAUSSIAN)
+        g = phi = make_window(grid, tfcore.WINDOW_GAUSSIAN)
         g2 = make_window(grid, tfcore.WINDOW_GAUSSIAN_T2)
-
         signals = rng.standard_normal((100, n)) + 1j * rng.standard_normal((100, n))
-        transforms = tfcore.stft(signals, g)
-        energies = np.sum(np.abs(transforms) ** 2, axis=(1, 2))
-        defect = float(np.max(np.abs(energies - np.sum(np.abs(signals) ** 2, axis=1))))
-        checks.append(CheckResult(f"tfcore.isometry[n={n}]", defect, 1e-10))
-
         f = signals[0]
         F = tfcore.stft(f, g)
         z0 = (n // 3, (2 * n) // 3)
-        shifted = tfcore.stft(tfcore.tf_shift(f, z0, grid), g)
-        defect = float(
-            np.max(np.abs(np.abs(shifted) - np.abs(np.roll(F, z0, axis=(0, 1)))))
-        )
-        checks.append(CheckResult(f"tfcore.covariance[n={n}]", defect, 1e-10))
-
         G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        lhs = np.sum(F * np.conj(G))
-        rhs = np.sum(f * np.conj(tfcore.istft(G, g)))
-        checks.append(CheckResult(f"tfcore.adjoint[n={n}]", float(abs(lhs - rhs)), 1e-10))
-
-        if n <= 32:
-            checks.append(
-                CheckResult(f"tfcore.reproducing[n={n}]", _reproducing_defect(g, rng), 1e-9)
-            )
-
+        # the brute-force kernel sum runs at n <= 32 only
+        reproducing = _reproducing_defect(g, rng) if n <= 32 else None
+        rand_mask, a, b, c = (_random_mask(grid, rng) for _ in range(4))
         disc = maskgeom.disc_mask(grid, grid.plane_measure / 8)
-        masks = [disc, _random_mask(grid, rng)]
-        trace_defect = 0.0
-        for mask in masks:
-            H = locop.assemble_locop(mask, g)
-            trace_defect = max(
-                trace_defect, abs(float(np.trace(H).real) - maskgeom.measure(mask))
-            )
-        checks.append(CheckResult(f"locop.trace[n={n}]", trace_defect, 1e-9))
-
         H = locop.assemble_locop(disc, g)
         spec = locop.spectrum(H, maskgeom.measure(disc))
-        gram = spec.eigenvectors.conj().T @ spec.eigenvectors
-        checks.append(
-            CheckResult(
-                f"locop.eigenvector_gram[n={n}]",
-                float(np.max(np.abs(gram - np.eye(n)))),
-                1e-9,
-            )
-        )
-        checks.append(
-            CheckResult(
-                f"locop.eigenvalue_sum[n={n}]",
-                abs(float(spec.eigenvalues.sum()) - spec.omega_measure),
-                1e-9,
-            )
-        )
-
         grown = maskgeom.dilate(disc, 2.5 * grid.cell_side)
-        spec_grown = locop.spectrum(
-            locop.assemble_locop(grown, g), maskgeom.measure(grown)
-        )
-        defect = float(np.max(spec.eigenvalues - spec_grown.eigenvalues))
-        checks.append(CheckResult(f"locop.monotonicity[n={n}]", defect, 1e-9))
-
-        checks.append(
-            CheckResult(
-                f"locop.double_orth[n={n}]",
-                locop.double_orthogonality_defect(spec, disc, g, m_max=8),
-                1e-8,
-            )
-        )
-        checks.append(
-            CheckResult(
-                f"locop.first_moment[n={n}]",
-                locop.theta_first_moment(spec, phi, disc, g),
-                1e-8,
-            )
-        )
-        th = locop.theta(spec, phi)
-        bound_defect = max(
-            float(th.values.max()) - 1.0,
-            float(th.values.sum() * grid.cell_measure) - spec.omega_measure,
-            0.0,
-        )
-        checks.append(CheckResult(f"locop.theta_bounds[n={n}]", bound_defect, 1e-9))
-
-        moment = locop.ambiguity_moment(g, phi)
-        l1 = float(np.sum(np.abs(disc.cells - th.values)) * grid.cell_measure)
-        checks.append(
-            CheckResult(
-                f"locop.theta_l1_bound[n={n}]",
-                l1 - 2.0 * moment * maskgeom.perimeter(disc),
-                0.0,
-            )
-        )
-        checks.append(
-            CheckResult(
-                f"locop.far_field[n={n}]",
-                locop.far_field_defect(spec, disc, g, phi),
-                1e-8,
-            )
-        )
+        spec_grown = locop.spectrum(locop.assemble_locop(grown, g), maskgeom.measure(grown))
+        th = locop.theta(spec, phi).values
         reg_lhs, reg_rhs = locop.regularization_defect(disc, g, phi)
-        checks.append(
-            CheckResult(f"locop.regularization[n={n}]", reg_lhs - 1.1 * reg_rhs, 0.0)
-        )
         reg_lhs2, reg_rhs2 = locop.regularization_defect(disc, g2, phi)
-        checks.append(
-            CheckResult(f"locop.regularization_t2[n={n}]", reg_lhs2 - 1.1 * reg_rhs2, 0.0)
-        )
-
         batch = noise.sample_noise(grid, 10, 1.0, seed=seed + n)
         coeffs = noise.eigen_coefficients(batch, spec)
-        parseval = float(
-            np.max(
-                np.abs(
-                    np.sum(np.abs(coeffs) ** 2, axis=1)
-                    - np.sum(np.abs(batch.realizations) ** 2, axis=1)
+        estimates = [
+            estimator.estimate_mask(
+                estimator.average_spectrogram(
+                    noise.filter_batch(noise.sample_noise(grid, 8, sigma, seed=seed + n), H),
+                    phi,
                 )
-            )
-        )
-        checks.append(CheckResult(f"noise.parseval[n={n}]", parseval, 1e-9))
-
-        filtered = noise.filter_batch(batch, H)
-        expansion = filtered - (coeffs * spec.eigenvalues) @ spec.eigenvectors.T
-        checks.append(
-            CheckResult(
-                f"noise.eigen_expansion[n={n}]", float(np.max(np.abs(expansion))), 1e-9
-            )
+            ).cells
+            for sigma in (0.1, 1.0, 10.0)
+        ]
+        sym_ab, sym_ba, sym_ac, sym_bc = (
+            maskgeom.error_report(p, q).sym_diff_measure
+            for p, q in ((a, b), (b, a), (a, c), (b, c))
         )
 
-        scaled = noise.sample_noise(grid, 10, 2.0, seed=seed + n)
-        checks.append(
-            CheckResult(
-                f"noise.sigma_scaling[n={n}]",
-                float(np.max(np.abs(scaled.realizations - 2.0 * batch.realizations))),
+        rows = [
+            ("tfcore.isometry", 1e-10, float(np.max(np.abs(
+                np.sum(np.abs(tfcore.stft(signals, g)) ** 2, axis=(1, 2))
+                - np.sum(np.abs(signals) ** 2, axis=1)
+            )))),
+            ("tfcore.covariance", 1e-10, float(np.max(np.abs(
+                np.abs(tfcore.stft(tfcore.tf_shift(f, z0, grid), g))
+                - np.abs(np.roll(F, z0, axis=(0, 1)))
+            )))),
+            ("tfcore.adjoint", 1e-10, float(abs(
+                np.sum(F * np.conj(G)) - np.sum(f * np.conj(tfcore.istft(G, g)))
+            ))),
+            ("tfcore.reproducing", 1e-9, reproducing),
+            ("locop.trace", 1e-9, max(
+                abs(float(np.trace(h).real) - maskgeom.measure(mask))
+                for mask, h in ((disc, H), (rand_mask, locop.assemble_locop(rand_mask, g)))
+            )),
+            ("locop.eigenvector_gram", 1e-9, float(np.max(np.abs(
+                spec.eigenvectors.conj().T @ spec.eigenvectors - np.eye(n)
+            )))),
+            ("locop.eigenvalue_sum", 1e-9,
+             abs(float(spec.eigenvalues.sum()) - spec.omega_measure)),
+            ("locop.monotonicity", 1e-9,
+             float(np.max(spec.eigenvalues - spec_grown.eigenvalues))),
+            ("locop.double_orth", 1e-8,
+             locop.double_orthogonality_defect(spec, disc, g, m_max=8)),
+            ("locop.first_moment", 1e-8, locop.theta_first_moment(spec, phi, disc, g)),
+            ("locop.theta_bounds", 1e-9, max(
+                float(th.max()) - 1.0,
+                float(th.sum() * grid.cell_measure) - spec.omega_measure,
                 0.0,
-            )
-        )
-
-        masks_equal = []
-        reference = None
-        for sigma in (0.1, 1.0, 10.0):
-            b = noise.sample_noise(grid, 8, sigma, seed=seed + n)
-            est = estimator.estimate_mask(
-                estimator.average_spectrogram(noise.filter_batch(b, H), phi)
-            )
-            if reference is None:
-                reference = est.cells
-            masks_equal.append(np.array_equal(est.cells, reference))
-        checks.append(
-            CheckResult(
-                f"estimator.sigma_invariance[n={n}]",
-                0.0 if all(masks_equal) else 1.0,
-                0.0,
-            )
-        )
-
-        rect = maskgeom.rect_mask(grid, 1, 2, 3, 2)
-        perim_defect = abs(maskgeom.perimeter(rect) - 2 * (3 + 2) * grid.cell_side)
-        a = _random_mask(grid, rng)
-        b = _random_mask(grid, rng)
-        c = _random_mask(grid, rng)
-        sym_ab = maskgeom.error_report(a, b).sym_diff_measure
-        sym_ba = maskgeom.error_report(b, a).sym_diff_measure
-        sym_ac = maskgeom.error_report(a, c).sym_diff_measure
-        sym_bc = maskgeom.error_report(b, c).sym_diff_measure
-        geo_defect = max(
-            perim_defect, abs(sym_ab - sym_ba), sym_ac - (sym_ab + sym_bc)
-        )
-        checks.append(CheckResult(f"maskgeom.geometry[n={n}]", geo_defect, 1e-12))
+            )),
+            ("locop.theta_l1_bound", 0.0,
+             float(np.sum(np.abs(disc.cells - th)) * grid.cell_measure)
+             - 2.0 * locop.ambiguity_moment(g, phi) * maskgeom.perimeter(disc)),
+            ("locop.far_field", 1e-8, locop.far_field_defect(spec, disc, g, phi)),
+            ("locop.regularization", 0.0, reg_lhs - 1.1 * reg_rhs),
+            ("locop.regularization_t2", 0.0, reg_lhs2 - 1.1 * reg_rhs2),
+            ("noise.parseval", 1e-9, float(np.max(np.abs(
+                np.sum(np.abs(coeffs) ** 2, axis=1)
+                - np.sum(np.abs(batch.realizations) ** 2, axis=1)
+            )))),
+            ("noise.eigen_expansion", 1e-9, float(np.max(np.abs(
+                noise.filter_batch(batch, H)
+                - (coeffs * spec.eigenvalues) @ spec.eigenvectors.T
+            )))),
+            ("noise.sigma_scaling", 0.0, float(np.max(np.abs(
+                noise.sample_noise(grid, 10, 2.0, seed=seed + n).realizations
+                - 2.0 * batch.realizations
+            )))),
+            ("estimator.sigma_invariance", 0.0,
+             0.0 if all(np.array_equal(e, estimates[0]) for e in estimates) else 1.0),
+            ("maskgeom.geometry", 1e-12, max(
+                abs(maskgeom.perimeter(maskgeom.rect_mask(grid, 1, 2, 3, 2))
+                    - 2 * (3 + 2) * grid.cell_side),
+                abs(sym_ab - sym_ba),
+                sym_ac - (sym_ab + sym_bc),
+            )),
+        ]
+        checks += [
+            CheckResult(f"{name}[n={n}]", defect, tolerance)
+            for name, tolerance, defect in rows
+            if defect is not None
+        ]
 
     # empty-mask scenario passes operator checks with a zero spectrum
     grid = TFGrid(ns[0])

@@ -214,6 +214,18 @@ def test_real_noise_trial_runs():
     assert results[0].max_rho > 0
 
 
+def test_real_noise_with_odd_k_drops_the_unpaired_realization(tmp_path):
+    # complexify pairs floor(K/2) realizations, so K = 5 runs as K = 4
+    odd = Scenario(n=32, count=5, trials=3, noise_kind="real")
+    run_simulate(odd, tmp_path / "k5")
+    run_simulate(replace(odd, count=4), tmp_path / "k4")
+    assert _csv_without_wall_time(tmp_path / "k5" / "trials.csv") == _csv_without_wall_time(
+        tmp_path / "k4" / "trials.csv"
+    )
+    for name in ("estimate.pgm", "rho.pgm", "rho.meta.txt"):
+        assert (tmp_path / "k5" / name).read_bytes() == (tmp_path / "k4" / name).read_bytes()
+
+
 def test_threads_env_is_ignored(monkeypatch):
     # --threads / threads= is the only source of the worker count
     monkeypatch.setenv("MASKREC_THREADS", "3")
@@ -256,20 +268,12 @@ def test_fmt_keeps_the_sign_of_infinity():
 # ------------------------------------------------------------------ sweeps
 
 
-def test_sweep_sigma_invariance(tmp_path):
-    rows = run_sweep(SMALL, "sigma", [0.1, 1.0, 10.0], tmp_path)
-    base = rows[0]
-    for row in rows[1:]:
-        assert row["success_rates"] == base["success_rates"]
-        assert row["median_sym_diff"] == base["median_sym_diff"]
-
-
 @pytest.mark.parametrize(
     "axis,values,builds",
-    [("K", [2, 4, 8], 1), ("sigma", [0.5, 2.0], 1), ("measure", [4.0, 6.0], 2)],
+    [("K", [2, 4, 8], 1), ("measure", [4.0, 6.0], 2)],
 )
 def test_sweep_builds_one_pipeline_per_scenario_layout(axis, values, builds, tmp_path, monkeypatch):
-    # K and sigma leave truth, windows and H alone; a measure value changes the truth
+    # K leaves truth, windows and H alone; a measure value changes the truth
     calls = []
 
     def counting(scenario):
@@ -352,6 +356,29 @@ def test_verify_passes_on_small_sizes():
     checks = run_verify(ns=(8, 16), seed=5)
     failed = [c.name for c in checks if not c.passed]
     assert failed == []
+
+
+# the per-size rows of verify, in order; tfcore.reproducing runs at n <= 32 only
+_VERIFY_ROWS = (
+    "tfcore.isometry", "tfcore.covariance", "tfcore.adjoint", "tfcore.reproducing",
+    "locop.trace", "locop.eigenvector_gram", "locop.eigenvalue_sum",
+    "locop.monotonicity", "locop.double_orth", "locop.first_moment",
+    "locop.theta_bounds", "locop.theta_l1_bound", "locop.far_field",
+    "locop.regularization", "locop.regularization_t2", "noise.parseval",
+    "noise.eigen_expansion", "noise.sigma_scaling", "estimator.sigma_invariance",
+    "maskgeom.geometry",
+)
+
+
+def test_verify_check_names_in_order():
+    small = [c.name for c in run_verify(ns=(8, 16))]
+    assert small == [
+        f"{name}[n={n}]" for n in (8, 16) for name in _VERIFY_ROWS
+    ] + ["locop.empty_mask"]
+    large = [c.name for c in run_verify(ns=(64,))]
+    assert large == [
+        f"{name}[n=64]" for name in _VERIFY_ROWS if name != "tfcore.reproducing"
+    ] + ["locop.empty_mask", "locop.plateau[full-64]", "locop.plateau[holey-plane-64]"]
 
 
 def test_verify_corrupted_window_fails_isometry(monkeypatch):
@@ -459,7 +486,7 @@ def test_cli_config_error_exit_code(tmp_path):
 def test_cli_sweep(tmp_path):
     code = cli.main(
         [
-            "sweep", "--axis", "sigma", "--values", "0.5,1", "--n", "32",
+            "sweep", "--axis", "K", "--values", "4,6", "--n", "32",
             "--shape", "disc:measure=6", "--K", "4", "--trials", "1",
             "--seed", "2", "--out-dir", str(tmp_path),
         ]

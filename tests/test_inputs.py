@@ -49,6 +49,11 @@ CLI_ROWS = {
     "config-repeated-key": ["simulate", "--config", "{tmp}/repeated.cfg"],
     "rect-fractional-width": ["simulate", *_SMALL, "--shape", "rect:x0=0,f0=0,w=2.5,h=2"],
     "sizes-empty-item": ["verify", "--sizes", "8,,16"],
+    "n-repeated": ["simulate", "--n", "16", "--n", "32", "--K", "4", "--trials", "1", *_DISC],
+    "n-equals-repeated": ["simulate", "--n=16", "--n", "32", "--K", "4", "--trials", "1", *_DISC],
+    "values-repeated": ["sweep", "--axis", "K", "--values", "4", "--values", "8", *_SMALL, *_DISC],
+    "sizes-repeated": ["verify", "--sizes", "8", "--sizes", "16"],
+    "threads-repeated": ["simulate", *_SMALL, *_DISC, "--threads", "1", "--threads", "2"],
 }
 
 
