@@ -1,13 +1,6 @@
 """maskrec: recover binary time-frequency masks from filtered white noise."""
 
-from .errors import (
-    ConfigurationError,
-    DegenerateInputError,
-    DimensionError,
-    MaskrecError,
-    ModelError,
-    NumericError,
-)
+from .errors import ConfigurationError, MaskrecError, NumericError
 from .tfcore import (
     TFGrid,
     Window,

@@ -12,13 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    ConfigurationError,
-    DegenerateInputError,
-    DimensionError,
-    ModelError,
-    NumericError,
-)
+from .errors import ConfigurationError, NumericError
 from . import harness
 
 EXIT_OK = 0
@@ -61,7 +55,9 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
             flag, dest=key, action=_Once, default=argparse.SUPPRESS, help=_HELP.get(key)
         )
     parser.add_argument("--out-dir", action=_Once, default="out", help="artifact directory")
-    parser.add_argument("--threads", action=_Once, type=int, help="worker threads (default 1)")
+    parser.add_argument(
+        "--threads", action=_Once, type=int, default=1, help="worker threads (default 1)"
+    )
 
 
 def _scenario_from_args(args: argparse.Namespace) -> harness.Scenario:
@@ -138,10 +134,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         return _dispatch(parser.parse_args(argv))
-    except (ConfigurationError, DimensionError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericError, ModelError, DegenerateInputError) as exc:
+    except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -1,8 +1,8 @@
-"""Exception taxonomy shared by all maskrec modules.
+"""Exception taxonomy shared by all maskrec modules: one class per exit code.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, numerical/model failures with 3, and a failed verification run
-with 1 (see ``maskrec.cli``).
+The CLI maps these onto process exit codes: bad input exits with 2, a
+numerical or model failure with 3, and a failed verification run with 1
+(see ``maskrec.cli``).
 """
 
 
@@ -11,20 +11,8 @@ class MaskrecError(Exception):
 
 
 class ConfigurationError(MaskrecError):
-    """Invalid parameter, label, or scenario configuration."""
-
-
-class DimensionError(MaskrecError):
-    """Mismatched signal length, grid, or matrix shape."""
+    """Invalid parameter, label, scenario, or mismatched shape."""
 
 
 class NumericError(MaskrecError):
-    """A numerical routine (e.g. the eigensolver) failed."""
-
-
-class ModelError(MaskrecError):
-    """A quantity violated a model-level bound beyond tolerance."""
-
-
-class DegenerateInputError(MaskrecError):
-    """Input is degenerate (e.g. identically-zero averaged spectrograms)."""
+    """A numerical routine failed, a bound was violated, or the input is degenerate."""

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, DimensionError, NumericError
-from .tfcore import TFGrid, Window, quadratic_field
+from .errors import ConfigurationError, NumericError
+from .tfcore import Window, quadratic_field
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,6 @@ class AvgSpectrogram:
     """Mean of the spectrograms of K filtered realizations, in plane-density units."""
 
     rho: np.ndarray
-    grid: TFGrid
     count: int
 
 
@@ -31,7 +30,6 @@ class MaskEstimate:
     """Thresholded mask: cells where rho >= threshold = max_rho / 4."""
 
     cells: np.ndarray
-    grid: TFGrid
     threshold: float
     max_rho: float
 
@@ -49,37 +47,32 @@ def average_spectrogram(filtered: np.ndarray, phi: Window) -> AvgSpectrogram:
         raise ConfigurationError("average_spectrogram needs at least one realization")
     n = phi.n
     if filtered.shape[1] != n:
-        raise DimensionError(
+        raise ConfigurationError(
             f"realization length {filtered.shape[1]} != window length {n}"
         )
     count = filtered.shape[0]
     # the field is linear in the covariance, so the 1/K goes on the real field
     rho = quadratic_field(filtered.T @ np.conj(filtered), phi)
     rho /= count
-    return AvgSpectrogram(rho=rho, grid=phi.grid, count=count)
+    return AvgSpectrogram(rho=rho, count=count)
 
 
 def estimate_mask(avg: AvgSpectrogram) -> MaskEstimate:
     """Threshold the averaged spectrograms rho at a quarter of their maximum.
 
     Ties at the threshold are included.  An identically-zero rho has no
-    scale to threshold against and raises :class:`DegenerateInputError`
-    rather than returning an empty mask, since the noise model guarantees
-    rho > 0 almost surely and silence would hide upstream bugs.  For the
-    same reason a NaN or infinite rho raises :class:`NumericError`.
+    scale to threshold against and raises :class:`NumericError` rather than
+    returning an empty mask, since the noise model guarantees rho > 0
+    almost surely and silence would hide upstream bugs.  For the same
+    reason a NaN or infinite rho raises it too.
     """
     max_rho = float(avg.rho.max())
     if not np.isfinite(max_rho):
         raise NumericError(f"averaged spectrograms are not finite (max {max_rho})")
     if max_rho <= 0.0:
-        raise DegenerateInputError("averaged spectrograms are identically zero")
+        raise NumericError("averaged spectrograms are identically zero")
     threshold = max_rho / 4.0
-    return MaskEstimate(
-        cells=avg.rho >= threshold,
-        grid=avg.grid,
-        threshold=threshold,
-        max_rho=max_rho,
-    )
+    return MaskEstimate(cells=avg.rho >= threshold, threshold=threshold, max_rho=max_rho)
 
 
 def level_set(avg: AvgSpectrogram, delta: float) -> np.ndarray:

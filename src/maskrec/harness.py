@@ -261,18 +261,14 @@ def run_trial(
     return result, extras
 
 
-def _resolve_threads(threads: int | None) -> int:
-    """The worker count: ``threads``, 1 if not given; at least 1."""
-    if threads is None:
-        return 1
+def _resolve_threads(threads: int) -> int:
+    """The worker count ``threads``, which must be at least 1."""
     if threads < 1:
         raise ConfigurationError(f"thread count must be >= 1, got {threads}")
     return threads
 
 
-def run_trials(
-    pipeline: Pipeline, threads: int | None = None
-) -> tuple[list[TrialResult], dict]:
+def run_trials(pipeline: Pipeline, threads: int = 1) -> tuple[list[TrialResult], dict]:
     """Run all trials of a scenario on at most one worker per trial; ordered merge."""
     sc = pipeline.scenario
     workers = min(_resolve_threads(threads), sc.trials)
@@ -327,7 +323,7 @@ def _output_dir(out_dir: str | Path) -> Path:
 
 
 def run_simulate(
-    scenario: Scenario, out_dir: str | Path, threads: int | None = None
+    scenario: Scenario, out_dir: str | Path, threads: int = 1
 ) -> list[TrialResult]:
     """Run the scenario and emit trials.csv plus first-trial PGM artifacts."""
     out = _output_dir(out_dir)
@@ -372,7 +368,7 @@ def run_sweep(
     axis: str,
     values: list,
     out_dir: str | Path,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> list[dict]:
     """Sweep K or the mask measure; emit one summary row per value.
 
@@ -508,7 +504,7 @@ def _reproducing_defect(g: Window, rng: np.random.Generator) -> float:
     worst = 0.0
     zs = rng.integers(0, n, size=(_REPRODUCING_POINTS, 2))
     for zx, zf in zs:
-        pz = tfcore.tf_shift(g.samples, (int(zx), int(zf)), grid)
+        pz = tfcore.tf_shift(g.samples, (int(zx), int(zf)))
         kernel = shifts @ np.conj(pz)  # K(z, w) over all w
         total = np.dot(V.ravel(), kernel) * grid.cell_measure
         worst = max(worst, abs(total - V[zx, zf]))
@@ -572,7 +568,7 @@ def run_verify(
                 - np.sum(np.abs(signals) ** 2, axis=1)
             )))),
             ("tfcore.covariance", 1e-10, float(np.max(np.abs(
-                np.abs(tfcore.stft(tfcore.tf_shift(f, z0, grid), g))
+                np.abs(tfcore.stft(tfcore.tf_shift(f, z0), g))
                 - np.abs(np.roll(F, z0, axis=(0, 1)))
             )))),
             ("tfcore.adjoint", 1e-10, float(abs(

@@ -23,9 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, ModelError, NumericError
+from .errors import ConfigurationError, NumericError
 from .maskgeom import Mask, distance_field, measure, perimeter
-from .tfcore import TFGrid, Window, mask_operator, offset_distances, quadratic_field, stft
+from .tfcore import Window, mask_operator, offset_distances, quadratic_field, stft
 
 _EIG_RANGE_TOL = 1e-8
 
@@ -42,7 +42,7 @@ def assemble_locop(mask: Mask, g: Window) -> np.ndarray:
     read-only, so :func:`spectrum` keeps it without a copy.
     """
     if mask.grid.n != g.n:
-        raise DimensionError(f"mask grid {mask.grid.n} != window length {g.n}")
+        raise ConfigurationError(f"mask grid {mask.grid.n} != window length {g.n}")
     H = mask_operator(mask.cells, g)
     H /= g.n
     H.flags.writeable = False
@@ -62,7 +62,6 @@ class LocOpSpectrum:
     eigenvalues: np.ndarray
     H: np.ndarray
     omega_measure: float
-    grid: TFGrid
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -80,16 +79,16 @@ def spectrum(H: np.ndarray, omega_measure: float) -> LocOpSpectrum:
 
     Before the eigensolve, a non-finite entry raises :class:`NumericError`
     and an entry further than 1e-10 from the conjugate of its transposed
-    entry raises :class:`DimensionError`.  Eigenvalues outside
+    entry raises :class:`ConfigurationError`.  Eigenvalues outside
     [-1e-8, 1 + 1e-8] indicate a broken operator and raise
-    :class:`ModelError`; smaller excursions are clamped to keep downstream
+    :class:`NumericError`; smaller excursions are clamped to keep downstream
     squared sums stable.  A read-only ``H`` is kept as it is;
     a writeable one is copied, so later writes by the caller cannot
     change the spectrum's eigenvectors or theta.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise DimensionError(f"operator must be square, got shape {H.shape}")
+        raise ConfigurationError(f"operator must be square, got shape {H.shape}")
     if not np.all(np.isfinite(H)):
         raise NumericError("operator has non-finite entries")
     n, b = H.shape[0], _HERMITIAN_BLOCK
@@ -99,7 +98,7 @@ def spectrum(H: np.ndarray, omega_measure: float) -> LocOpSpectrum:
             defect = np.max(np.abs(upper - lower.conj().T))
             # `not <=`, so that a NaN defect fails as well
             if not defect <= 1e-10:
-                raise DimensionError("operator is not Hermitian")
+                raise ConfigurationError("operator is not Hermitian")
     if H.flags.writeable:
         H = H.copy()
         H.flags.writeable = False
@@ -108,7 +107,7 @@ def spectrum(H: np.ndarray, omega_measure: float) -> LocOpSpectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue solve failed: {exc}") from exc
     if vals.min() < -_EIG_RANGE_TOL or vals.max() > 1 + _EIG_RANGE_TOL:
-        raise ModelError(
+        raise NumericError(
             f"eigenvalues outside [0, 1] beyond tolerance: "
             f"min={vals.min()!r} max={vals.max()!r}"
         )
@@ -116,7 +115,6 @@ def spectrum(H: np.ndarray, omega_measure: float) -> LocOpSpectrum:
         eigenvalues=np.clip(vals[::-1], 0.0, 1.0),
         H=H,
         omega_measure=float(omega_measure),
-        grid=TFGrid(H.shape[0]),
     )
 
 
@@ -125,7 +123,6 @@ class ThetaField:
     """Noise-free profile of the averaged observed spectrograms at unit variance."""
 
     values: np.ndarray
-    grid: TFGrid
 
 
 def theta(spec: LocOpSpectrum, phi: Window) -> ThetaField:
@@ -135,7 +132,7 @@ def theta(spec: LocOpSpectrum, phi: Window) -> ThetaField:
     measure.  For the full mask it is identically 1.  It is computed as the
     quadratic form of H^2, with no eigenvectors.
     """
-    return ThetaField(values=quadratic_field(spec.H @ spec.H, phi), grid=spec.grid)
+    return ThetaField(values=quadratic_field(spec.H @ spec.H, phi))
 
 
 def _density(g: Window, phi: Window) -> np.ndarray:
@@ -173,8 +170,9 @@ def double_orthogonality_defect(
     through the transform normalization, so it reproduces the eigenvalues
     exactly.  Returns the max absolute defect over m, n <= m_max.
     """
-    if m_max > spec.grid.n:
-        raise DimensionError(f"m_max {m_max} exceeds grid size {spec.grid.n}")
+    n = spec.H.shape[0]
+    if m_max > n:
+        raise ConfigurationError(f"m_max {m_max} exceeds grid size {n}")
     transforms = stft(spec.eigenvectors.T[:m_max], g)
     gram = np.einsum(
         "mxf,nxf->mn", transforms * mask.cells[None], np.conj(transforms)
@@ -229,8 +227,8 @@ def far_field_defect(
     """
     th = theta(spec, phi).values
     chi = mask.cells.astype(float)
-    inside = distance_field(~mask.cells, mask.grid)
-    outside = distance_field(mask.cells, mask.grid)
+    inside = distance_field(~mask.cells)
+    outside = distance_field(mask.cells)
     radius = np.where(mask.cells, inside, outside)
 
     q = _density(g, phi)

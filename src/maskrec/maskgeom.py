@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError
 from .tfcore import TFGrid, _cell_distances_sq
 
 
@@ -38,7 +38,7 @@ class Mask:
     def __post_init__(self) -> None:
         cells = np.array(self.cells, dtype=bool)
         if cells.shape != (self.grid.n, self.grid.n):
-            raise DimensionError(
+            raise ConfigurationError(
                 f"mask shape {cells.shape} does not match grid {self.grid.n}"
             )
         cells.flags.writeable = False
@@ -47,7 +47,7 @@ class Mask:
     @cached_property
     def boundary_distance(self) -> np.ndarray:
         """Read-only torus distance to the boundary cells, computed once per mask."""
-        dist = distance_field(boundary_cells(self), self.grid)
+        dist = distance_field(boundary_cells(self))
         dist.flags.writeable = False
         return dist
 
@@ -81,20 +81,20 @@ def boundary_cells(mask: Mask) -> np.ndarray:
     return cells & outside_neighbor
 
 
-def distance_field(source: np.ndarray, grid: TFGrid) -> np.ndarray:
-    """Exact Euclidean torus distance from every cell to the source set.
+def distance_field(source: np.ndarray) -> np.ndarray:
+    """Exact Euclidean torus distance from every cell to a square source set.
 
-    Returns distances in continuous units; +inf everywhere if the source is
-    empty.  The squared distance in cells is an integer, found exactly by
-    the separable transform (Saito-Toriwaki 1994, Meijster et al. 2000) on
-    the torus: pass 1 takes the circular distance g to the nearest source
-    in the same frequency column, pass 2 the minimum over frequency shifts
-    s of g(x, xi +- s)^2 + s^2.
+    Returns distances in continuous units of the n-grid, n = len(source);
+    +inf everywhere if the source is empty.  The squared distance in cells
+    is an integer, found exactly by the separable transform (Saito-Toriwaki
+    1994, Meijster et al. 2000) on the torus: pass 1 takes the circular
+    distance g to the nearest source in the same frequency column, pass 2
+    the minimum over frequency shifts s of g(x, xi +- s)^2 + s^2.
     """
     source = np.asarray(source, dtype=bool)
-    n = grid.n
-    if source.shape != (n, n):
-        raise DimensionError("source shape does not match grid")
+    if source.ndim != 2 or source.shape[0] != source.shape[1]:
+        raise ConfigurationError(f"source must be square, got shape {source.shape}")
+    n = source.shape[0]
     if not source.any():
         return np.full((n, n), np.inf)
     # squared distances stay below 2 n^2 (a sourceless column counts as n away)
@@ -120,14 +120,14 @@ def distance_field(source: np.ndarray, grid: TFGrid) -> np.ndarray:
         np.minimum(wide[:, s : s + n], wide[:, n - s : 2 * n - s], out=shifted)
         shifted += s * s
         np.minimum(d2, shifted, out=d2)
-    return np.sqrt(d2) * grid.cell_side
+    return np.sqrt(d2) * TFGrid(n).cell_side
 
 
 def dilate(mask: Mask, r: float) -> Mask:
     """Open r-neighborhood of the mask (the mask itself is always included)."""
     if r < 0:
         raise ConfigurationError(f"dilation radius must be >= 0, got {r}")
-    grown = mask.cells | (distance_field(mask.cells, mask.grid) < r)
+    grown = mask.cells | (distance_field(mask.cells) < r)
     return Mask(cells=grown, grid=mask.grid)
 
 
@@ -159,7 +159,7 @@ def error_report(truth: Mask, estimate) -> ErrorReport:
     """
     est = _estimate_cells(estimate)
     if est.shape != truth.cells.shape:
-        raise DimensionError("estimate shape does not match the truth mask")
+        raise ConfigurationError("estimate shape does not match the truth mask")
     err = truth.cells ^ est
     sym = float(np.count_nonzero(err)) * truth.grid.cell_measure
     perim = truth.perimeter
@@ -361,7 +361,8 @@ def scaled_shape_spec(spec: str, target_measure: float) -> str:
         )
     params = _parse_kv(body, kind)
     params["measure"] = target_measure
-    body = ",".join(f"{k}={v:g}" for k, v in params.items())
+    # the shortest text that parses back to the same float, without a ".0"
+    body = ",".join(f"{k}={v!r}".removesuffix(".0") for k, v in params.items())
     return f"{kind}:{body}"
 
 
@@ -426,6 +427,6 @@ def read_mask_pgm(path: str | Path, grid: TFGrid | None = None) -> Mask:
     cells = values > maxval // 2  # 2 * value > maxval in integers
     if grid is None:
         if height != width:
-            raise DimensionError(f"{path}: mask image must be square")
+            raise ConfigurationError(f"{path}: mask image must be square")
         grid = TFGrid(height)
     return Mask(cells=cells, grid=grid)

@@ -14,25 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError
 from .locop import LocOpSpectrum
 from .tfcore import TFGrid
 
 KIND_COMPLEX = "complex"
 KIND_REAL = "real"
-KIND_COMPLEXIFIED = "complexified"
 
 _MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
 class NoiseBatch:
-    """K realizations of white noise with per-entry E|N(t)|^2 = sigma^2."""
+    """K realizations of white noise, complex or real."""
 
     realizations: np.ndarray
-    sigma: float
     kind: str
-    seed: int
 
     @property
     def count(self) -> int:
@@ -75,14 +72,14 @@ def sample_noise(
     else:
         out.imag = 0.0
     out *= sigma
-    return NoiseBatch(realizations=out, sigma=float(sigma), kind=kind, seed=seed)
+    return NoiseBatch(realizations=out, kind=kind)
 
 
 def complexify(batch: NoiseBatch) -> NoiseBatch:
     """Pair realizations as N'_k = N_k + i N_{k+K'}, K' = floor(K/2).
 
-    Turns real noise into K' complex realizations of variance 2 sigma^2
-    (the stored sigma reflects that).
+    Turns real noise into K' complex realizations of variance 2 sigma^2.
+    The result is complex noise, so it cannot be complexified again.
     """
     if batch.kind != KIND_REAL:
         raise ConfigurationError(f"complexify needs real noise, got {batch.kind!r}")
@@ -90,19 +87,14 @@ def complexify(batch: NoiseBatch) -> NoiseBatch:
         raise ConfigurationError("complexification needs at least 2 realizations")
     half = batch.count // 2
     paired = batch.realizations[:half] + 1j * batch.realizations[half : 2 * half]
-    return NoiseBatch(
-        realizations=paired,
-        sigma=batch.sigma * np.sqrt(2.0),
-        kind=KIND_COMPLEXIFIED,
-        seed=batch.seed,
-    )
+    return NoiseBatch(realizations=paired, kind=KIND_COMPLEX)
 
 
 def filter_batch(batch: NoiseBatch, H: np.ndarray) -> np.ndarray:
     """Apply the operator to every realization; returns a (K, n) array."""
     H = np.asarray(H)
     if H.shape != (batch.realizations.shape[1],) * 2:
-        raise DimensionError(
+        raise ConfigurationError(
             f"operator shape {H.shape} does not match realizations of length "
             f"{batch.realizations.shape[1]}"
         )
@@ -116,6 +108,6 @@ def eigen_coefficients(batch: NoiseBatch, spec: LocOpSpectrum) -> np.ndarray:
     standard complex Gaussians; their squared moduli sum to ||N_k||^2
     (Parseval for the orthonormal basis).
     """
-    if spec.grid.n != batch.realizations.shape[1]:
-        raise DimensionError("spectrum grid does not match batch length")
+    if spec.H.shape[0] != batch.realizations.shape[1]:
+        raise ConfigurationError("spectrum grid does not match batch length")
     return batch.realizations @ np.conj(spec.eigenvectors)

@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError
 
 WINDOW_GAUSSIAN = "gaussian"
 WINDOW_GAUSSIAN_T2 = "gaussian_t2"
@@ -186,14 +186,12 @@ def custom_window(samples: np.ndarray) -> Window:
     return Window(samples=samples / norm)
 
 
-def tf_shift(f: np.ndarray, z: tuple[int, int], grid: TFGrid) -> np.ndarray:
-    """Time-frequency shift pi(z)f(t) = e^{2 pi i xi t / n} f((t - x) mod n)."""
+def tf_shift(f: np.ndarray, z: tuple[int, int]) -> np.ndarray:
+    """Time-frequency shift pi(z)f(t) = e^{2 pi i xi t / n} f((t - x) mod n), n = len(f)."""
     x, xi = z
     f = np.asarray(f, dtype=np.complex128)
-    if f.shape[-1] != grid.n:
-        raise DimensionError(f"signal length {f.shape[-1]} != grid size {grid.n}")
-    t = np.arange(grid.n)
-    phase = np.exp(2j * np.pi * xi * t / grid.n)
+    n = f.shape[-1]
+    phase = np.exp(2j * np.pi * xi * np.arange(n) / n)
     return phase * np.roll(f, x, axis=-1)
 
 
@@ -212,7 +210,7 @@ def stft(f: np.ndarray, g: Window) -> np.ndarray:
     """
     f = np.asarray(f, dtype=np.complex128)
     if f.shape[-1] != g.n:
-        raise DimensionError(
+        raise ConfigurationError(
             f"signal length {f.shape[-1]} does not match window length {g.n}"
         )
     windowed = f[..., None, :] * np.conj(translates(g))
@@ -223,7 +221,7 @@ def istft(V: np.ndarray, g: Window) -> np.ndarray:
     """Adjoint of :func:`stft`; inverts it on the range for a unit window."""
     V = np.asarray(V)
     if V.shape != (g.n, g.n):
-        raise DimensionError(f"transform shape {V.shape} != window length {g.n}")
+        raise ConfigurationError(f"transform shape {V.shape} != window length {g.n}")
     rows = np.fft.ifft(V, axis=1, norm="ortho")
     return np.sum(translates(g) * rows, axis=0)
 
@@ -257,7 +255,7 @@ def quadratic_field(A: np.ndarray, phi: Window) -> np.ndarray:
     A = np.asarray(A, dtype=np.complex128)
     n = phi.n
     if A.shape != (n, n):
-        raise DimensionError(f"matrix shape {A.shape} != window length {n}")
+        raise ConfigurationError(f"matrix shape {A.shape} != window length {n}")
     index, _, P = phi.lag_plan
     # the unnormalized inverses end the correlation over t and take the DFT
     # over the lags tau
@@ -285,7 +283,7 @@ def mask_operator(cells: np.ndarray, g: Window) -> np.ndarray:
     cells = np.asarray(cells, dtype=float)
     n = g.n
     if cells.shape != (n, n):
-        raise DimensionError(f"cell array shape {cells.shape} != window length {n}")
+        raise ConfigurationError(f"cell array shape {cells.shape} != window length {n}")
     index, transposed, P = g.lag_plan
     X = np.fft.rfft2(cells)
     X *= np.conj(P)

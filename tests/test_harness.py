@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import maskrec
-from maskrec import cli, errors, harness, noise, tfcore
+from maskrec import cli, errors, harness, maskgeom, noise, tfcore
 from maskrec.harness import (
     PRESETS,
     Scenario,
@@ -97,6 +97,14 @@ def test_a_directly_built_scenario_gets_the_disc_of_its_n():
     assert pipeline.scenario.shape == "disc:measure=12.5"
     assert np.count_nonzero(pipeline.truth.cells) / 32 == pytest.approx(12.5, abs=0.5)
     assert Scenario(n=32, shape="disc:measure=3").shape == "disc:measure=3"
+
+
+def test_the_default_disc_has_its_exact_cell_count_at_every_n():
+    # the spec keeps every digit of 100 n / 256: at n=258 a 6-digit measure
+    # (100.781) gave 26001 cells instead of 26002
+    for n in range(16, 513):
+        cells = maskgeom.make_mask(tfcore.TFGrid(n), Scenario(n=n).shape).cells
+        assert np.count_nonzero(cells) == round(100 * n / 256 * n), n
 
 
 def test_flag_only_k_sweep_on_a_small_grid(tmp_path):
@@ -229,7 +237,7 @@ def test_real_noise_with_odd_k_drops_the_unpaired_realization(tmp_path):
 def test_threads_env_is_ignored(monkeypatch):
     # --threads / threads= is the only source of the worker count
     monkeypatch.setenv("MASKREC_THREADS", "3")
-    assert harness._resolve_threads(None) == 1
+    assert cli.build_parser().parse_args(["simulate", "--n", "16"]).threads == 1
     assert harness._resolve_threads(2) == 2
     with pytest.raises(errors.ConfigurationError):
         harness._resolve_threads(0)

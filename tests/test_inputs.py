@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from maskrec import cli, harness
+from maskrec import cli, errors, harness
 from maskrec.errors import ConfigurationError, MaskrecError
 from maskrec.maskgeom import make_mask, read_mask_pgm
 from maskrec.tfcore import TFGrid
@@ -72,6 +72,26 @@ def test_malformed_input_exits_2_with_one_error_line(row, tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_errors_defines_one_class_per_exit_code():
+    classes = {name for name, obj in vars(errors).items() if isinstance(obj, type)}
+    assert classes == {"MaskrecError", "ConfigurationError", "NumericError"}
+    assert issubclass(ConfigurationError, MaskrecError)
+    assert issubclass(errors.NumericError, MaskrecError)
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [(ConfigurationError, 2, "error: "), (errors.NumericError, 3, "numeric error: ")],
+)
+def test_cli_maps_each_error_class_to_its_exit_code(exc, code, prefix, monkeypatch, capsys):
+    def failing(scenario, out_dir):
+        raise exc("raised by the spectrum run")
+
+    monkeypatch.setattr(harness, "run_spectrum", failing)
+    assert cli.main(["spectrum", *_SMALL, *_DISC]) == code
+    assert capsys.readouterr().err.splitlines() == [prefix + "raised by the spectrum run"]
 
 
 _COMMANDS = {

@@ -170,9 +170,25 @@ def test_make_mask_bad_specs(bad):
 
 
 def test_scaled_shape_spec():
-    assert "measure=50" in maskgeom.scaled_shape_spec("disc:measure=100", 50.0)
+    assert maskgeom.scaled_shape_spec("disc:measure=100", 50.0) == "disc:measure=50"
+    assert maskgeom.scaled_shape_spec("disc:measure=1", 12.5) == "disc:measure=12.5"
     with pytest.raises(errors.ConfigurationError):
         maskgeom.scaled_shape_spec("rect:x0=0,f0=0,w=4,h=4", 50.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    measure=st.floats(allow_nan=False, allow_infinity=False),
+    cx=st.floats(allow_nan=False, allow_infinity=False),
+)
+# with 6 digits these became 123.456 (63209 cells at n=512, not 63210) and 100.123
+@example(measure=123.4560547875, cx=100.1234567)
+def test_scaled_shape_spec_round_trips_every_parameter(measure, cx):
+    spec = maskgeom.scaled_shape_spec(f"annulus:measure=1,hole=2,cx={cx!r},cf=-3", measure)
+    kind, _, body = spec.partition(":")
+    params = maskgeom._parse_kv(body, kind)
+    assert params == {"measure": measure, "hole": 2.0, "cx": cx, "cf": -3.0}
+    assert not any(value.endswith(".0") for value in body.split(","))
 
 
 # ---------------------------------------------------------------- distances
@@ -182,7 +198,7 @@ def test_distance_field_matches_brute_force():
     n = 16
     rng = np.random.default_rng(21)
     source = random_cells(n, rng, fill=0.1)
-    got = maskgeom.distance_field(source, TFGrid(n))
+    got = maskgeom.distance_field(source)
     want = brute_torus_distance(source, n)
     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -212,7 +228,7 @@ def _oracle_sources(n):
 @pytest.mark.parametrize("n", [4, 5, 9, 16, 17, 64, 256])
 def test_distance_field_is_identical_to_the_tiled_scipy_edt(n):
     for label, source in _oracle_sources(n):
-        got = maskgeom.distance_field(source, TFGrid(n))
+        got = maskgeom.distance_field(source)
         assert np.array_equal(got, _tiled_scipy_distance(source, n)), label
 
 
@@ -223,13 +239,19 @@ def test_distance_field_takes_the_shift_at_a_stop_check():
     n = 18
     source = np.zeros((n, n), bool)
     source[0, 0] = source[9, 8] = True
-    got = maskgeom.distance_field(source, TFGrid(n))
+    got = maskgeom.distance_field(source)
     assert np.array_equal(got, _tiled_scipy_distance(source, n))
     assert got.max() == 9 * TFGrid(n).cell_side
 
 
+@pytest.mark.parametrize("shape", [(16, 8), (16,), (2, 16, 16)])
+def test_distance_field_rejects_a_non_square_source(shape):
+    with pytest.raises(errors.ConfigurationError, match="square"):
+        maskgeom.distance_field(np.zeros(shape, bool))
+
+
 def test_distance_field_empty_source_is_infinite():
-    d = maskgeom.distance_field(np.zeros((16, 16), bool), TFGrid(16))
+    d = maskgeom.distance_field(np.zeros((16, 16), bool))
     assert np.all(np.isinf(d))
 
 
@@ -377,7 +399,7 @@ def test_error_report_infinite_ratio_for_boundaryless_truth():
 
 
 def test_error_report_shape_mismatch():
-    with pytest.raises(errors.DimensionError):
+    with pytest.raises(errors.ConfigurationError):
         error_report(_full(16), np.zeros((8, 8), bool))
 
 

@@ -87,7 +87,7 @@ def test_complexify_pairs_k4():
     r = batch.realizations
     assert np.array_equal(paired.realizations[0], r[0] + 1j * r[2])
     assert np.array_equal(paired.realizations[1], r[1] + 1j * r[3])
-    assert paired.kind == noise.KIND_COMPLEXIFIED
+    assert paired.kind == noise.KIND_COMPLEX
 
 
 def test_complexify_k5_drops_last():
@@ -101,7 +101,6 @@ def test_complexify_k5_drops_last():
 def test_complexify_doubles_variance():
     batch = sample_noise(GRID64, 1000, 1.0, kind="real", seed=13)
     paired = complexify(batch)
-    assert paired.sigma == pytest.approx(np.sqrt(2.0))
     mean_power = np.mean(np.abs(paired.realizations) ** 2)
     # 500 x 64 paired draws, each |N'|^2 with variance 4: 5-sigma band
     assert abs(mean_power - 2.0) < 5 * np.sqrt(4 / (500 * 64))
@@ -121,7 +120,7 @@ def test_complexify_requires_two():
 
 def test_complexify_rejects_double_application():
     batch = sample_noise(GRID64, 4, 1.0, kind="real", seed=15)
-    with pytest.raises(errors.ConfigurationError):
+    with pytest.raises(errors.ConfigurationError, match="needs real noise, got 'complex'"):
         complexify(complexify(batch))
 
 
@@ -136,7 +135,7 @@ def test_filter_zero_and_identity():
 
 def test_filter_dimension_mismatch():
     batch = sample_noise(GRID64, 4, 1.0, seed=17)
-    with pytest.raises(errors.DimensionError):
+    with pytest.raises(errors.ConfigurationError):
         filter_batch(batch, np.eye(32))
 
 
