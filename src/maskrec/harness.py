@@ -37,6 +37,10 @@ def default_shape(n: int) -> str:
     return scaled_shape_spec(DEFAULT_SHAPE, 100.0 * n / 256)
 
 
+def _success_columns(r_list: tuple[float, ...]) -> list[str]:
+    return [f"success_r_{format(r, 'g')}" for r in r_list]
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One fully specified estimation experiment.
@@ -81,6 +85,13 @@ class Scenario:
         r_list = list(self.r_list)
         if not all(map(math.isfinite, r_list)) or r_list != sorted(r_list):
             raise ConfigurationError(f"r_list must be finite and ascending, got {r_list}")
+        # ascending radii give names in order, so a repeated name is adjacent
+        columns = _success_columns(self.r_list)
+        for earlier, column in zip(columns, columns[1:]):
+            if column == earlier:
+                raise ConfigurationError(
+                    f"r_list values {r_list} give the CSV column {column!r} twice"
+                )
 
 
 PRESETS: dict[str, Scenario] = {
@@ -308,10 +319,6 @@ def _write_csv(path: Path, columns: list[str], rows: list[list], comments: list[
     path.write_text("\n".join(lines) + "\n")
 
 
-def _success_columns(r_list: tuple[float, ...]) -> list[str]:
-    return [f"success_r_{format(r, 'g')}" for r in r_list]
-
-
 def _output_dir(out_dir: str | Path) -> Path:
     """Create the output directory; a path that cannot be one is a ConfigurationError."""
     out = Path(out_dir)
@@ -521,6 +528,9 @@ def run_verify(
             raise ConfigurationError(f"verify sizes must lie in [8, 64], got {n}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    # size n draws its noise with the Philox key seed + n, below 2**64
+    if seed + max(ns, default=0) >= 1 << 64:
+        raise ConfigurationError(f"seed + n must be below 2**64, got seed {seed}")
     checks: list[CheckResult] = []
     rng = np.random.default_rng(seed)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .maskgeom import Mask, distance_field, measure, perimeter
-from .tfcore import Window, mask_operator, offset_distances, quadratic_field, stft
+from .tfcore import Window, mask_operator, offset_distances, product_field, stft
 
 _EIG_RANGE_TOL = 1e-8
 
@@ -130,9 +130,10 @@ def theta(spec: LocOpSpectrum, phi: Window) -> ThetaField:
 
     Bounded by 1 everywhere; its plane integral is at most the mask
     measure.  For the full mask it is identically 1.  It is computed as the
-    quadratic form of H^2, with no eigenvectors.
+    quadratic form of H^2, with no eigenvectors, from the lag band of H^2
+    alone.
     """
-    return ThetaField(values=quadratic_field(spec.H @ spec.H, phi))
+    return ThetaField(values=product_field(spec.H, spec.H, phi))
 
 
 def _density(g: Window, phi: Window) -> np.ndarray:
@@ -157,7 +158,7 @@ def theta_first_moment(
     absolute difference over the lattice; expected < 1e-8.
     """
     V = spec.eigenvectors
-    lhs = quadratic_field((V * spec.eigenvalues) @ V.conj().T, phi)
+    lhs = product_field(V * spec.eigenvalues, V.conj().T, phi)
     return float(np.max(np.abs(lhs - _smooth(mask, _density(g, phi)))))
 
 

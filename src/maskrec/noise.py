@@ -10,6 +10,8 @@ sigma).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +22,6 @@ from .tfcore import TFGrid
 
 KIND_COMPLEX = "complex"
 KIND_REAL = "real"
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,22 @@ def sample_noise(
     sigma^2 / 2 each; real noise has variance sigma^2.  One Philox
     generator is re-keyed to ``(seed, k)`` (counter 0, empty buffer) before
     realization k, which draws the same numbers as a fresh generator with
-    that key.
+    that key.  A count or seed that is not an integer, a seed outside
+    [0, 2**64) and a sigma that is not positive and finite raise
+    :class:`ConfigurationError`.
     """
+    try:
+        count, seed = operator.index(count), operator.index(seed)
+    except TypeError:
+        raise ConfigurationError(
+            f"count and seed must be integers, got {count!r} and {seed!r}"
+        ) from None
     if count < 1:
         raise ConfigurationError(f"need at least one realization, got {count}")
-    if sigma <= 0:
-        raise ConfigurationError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ConfigurationError(f"sigma must be positive and finite, got {sigma}")
+    if not 0 <= seed < 1 << 64:
+        raise ConfigurationError(f"seed must be in [0, 2**64), got {seed}")
     if kind not in (KIND_COMPLEX, KIND_REAL):
         raise ConfigurationError(f"unknown noise kind {kind!r}")
     n = grid.n
@@ -61,7 +71,7 @@ def sample_noise(
     state = bitgen.state
     key = state["state"]["key"]
     for k in range(count):
-        key[:] = (seed & _MASK64, k & _MASK64)
+        key[:] = (seed, k)
         bitgen.state = state
         rng.standard_normal(out=draws[k])
     out = np.empty((count, n), dtype=np.complex128)

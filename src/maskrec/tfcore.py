@@ -34,8 +34,11 @@ and M is its half-lag diagonals plus their conjugate transpose, written
 straight into the output.  What depends on the window alone, the flat lag
 index, its transposed positions and the transformed lag products
 ``conj(phi(u)) phi(u + tau)``, is the window's :attr:`Window.lag_plan`,
-computed on first use and kept for the window's lifetime; a window is
-frozen with read-only samples, so its plan cannot go stale.
+computed on first use from sliding views of the index and sample sequences
+and kept for the window's lifetime; a window is frozen with read-only
+samples, so its plan cannot go stale.  When A is a product ``L @ R`` of
+factors at hand (theta's H^2), :func:`lag_band` computes those diagonals
+alone, block by block, and :func:`product_field` never forms A.
 
 All functions here are pure; inputs are never mutated.
 """
@@ -46,6 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ConfigurationError
 
@@ -57,6 +61,12 @@ WINDOW_GAUSSIAN_T2 = "gaussian_t2"
 PERIODIZATION_TERMS = 5
 
 _NORM_TOL = 1e-12
+
+#: Rows of the left factor per block product in :func:`lag_band`.
+_BAND_BLOCK = 64
+#: Column windows in :func:`lag_band` start and end on multiples of this, so
+#: each entry comes from the same GEMM tiling as in the full product.
+_BAND_ALIGN = 8
 
 
 @dataclass(frozen=True)
@@ -126,12 +136,17 @@ class Window:
         ``A[t + tau, t]``, and ``P`` is the inverse DFT over u of the lag
         products ``conj(phi(u)) phi(u + tau)``.  All three are read-only.
         """
-        n = self.n
-        t = np.arange(n)[:, None]
-        lags = (t + np.arange(n // 2 + 1)) % n
-        index = t * n + lags
-        transposed = lags * n + t
-        P = np.fft.ifft(np.conj(self.samples[t]) * self.samples[lags], axis=0)
+        n, h = self.n, self.n // 2
+        t = np.arange(n)
+        # row t of a window of length h + 1 sliding over the extended
+        # sequence is t, t + 1, ..., t + h, each taken mod n
+        lags = sliding_window_view(np.concatenate((t, t[:h])), h + 1)
+        index = lags + (t * n)[:, None]
+        transposed = lags * n
+        transposed += t[:, None]
+        shifted = sliding_window_view(np.concatenate((self.samples, self.samples[:h])), h + 1)
+        P = np.conj(self.samples)[:, None] * shifted
+        np.fft.ifft(P, axis=0, out=P)
         for array in (index, transposed, P):
             array.flags.writeable = False
         return index, transposed, P
@@ -196,9 +211,13 @@ def tf_shift(f: np.ndarray, z: tuple[int, int]) -> np.ndarray:
 
 
 def translates(g: Window) -> np.ndarray:
-    """All cyclic translates of the window: ``T[x, t] = g((t - x) mod n)``."""
-    t = np.arange(g.n)
-    return g.samples[(t[None, :] - t[:, None]) % g.n]
+    """All cyclic translates of the window: ``T[x, t] = g((t - x) mod n)``.
+
+    A read-only view of the doubled samples, with no n x n copy: row x is
+    the window of length n that starts at n - x.
+    """
+    doubled = np.concatenate((g.samples, g.samples))
+    return sliding_window_view(doubled, g.n)[g.n : 0 : -1]
 
 
 def stft(f: np.ndarray, g: Window) -> np.ndarray:
@@ -242,6 +261,62 @@ def offset_distances(grid: TFGrid) -> np.ndarray:
     return np.sqrt(_cell_distances_sq(grid, (0, 0))) / np.sqrt(grid.n)
 
 
+def lag_band(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The lag band ``D[t, tau] = (L @ R)[t, (t + tau) mod n]``, tau = 0..n/2.
+
+    ``L`` is n x m and ``R`` is m x n.  Rows of L go in blocks of 64, each
+    multiplied by the circular window of R's columns it needs, at most two
+    GEMMs; the band is read off each block product along a skewed strided
+    view, so no n x n product is formed.  The windows start and end on
+    multiples of 8 columns (capped at n) and no block has a single row,
+    which a matmul would hand to gemv: every entry then comes from the same
+    GEMM tiling as in ``L @ R``.  With OpenBLAS on one thread the band
+    equals ``(L @ R).take(index)`` bit for bit.
+    """
+    L = np.asarray(L, dtype=np.complex128)
+    R = np.asarray(R, dtype=np.complex128)
+    if L.ndim != 2 or R.shape != (L.shape[1], L.shape[0]):
+        raise ConfigurationError(
+            f"factor shapes {L.shape} and {R.shape} do not give a square product"
+        )
+    n, h = L.shape[0], L.shape[0] // 2
+    D = np.empty((n, h + 1), dtype=np.complex128)
+    starts = list(range(0, n, _BAND_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()  # a one-row remainder joins the block before it
+
+    def aligned(stop: int) -> int:
+        return min(n, -(-stop // _BAND_ALIGN) * _BAND_ALIGN)
+
+    for t0, t1 in zip(starts, starts[1:] + [n]):
+        # row t reads columns t .. t + h, which wrap past n for the last rows
+        first, end = t0 - t0 % _BAND_ALIGN, t1 + h
+        windows = [(first, aligned(end))]
+        if end > n:
+            windows.append((0, aligned(end - n)))
+        block = np.empty((t1 - t0, sum(b - a for a, b in windows)), dtype=np.complex128)
+        col = 0
+        for a, b in windows:
+            np.matmul(L[t0:t1], R[:, a:b], out=block[:, col : col + b - a])
+            col += b - a
+        rows, cols = block.strides
+        D[t0:t1] = as_strided(
+            block[:, t0 - first :], shape=(t1 - t0, h + 1),
+            strides=(rows + cols, cols), writeable=False,
+        )
+    return D
+
+
+def _band_field(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The field of a lag band; X is a fresh band, used as the FFT workspace."""
+    # the unnormalized inverses end the correlation over t and take the DFT
+    # over the lags tau
+    np.fft.fft(X, axis=0, out=X)
+    X *= P
+    np.fft.ifft(X, axis=0, norm="forward", out=X)
+    return np.fft.irfft(X, X.shape[0], axis=1, norm="forward")
+
+
 def quadratic_field(A: np.ndarray, phi: Window) -> np.ndarray:
     """The real field ``Q[x, xi] = <A pi(z)phi, pi(z)phi>`` of a Hermitian A.
 
@@ -257,13 +332,16 @@ def quadratic_field(A: np.ndarray, phi: Window) -> np.ndarray:
     if A.shape != (n, n):
         raise ConfigurationError(f"matrix shape {A.shape} != window length {n}")
     index, _, P = phi.lag_plan
-    # the unnormalized inverses end the correlation over t and take the DFT
-    # over the lags tau
-    X = A.take(index)
-    np.fft.fft(X, axis=0, out=X)
-    X *= P
-    np.fft.ifft(X, axis=0, norm="forward", out=X)
-    return np.fft.irfft(X, n, axis=1, norm="forward")
+    return _band_field(A.take(index), P)
+
+
+def product_field(L: np.ndarray, R: np.ndarray, phi: Window) -> np.ndarray:
+    """:func:`quadratic_field` of the Hermitian product ``L @ R``, from its
+    :func:`lag_band` alone."""
+    D = lag_band(L, R)
+    if D.shape[0] != phi.n:
+        raise ConfigurationError(f"product size {D.shape[0]} != window length {phi.n}")
+    return _band_field(D, phi.lag_plan[2])
 
 
 def mask_operator(cells: np.ndarray, g: Window) -> np.ndarray:

@@ -5,6 +5,7 @@ match exactly."""
 import numpy as np
 
 from maskrec.maskgeom import _cell_distances_sq
+from maskrec.tfcore import quadratic_field
 
 
 def brute_stft(f, g):
@@ -45,6 +46,33 @@ def brute_locop(cells, g):
             pzg = np.exp(2j * np.pi * xi * t / n) * np.roll(g, x)
             H += np.outer(pzg, np.conj(pzg))
     return H / n
+
+
+def gather_lag_plan(g):
+    """``(index, transposed, P)`` from ``% n`` index arithmetic and gathers."""
+    n = g.n
+    t = np.arange(n)[:, None]
+    lags = (t + np.arange(n // 2 + 1)) % n
+    P = np.fft.ifft(np.conj(g.samples[t]) * g.samples[lags], axis=0)
+    return t * n + lags, lags * n + t, P
+
+
+def gather_translates(g):
+    """``T[x, t] = g((t - x) mod n)`` gathered into an n x n copy."""
+    t = np.arange(g.n)
+    return g.samples[(t[None, :] - t[:, None]) % g.n]
+
+
+def lag_band_of_product(L, R):
+    """The lags 0..n/2 of the full product, gathered: ``(L @ R).take(index)``."""
+    n = L.shape[0]
+    t = np.arange(n)[:, None]
+    return (L @ R).take(t * n + (t + np.arange(n // 2 + 1)) % n)
+
+
+def full_product_theta(spec, phi):
+    """theta as the quadratic form of the full n x n product H H."""
+    return quadratic_field(spec.H @ spec.H, phi)
 
 
 def zero_fill_mask_operator(cells, g):

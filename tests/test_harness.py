@@ -61,6 +61,14 @@ def test_scenario_validation():
             Scenario(**bad)
 
 
+def test_scenario_rejects_radii_that_share_a_csv_column():
+    # success_r_<radius> is formatted with 'g' (6 significant digits)
+    for r_list in ((0.5, 0.5), (0.1234561, 0.1234562), (0.2, 1e-7 + 0.2)):
+        with pytest.raises(errors.ConfigurationError, match="twice"):
+            Scenario(r_list=r_list)
+    assert Scenario(r_list=(0.123456, 0.123457)).r_list == (0.123456, 0.123457)
+
+
 def test_default_r_list_scales_with_cell_side():
     sc = Scenario(n=256)
     assert sc.r_list == tuple(c / 16.0 for c in (2.0, 3.0, 4.0))

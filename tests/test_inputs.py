@@ -24,6 +24,7 @@ CLI_ROWS = {
     "annulus-cf-only": ["simulate", *_SMALL, "--shape", "annulus:measure=4,cf=2"],
     "seed-negative": ["simulate", *_SMALL, *_DISC, "--seed", "-1"],
     "verify-seed-negative": ["verify", "--sizes", "8", "--seed", "-1"],
+    "verify-seed-past-64-bits": ["verify", "--sizes", "8", "--seed", str(2**64 - 8)],
     "discs-cx-only": ["simulate", *_SMALL, "--shape", "discs:(cx=1,measure=2)"],
     "annulus-cx-only": ["simulate", *_SMALL, "--shape", "annulus:measure=4,cx=2"],
     "disc-measure-nan": ["simulate", *_SMALL, "--shape", "disc:measure=nan"],
@@ -32,6 +33,9 @@ CLI_ROWS = {
     "config-shape-blank": ["simulate", "--config", "{tmp}/blank_shape.cfg"],
     "sweep-values-nan": ["sweep", "--axis", "measure", "--values", "1,nan", *_SMALL, *_DISC],
     "r-list-letters": ["simulate", *_SMALL, *_DISC, "--r-list", "a,b"],
+    "r-list-repeated": ["simulate", *_SMALL, *_DISC, "--r-list", "0.5,0.5"],
+    "r-list-same-column": ["sweep", "--axis", "K", "--values", "4", *_SMALL, *_DISC,
+                           "--r-list", "0.1234561,0.1234562"],
     "config-r-list": ["simulate", "--config", "{tmp}/r_list.cfg"],
     "sweep-values-letter": ["sweep", "--axis", "K", "--values", "4,x", *_SMALL, *_DISC],
     "verify-sizes-letter": ["verify", "--sizes", "8,x"],

@@ -17,7 +17,7 @@ from maskrec.locop import (
 from maskrec.maskgeom import Mask, disc_mask, measure, perimeter
 from maskrec.tfcore import TFGrid, make_window, quadratic_field, tf_shift
 
-from helpers import brute_locop, brute_stft, random_cells
+from helpers import brute_locop, brute_stft, full_product_theta, random_cells
 
 
 def _mask(cells, n):
@@ -355,6 +355,19 @@ def test_theta_matches_spectrograms_of_eigh_eigenvectors(n):
     )
     field = theta(spectrum(H, measure(mask)), phi).values
     assert np.max(np.abs(field - expected)) < 1e-12
+
+
+def test_theta_matches_the_full_product_oracle_at_every_size():
+    # theta reads H alone, so the spectrum skips the eigensolve here; BLAS
+    # tiling differs between machines, so the bound is relative
+    for n in range(16, 513):
+        grid = TFGrid(n)
+        g = make_window(grid, "gaussian")
+        H = assemble_locop(disc_mask(grid, n / 8), g)
+        spec = locop.LocOpSpectrum(eigenvalues=np.empty(0), H=H, omega_measure=n / 8)
+        want = full_product_theta(spec, g)
+        gap = np.max(np.abs(theta(spec, g).values - want))
+        assert gap <= 1e-13 * np.max(np.abs(want)), n
 
 
 @pytest.mark.parametrize("model_label", ["gaussian", "gaussian_t2"])

@@ -72,6 +72,33 @@ def test_sample_rejects_bad_parameters(count, sigma):
         sample_noise(GRID64, count, sigma)
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+def test_sample_rejects_non_finite_sigma(sigma):
+    with pytest.raises(errors.ConfigurationError, match="finite"):
+        sample_noise(GRID64, 3, sigma)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_sample_rejects_seeds_outside_64_bits(seed):
+    # masking would alias -1 to 2**64 - 1 and 2**64 + 5 to 5
+    with pytest.raises(errors.ConfigurationError, match="seed"):
+        sample_noise(GRID64, 3, 1.0, seed=seed)
+    edge = sample_noise(GRID64, 3, 1.0, seed=2**64 - 1)
+    assert edge.realizations.tobytes() == oracle_noise(64, 3, 1.0, "complex", 2**64 - 1).tobytes()
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, "3", None])
+def test_sample_rejects_a_count_that_is_not_an_integer(count):
+    with pytest.raises(errors.ConfigurationError, match="integers"):
+        sample_noise(GRID64, count, 1.0)
+
+
+def test_sample_takes_numpy_integers():
+    a = sample_noise(GRID64, np.int64(3), 1.0, seed=np.uint64(2**64 - 1))
+    b = sample_noise(GRID64, 3, 1.0, seed=2**64 - 1)
+    assert np.array_equal(a.realizations, b.realizations)
+
+
 def test_sample_rejects_unknown_kind():
     with pytest.raises(errors.ConfigurationError):
         sample_noise(GRID64, 4, 1.0, kind="pink")

@@ -10,7 +10,15 @@ from maskrec.maskgeom import _cell_distances_sq
 from maskrec.harness import _reproducing_defect
 from maskrec.tfcore import TFGrid, istft, make_window, stft
 
-from helpers import brute_istft, brute_locop, brute_stft, zero_fill_mask_operator
+from helpers import (
+    brute_istft,
+    brute_locop,
+    brute_stft,
+    gather_lag_plan,
+    gather_translates,
+    lag_band_of_product,
+    zero_fill_mask_operator,
+)
 
 
 def test_grid_rejects_tiny_n():
@@ -406,3 +414,85 @@ def test_lag_plan_shared_by_concurrent_callers():
             assert all(np.array_equal(Q, expected) for Q in fields)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("label", ["gaussian", "gaussian_t2", "custom"])
+def test_lag_plan_and_translates_equal_the_gathered_oracles(label):
+    rng = np.random.default_rng(60)
+    for n in range(16, 513):
+        if label == "custom":
+            g = tfcore.custom_window(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        else:
+            g = make_window(TFGrid(n), label)
+        for got, want in zip(g.lag_plan, gather_lag_plan(g)):
+            assert np.array_equal(got, want), n
+        assert np.array_equal(tfcore.translates(g), gather_translates(g)), n
+
+
+def test_translates_is_a_read_only_view_of_the_samples():
+    g = make_window(TFGrid(16), "gaussian")
+    T = tfcore.translates(g)
+    assert T.shape == (16, 16)
+    with pytest.raises(ValueError):
+        T[0, 0] = 0
+    # the n x n view spans 2n samples, not an n x n copy
+    low, high = np.lib.array_utils.byte_bounds(T)
+    assert high - low <= 2 * 16 * T.itemsize
+
+
+def _max_rel_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 20])
+def test_lag_band_matches_the_gathered_full_product(K):
+    # covariance-like factors L = X^T, R = conj(X) of K realizations; BLAS
+    # tiling differs between machines, so the bound is relative
+    rng = np.random.default_rng(70 + K)
+    for n in range(16, 513):
+        X = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
+        L, R = X.T, np.conj(X)
+        D = tfcore.lag_band(L, R)
+        assert D.shape == (n, n // 2 + 1)
+        assert _max_rel_error(D, lag_band_of_product(L, R)) <= 1e-13, n
+
+
+@pytest.mark.parametrize("n", [65, 129, 193, 257, 321, 385, 449])
+def test_lag_band_of_square_factors_with_a_one_row_remainder(n):
+    # n = 1 mod 64 leaves one row past the last full block of 64
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    H = A + A.conj().T
+    assert _max_rel_error(tfcore.lag_band(H, H), lag_band_of_product(H, H)) <= 1e-13
+
+
+def test_lag_band_is_fresh_and_leaves_its_factors_alone():
+    rng = np.random.default_rng(80)
+    n = 100
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A.flags.writeable = False
+    D = tfcore.lag_band(A, A)
+    # the caller may write the band; the block products it was read from
+    # are gone, and the factors are untouched
+    assert D.flags.writeable and D.flags.owndata
+    assert not np.shares_memory(D, A)
+
+
+def test_product_field_is_the_quadratic_field_of_the_product():
+    rng = np.random.default_rng(90)
+    for n in (16, 17, 100):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for g in _windows(n, rng):
+            want = tfcore.quadratic_field(A @ A.conj().T, g)
+            got = tfcore.product_field(A, A.conj().T, g)
+            assert _max_rel_error(got, want) <= 1e-13
+
+
+def test_lag_band_and_product_field_shape_mismatch():
+    g = make_window(TFGrid(16), "gaussian")
+    with pytest.raises(errors.ConfigurationError):
+        tfcore.lag_band(np.ones((16, 3)), np.ones((2, 16)))
+    with pytest.raises(errors.ConfigurationError):
+        tfcore.lag_band(np.ones(16), np.ones(16))
+    with pytest.raises(errors.ConfigurationError):
+        tfcore.product_field(np.ones((8, 2)), np.ones((2, 8)), g)
