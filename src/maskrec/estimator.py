@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .tfcore import Window, quadratic_field
+from .tfcore import Window, product_field
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,8 @@ def average_spectrogram(filtered: np.ndarray, phi: Window) -> AvgSpectrogram:
     The density scaling matches the field of ``locop.theta``: at unit noise
     variance the expectation of rho is exactly that field.  The factor n
     cancels the transform's 1/sqrt(n), so rho is the quadratic form
-    ``<A pi(z)phi, pi(z)phi>`` of the sample covariance ``(1/K) sum_k y_k y_k^H``.
+    ``<A pi(z)phi, pi(z)phi>`` of the sample covariance ``(1/K) sum_k y_k y_k^H``,
+    read from the lag band of its factors: no n x n matrix is formed.
     """
     filtered = np.atleast_2d(np.asarray(filtered, dtype=np.complex128))
     if filtered.shape[0] < 1 or filtered.size == 0:
@@ -52,7 +53,7 @@ def average_spectrogram(filtered: np.ndarray, phi: Window) -> AvgSpectrogram:
         )
     count = filtered.shape[0]
     # the field is linear in the covariance, so the 1/K goes on the real field
-    rho = quadratic_field(filtered.T @ np.conj(filtered), phi)
+    rho = product_field(filtered.T, np.conj(filtered), phi)
     rho /= count
     return AvgSpectrogram(rho=rho, count=count)
 

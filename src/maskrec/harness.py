@@ -385,8 +385,8 @@ def run_sweep(
     """
     if axis not in ("K", "measure"):
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
-    if list(values) != sorted(values):
-        raise ConfigurationError("sweep values must be sorted ascending")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ConfigurationError("sweep values must be strictly ascending")
     out = _output_dir(out_dir)
 
     shared = None if axis == "measure" else build_pipeline(scenario)
@@ -523,13 +523,15 @@ def run_verify(
     seed: int = 20240901,
 ) -> list[CheckResult]:
     """Run every module invariant at oracle-speed sizes."""
+    if not ns:
+        raise ConfigurationError("verify needs at least one size")
     for n in ns:
         if not 8 <= n <= 64:
             raise ConfigurationError(f"verify sizes must lie in [8, 64], got {n}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     # size n draws its noise with the Philox key seed + n, below 2**64
-    if seed + max(ns, default=0) >= 1 << 64:
+    if seed + max(ns) >= 1 << 64:
         raise ConfigurationError(f"seed + n must be below 2**64, got seed {seed}")
     checks: list[CheckResult] = []
     rng = np.random.default_rng(seed)

@@ -21,24 +21,24 @@ package (trace, double orthogonality, moments) hold exactly on the lattice
 under this dictionary.
 
 Every time-frequency field of the package is the quadratic form
-``Q_A(z) = <A pi(z)phi, pi(z)phi>`` of some matrix A (:func:`quadratic_field`):
-the averaged spectrograms for the sample covariance, theta for H^2, the
-first-moment field for H.  Its adjoint, ``sum_z chi(z) Q_A(z) =
-sum_{t,s} A[t, s] conj(M[t, s])`` with ``M = sum_z chi(z) pi(z)g (pi(z)g)^H``
-(:func:`mask_operator`), builds the localization operator ``H = M / n``.
+``Q_A(z) = <A pi(z)phi, pi(z)phi>`` of a Hermitian product ``A = L @ R``
+(:func:`product_field`): the averaged spectrograms for the sample
+covariance, theta for H^2, the first-moment field for (V lambda) V^H.  Its
+adjoint, ``sum_z chi(z) Q_A(z) = sum_{t,s} A[t, s] conj(M[t, s])`` with
+``M = sum_z chi(z) pi(z)g (pi(z)g)^H`` (:func:`mask_operator`), builds the
+localization operator ``H = M / n``.
 
 Both kernels work on the diagonals ``A[t, t + tau]`` of a Hermitian matrix
 at the n/2 + 1 non-negative lags only: the negative lags are the conjugates
 of the positive ones, so the field Q is one inverse real FFT over the lags,
 and M is its half-lag diagonals plus their conjugate transpose, written
-straight into the output.  What depends on the window alone, the flat lag
-index, its transposed positions and the transformed lag products
+straight into the output.  :func:`lag_band` computes those diagonals of
+``L @ R`` alone, block by block, so no n x n product is formed.  What
+depends on the window alone, the transformed lag products
 ``conj(phi(u)) phi(u + tau)``, is the window's :attr:`Window.lag_plan`,
-computed on first use from sliding views of the index and sample sequences
-and kept for the window's lifetime; a window is frozen with read-only
-samples, so its plan cannot go stale.  When A is a product ``L @ R`` of
-factors at hand (theta's H^2), :func:`lag_band` computes those diagonals
-alone, block by block, and :func:`product_field` never forms A.
+computed on first use from a sliding view of the samples and kept for the
+window's lifetime; a window is frozen with read-only samples, so its plan
+cannot go stale.
 
 All functions here are pure; inputs are never mutated.
 """
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 
@@ -127,29 +127,18 @@ class Window:
         return TFGrid(self.n)
 
     @cached_property
-    def lag_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(index, transposed, P)`` over the non-negative lags, built once.
-
-        ``index[t, tau] = t * n + (t + tau) mod n`` is the flat position of
-        ``A[t, t + tau]`` in a C-ordered n x n matrix,
-        ``transposed[t, tau] = ((t + tau) mod n) * n + t`` that of
-        ``A[t + tau, t]``, and ``P`` is the inverse DFT over u of the lag
-        products ``conj(phi(u)) phi(u + tau)``.  All three are read-only.
-        """
-        n, h = self.n, self.n // 2
-        t = np.arange(n)
-        # row t of a window of length h + 1 sliding over the extended
-        # sequence is t, t + 1, ..., t + h, each taken mod n
-        lags = sliding_window_view(np.concatenate((t, t[:h])), h + 1)
-        index = lags + (t * n)[:, None]
-        transposed = lags * n
-        transposed += t[:, None]
+    def lag_plan(self) -> np.ndarray:
+        """``P``, the inverse DFT over u of the lag products
+        ``conj(phi(u)) phi(u + tau)`` at the lags tau = 0..n/2; built once,
+        read-only."""
+        h = self.n // 2
+        # row u of a window of length h + 1 sliding over the extended
+        # samples is phi(u), phi(u + 1), ..., phi(u + h), each index mod n
         shifted = sliding_window_view(np.concatenate((self.samples, self.samples[:h])), h + 1)
         P = np.conj(self.samples)[:, None] * shifted
         np.fft.ifft(P, axis=0, out=P)
-        for array in (index, transposed, P):
-            array.flags.writeable = False
-        return index, transposed, P
+        P.flags.writeable = False
+        return P
 
 
 def time_coordinates(grid: TFGrid) -> np.ndarray:
@@ -266,12 +255,12 @@ def lag_band(L: np.ndarray, R: np.ndarray) -> np.ndarray:
 
     ``L`` is n x m and ``R`` is m x n.  Rows of L go in blocks of 64, each
     multiplied by the circular window of R's columns it needs, at most two
-    GEMMs; the band is read off each block product along a skewed strided
-    view, so no n x n product is formed.  The windows start and end on
+    GEMMs; the band is read off each block product as a reshaped slice of
+    its buffer, so no n x n product is formed.  The windows start and end on
     multiples of 8 columns (capped at n) and no block has a single row,
     which a matmul would hand to gemv: every entry then comes from the same
     GEMM tiling as in ``L @ R``.  With OpenBLAS on one thread the band
-    equals ``(L @ R).take(index)`` bit for bit.
+    equals the one gathered from ``L @ R`` bit for bit.
     """
     L = np.asarray(L, dtype=np.complex128)
     R = np.asarray(R, dtype=np.complex128)
@@ -294,60 +283,60 @@ def lag_band(L: np.ndarray, R: np.ndarray) -> np.ndarray:
         windows = [(first, aligned(end))]
         if end > n:
             windows.append((0, aligned(end - n)))
-        block = np.empty((t1 - t0, sum(b - a for a, b in windows)), dtype=np.complex128)
+        rows, width, skip = t1 - t0, sum(b - a for a, b in windows), t0 - first
+        # the block product fills the head of a flat buffer, where its entry
+        # (i, skip + i + tau) sits at skip + i * (width + 1) + tau: rows one
+        # entry longer, from offset skip, start with the band
+        flat = np.empty(rows * (width + 1) + skip, dtype=np.complex128)
+        block = flat[: rows * width].reshape(rows, width)
         col = 0
         for a, b in windows:
             np.matmul(L[t0:t1], R[:, a:b], out=block[:, col : col + b - a])
             col += b - a
-        rows, cols = block.strides
-        D[t0:t1] = as_strided(
-            block[:, t0 - first :], shape=(t1 - t0, h + 1),
-            strides=(rows + cols, cols), writeable=False,
-        )
+        D[t0:t1] = flat[skip : skip + rows * (width + 1)].reshape(rows, width + 1)[:, : h + 1]
     return D
 
 
-def _band_field(X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """The field of a lag band; X is a fresh band, used as the FFT workspace."""
-    # the unnormalized inverses end the correlation over t and take the DFT
-    # over the lags tau
-    np.fft.fft(X, axis=0, out=X)
-    X *= P
-    np.fft.ifft(X, axis=0, norm="forward", out=X)
-    return np.fft.irfft(X, X.shape[0], axis=1, norm="forward")
-
-
-def quadratic_field(A: np.ndarray, phi: Window) -> np.ndarray:
-    """The real field ``Q[x, xi] = <A pi(z)phi, pi(z)phi>`` of a Hermitian A.
+def product_field(L: np.ndarray, R: np.ndarray, phi: Window) -> np.ndarray:
+    """The real field ``Q[x, xi] = <A pi(z)phi, pi(z)phi>`` of the Hermitian
+    product ``A = L @ R``, from its :func:`lag_band` alone.
 
     With ``s = t + tau``, ``Q(x, xi)`` is the DFT over the lag tau of the
     cyclic correlation ``C[x, tau]`` over t of the diagonal
     ``D[t, tau] = A[t, t + tau]`` with the window lag products
     ``P[u, tau] = conj(phi(u)) phi(u + tau)``.  For Hermitian A,
     ``C[x, -tau] = conj(C[x, tau])``, so the lags 0..n/2 determine C and one
-    inverse real FFT over them gives Q.  The cost is O(n^2 log n).
+    inverse real FFT over them gives Q.  The FFTs cost O(n^2 log n).
     """
-    A = np.asarray(A, dtype=np.complex128)
-    n = phi.n
-    if A.shape != (n, n):
-        raise ConfigurationError(f"matrix shape {A.shape} != window length {n}")
-    index, _, P = phi.lag_plan
-    return _band_field(A.take(index), P)
-
-
-def product_field(L: np.ndarray, R: np.ndarray, phi: Window) -> np.ndarray:
-    """:func:`quadratic_field` of the Hermitian product ``L @ R``, from its
-    :func:`lag_band` alone."""
     D = lag_band(L, R)
-    if D.shape[0] != phi.n:
-        raise ConfigurationError(f"product size {D.shape[0]} != window length {phi.n}")
-    return _band_field(D, phi.lag_plan[2])
+    n = phi.n
+    if D.shape[0] != n:
+        raise ConfigurationError(f"product size {D.shape[0]} != window length {n}")
+    # the unnormalized inverses end the correlation over t and take the DFT
+    # over the lags tau; the fresh band is the workspace
+    np.fft.fft(D, axis=0, out=D)
+    D *= phi.lag_plan
+    np.fft.ifft(D, axis=0, norm="forward", out=D)
+    return np.fft.irfft(D, n, axis=1, norm="forward")
+
+
+def _lag_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of ``M[t, t + tau]`` and of ``M[t + tau, t]``, indices
+    mod n and tau = 0..n/2, in a C-ordered n x n matrix."""
+    h = n // 2
+    t = np.arange(n)
+    # row t of a window of length h + 1 sliding over the extended sequence
+    # is t, t + 1, ..., t + h, each taken mod n
+    lags = sliding_window_view(np.concatenate((t, t[:h])), h + 1)
+    transposed = lags * n
+    transposed += t[:, None]
+    return lags + (t * n)[:, None], transposed
 
 
 def mask_operator(cells: np.ndarray, g: Window) -> np.ndarray:
     """The matrix ``sum_z chi(z) pi(z)g (pi(z)g)^H`` of real cell weights chi.
 
-    The adjoint of :func:`quadratic_field`, taking its steps in reverse: a
+    The adjoint of :func:`product_field`, taking its steps in reverse: a
     real DFT of chi over frequency, then a cyclic convolution over time with
     the lag products ``g(u) conj(g(u + tau))`` (the window's plan,
     conjugated) gives the diagonals at lags 0..n/2.  They go straight into
@@ -362,9 +351,9 @@ def mask_operator(cells: np.ndarray, g: Window) -> np.ndarray:
     n = g.n
     if cells.shape != (n, n):
         raise ConfigurationError(f"cell array shape {cells.shape} != window length {n}")
-    index, transposed, P = g.lag_plan
+    index, transposed = _lag_positions(n)
     X = np.fft.rfft2(cells)
-    X *= np.conj(P)
+    X *= np.conj(g.lag_plan)
     np.fft.ifft(X, axis=0, norm="forward", out=X)
     d = X[:, 0] / 2
     e = X[:, -1] / 2

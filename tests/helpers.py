@@ -5,7 +5,6 @@ match exactly."""
 import numpy as np
 
 from maskrec.maskgeom import _cell_distances_sq
-from maskrec.tfcore import quadratic_field
 
 
 def brute_stft(f, g):
@@ -70,16 +69,27 @@ def lag_band_of_product(L, R):
     return (L @ R).take(t * n + (t + np.arange(n // 2 + 1)) % n)
 
 
+def gathered_field(A, phi):
+    """``<A pi(z)phi, pi(z)phi>`` of a Hermitian n x n A: its lags 0..n/2
+    gathered with ``take``, then the correlation and lag FFTs."""
+    index, _, P = gather_lag_plan(phi)
+    X = np.asarray(A, dtype=np.complex128).take(index)
+    np.fft.fft(X, axis=0, out=X)
+    X *= P
+    np.fft.ifft(X, axis=0, norm="forward", out=X)
+    return np.fft.irfft(X, phi.n, axis=1, norm="forward")
+
+
 def full_product_theta(spec, phi):
     """theta as the quadratic form of the full n x n product H H."""
-    return quadratic_field(spec.H @ spec.H, phi)
+    return gathered_field(spec.H @ spec.H, phi)
 
 
 def zero_fill_mask_operator(cells, g):
     """``sum_z chi(z) pi(z)g (pi(z)g)^H`` by the halved lag diagonals plus their
     conjugate transpose, on a zero-filled matrix."""
     n = g.n
-    index, _, P = g.lag_plan
+    index, _, P = gather_lag_plan(g)
     X = np.fft.rfft2(np.asarray(cells, dtype=float))
     X *= np.conj(P)
     np.fft.ifft(X, axis=0, norm="forward", out=X)

@@ -16,7 +16,7 @@ from maskrec.maskgeom import disc_mask, measure
 from maskrec.noise import complexify, filter_batch, sample_noise
 from maskrec.tfcore import TFGrid, make_window
 
-from helpers import brute_stft
+from helpers import brute_stft, gathered_field
 
 
 def _pipeline(n=32, mask_measure=8.0, seed=41, count=16, sigma=1.0, kind="complex"):
@@ -26,6 +26,20 @@ def _pipeline(n=32, mask_measure=8.0, seed=41, count=16, sigma=1.0, kind="comple
     H = assemble_locop(mask, g)
     batch = sample_noise(grid, count, sigma, kind=kind, seed=seed)
     return grid, g, mask, H, batch
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 65, 256])
+def test_rho_equals_the_gathered_field_of_the_covariance(n):
+    # the oracle forms the n x n sample covariance and gathers its lag band;
+    # BLAS tiling differs between machines, so the bound is relative
+    grid = TFGrid(n)
+    g = make_window(grid, "gaussian")
+    H = assemble_locop(disc_mask(grid, n / 8), g)
+    for count in (1, 2, 5, 20, 64):
+        filtered = filter_batch(sample_noise(grid, count, 1.0, seed=n + count), H)
+        rho = average_spectrogram(filtered, g).rho
+        want = gathered_field(filtered.T @ np.conj(filtered), g) / count
+        assert np.max(np.abs(rho - want)) <= 1e-13 * np.max(np.abs(want)), count
 
 
 def test_average_spectrogram_of_zeros():

@@ -322,6 +322,15 @@ def test_sweep_requires_sorted_values(tmp_path):
         run_sweep(SMALL, "K", [8, 4], tmp_path)
 
 
+@pytest.mark.parametrize("axis, values", [("K", [4, 4]), ("measure", [2.0, 4.0, 4.0])])
+def test_sweep_rejects_a_repeated_value(axis, values, tmp_path):
+    # a repeated value wrote duplicate rows, and a K sweep fitted its decay
+    # through a single K
+    with pytest.raises(errors.ConfigurationError, match="strictly ascending"):
+        run_sweep(SMALL, axis, values, tmp_path)
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_sweep_unknown_axis(tmp_path):
     with pytest.raises(errors.ConfigurationError):
         run_sweep(SMALL, "temperature", [1], tmp_path)
@@ -441,6 +450,12 @@ def test_verify_rejects_out_of_range_sizes():
         run_verify(ns=(4,))
     with pytest.raises(errors.ConfigurationError):
         run_verify(ns=(128,))
+
+
+def test_verify_rejects_an_empty_size_list():
+    # the empty-mask check runs on the first size, so there must be one
+    with pytest.raises(errors.ConfigurationError, match="at least one size"):
+        run_verify(ns=())
 
 
 # ------------------------------------------------------------------ CLI

@@ -57,6 +57,8 @@ CLI_ROWS = {
     "n-equals-repeated": ["simulate", "--n=16", "--n", "32", "--K", "4", "--trials", "1", *_DISC],
     "values-repeated": ["sweep", "--axis", "K", "--values", "4", "--values", "8", *_SMALL, *_DISC],
     "sizes-repeated": ["verify", "--sizes", "8", "--sizes", "16"],
+    "sweep-k-value-twice": ["sweep", "--axis", "K", "--values", "4,4", *_SMALL, *_DISC],
+    "sweep-measure-value-twice": ["sweep", "--axis", "measure", "--values", "4,4", *_SMALL, *_DISC],
     "threads-repeated": ["simulate", *_SMALL, *_DISC, "--threads", "1", "--threads", "2"],
 }
 

@@ -15,7 +15,7 @@ from maskrec.locop import (
     theta_first_moment,
 )
 from maskrec.maskgeom import Mask, disc_mask, measure, perimeter
-from maskrec.tfcore import TFGrid, make_window, quadratic_field, tf_shift
+from maskrec.tfcore import TFGrid, make_window, product_field, tf_shift
 
 from helpers import brute_locop, brute_stft, full_product_theta, random_cells
 
@@ -414,7 +414,7 @@ def test_first_moment_against_quadratic_form():
     H = assemble_locop(mask, g)
     spec = spectrum(H, measure(mask))
     V = spec.eigenvectors
-    lhs = quadratic_field((V * spec.eigenvalues) @ V.conj().T, phi)
+    lhs = product_field(V * spec.eigenvalues, V.conj().T, phi)
     rng = np.random.default_rng(35)
     for _ in range(5):
         z = tuple(int(v) for v in rng.integers(0, n, 2))

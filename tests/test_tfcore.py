@@ -16,6 +16,7 @@ from helpers import (
     brute_stft,
     gather_lag_plan,
     gather_translates,
+    gathered_field,
     lag_band_of_product,
     zero_fill_mask_operator,
 )
@@ -297,7 +298,7 @@ def test_quadratic_field_and_mask_operator_are_adjoint():
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     A = A + A.conj().T
     chi = rng.standard_normal((n, n))
-    lhs = np.sum(chi * tfcore.quadratic_field(A, g))
+    lhs = np.sum(chi * tfcore.product_field(A, np.eye(n), g))
     rhs = np.sum(A * np.conj(tfcore.mask_operator(chi, g)))
     assert abs(lhs - rhs) < 1e-10 * np.sum(np.abs(A))
 
@@ -307,17 +308,17 @@ def test_quadratic_field_of_real_symmetric_matrix():
     # everywhere, and a real diagonal A = diag(a) gives sum_t a(t) |phi(t - x)|^2
     n = 16
     g = make_window(TFGrid(n), "gaussian")
-    assert np.allclose(tfcore.quadratic_field(np.eye(n), g), 1.0, atol=1e-12)
+    assert np.allclose(tfcore.product_field(np.eye(n), np.eye(n), g), 1.0, atol=1e-12)
     a = np.arange(n, dtype=float)
     expected = np.abs(tfcore.translates(g)) ** 2 @ a
-    Q = tfcore.quadratic_field(np.diag(a), g)
+    Q = tfcore.product_field(np.diag(a), np.eye(n), g)
     assert np.allclose(Q, expected[:, None], atol=1e-12)
 
 
 def test_quadratic_field_shape_mismatch():
     g = make_window(TFGrid(16), "gaussian")
     with pytest.raises(errors.ConfigurationError):
-        tfcore.quadratic_field(np.eye(8), g)
+        tfcore.product_field(np.eye(8), np.eye(8), g)
     with pytest.raises(errors.ConfigurationError):
         tfcore.mask_operator(np.ones((8, 8)), g)
 
@@ -340,7 +341,7 @@ def test_quadratic_field_matches_brute_stft(n):
         expected = sum(
             m * n * np.abs(brute_stft(u, phi.samples)) ** 2 for m, u in zip(mu, U.T)
         )
-        Q = tfcore.quadratic_field(A, phi)
+        Q = tfcore.product_field(A, np.eye(n), phi)
         assert Q.dtype == np.float64
         assert np.max(np.abs(Q - expected)) < 1e-12 * np.sum(np.abs(A))
 
@@ -370,18 +371,28 @@ def test_lag_plan_is_built_once_per_window():
     n = 16
     g = make_window(TFGrid(n), "gaussian")
     assert "lag_plan" not in vars(g)
-    tfcore.quadratic_field(np.eye(n), g)
+    tfcore.product_field(np.eye(n), np.eye(n), g)
     plan = vars(g)["lag_plan"]
     tfcore.mask_operator(np.ones((n, n)), g)
-    tfcore.quadratic_field(np.eye(n), g)
+    tfcore.product_field(np.eye(n), np.eye(n), g)
     assert g.lag_plan is plan
-    assert all(not array.flags.writeable for array in plan)
+    assert not plan.flags.writeable
     assert "lag_plan" not in vars(make_window(TFGrid(n), "gaussian"))
 
 
 @pytest.mark.parametrize("n", [9, 16])
+def test_lag_plan_is_one_read_only_array(n):
+    plan = make_window(TFGrid(n), "gaussian").lag_plan
+    assert isinstance(plan, np.ndarray)
+    assert plan.shape == (n, n // 2 + 1) and plan.dtype == np.complex128
+    assert not plan.flags.writeable
+
+
+@pytest.mark.parametrize("n", [9, 16])
 def test_lag_plan_index_is_the_flat_lag_diagonal(n):
-    index, transposed, P = make_window(TFGrid(n), "gaussian").lag_plan
+    # mask_operator scatters its lag diagonals to these flat positions
+    index, transposed = tfcore._lag_positions(n)
+    P = make_window(TFGrid(n), "gaussian").lag_plan
     assert index.shape == P.shape == (n, n // 2 + 1)
     rows, cols = np.divmod(index, n)
     t, tau = np.meshgrid(np.arange(n), np.arange(n // 2 + 1), indexing="ij")
@@ -391,9 +402,8 @@ def test_lag_plan_index_is_the_flat_lag_diagonal(n):
     # together the lags 0..n/2 and their transposes reach every position
     covered = np.union1d(index, transposed)
     assert np.array_equal(covered, np.arange(n * n))
-    for array in (index, transposed, P):
-        with pytest.raises(ValueError):
-            array[0, 0] = 0
+    with pytest.raises(ValueError):
+        P[0, 0] = 0
 
 
 def test_lag_plan_shared_by_concurrent_callers():
@@ -403,14 +413,14 @@ def test_lag_plan_shared_by_concurrent_callers():
     rng = np.random.default_rng(40)
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     A = A + A.conj().T
-    expected = tfcore.quadratic_field(A, make_window(TFGrid(n), "gaussian"))
+    expected = tfcore.product_field(A, np.eye(n), make_window(TFGrid(n), "gaussian"))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             g = make_window(TFGrid(n), "gaussian")
             with ThreadPoolExecutor(max_workers=8) as pool:
-                fields = list(pool.map(lambda _: tfcore.quadratic_field(A, g), range(32)))
+                fields = list(pool.map(lambda _: tfcore.product_field(A, np.eye(n), g), range(32)))
             assert all(np.array_equal(Q, expected) for Q in fields)
     finally:
         sys.setswitchinterval(interval)
@@ -424,8 +434,11 @@ def test_lag_plan_and_translates_equal_the_gathered_oracles(label):
             g = tfcore.custom_window(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         else:
             g = make_window(TFGrid(n), label)
-        for got, want in zip(g.lag_plan, gather_lag_plan(g)):
-            assert np.array_equal(got, want), n
+        index, transposed, P = gather_lag_plan(g)
+        assert np.array_equal(g.lag_plan, P), n
+        got_index, got_transposed = tfcore._lag_positions(n)
+        assert np.array_equal(got_index, index), n
+        assert np.array_equal(got_transposed, transposed), n
         assert np.array_equal(tfcore.translates(g), gather_translates(g)), n
 
 
@@ -483,7 +496,7 @@ def test_product_field_is_the_quadratic_field_of_the_product():
     for n in (16, 17, 100):
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         for g in _windows(n, rng):
-            want = tfcore.quadratic_field(A @ A.conj().T, g)
+            want = gathered_field(A @ A.conj().T, g)
             got = tfcore.product_field(A, A.conj().T, g)
             assert _max_rel_error(got, want) <= 1e-13
 
