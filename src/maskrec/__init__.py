@@ -40,7 +40,6 @@ from .estimator import (
     MaskEstimate,
     average_spectrogram,
     estimate_mask,
-    level_set,
 )
 from .harness import PRESETS, Scenario, run_simulate, run_spectrum, run_sweep, run_verify
 

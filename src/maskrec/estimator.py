@@ -74,13 +74,3 @@ def estimate_mask(avg: AvgSpectrogram) -> MaskEstimate:
         raise NumericError("averaged spectrograms are identically zero")
     threshold = max_rho / 4.0
     return MaskEstimate(cells=avg.rho >= threshold, threshold=threshold, max_rho=max_rho)
-
-
-def level_set(avg: AvgSpectrogram, delta: float) -> np.ndarray:
-    """Deterministic-threshold level set {z : rho(z) >= delta}."""
-    if not (np.isfinite(delta) and delta > 0):
-        raise ConfigurationError(
-            f"level-set threshold must be positive and finite, got {delta}"
-        )
-    return avg.rho >= delta
-

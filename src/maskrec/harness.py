@@ -10,6 +10,7 @@ results are merged in trial order.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -61,6 +62,12 @@ class Scenario:
     r_list: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("n", "count", "trials", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
         if not 16 <= self.n <= 512:
             raise ConfigurationError(f"n must be in [16, 512], got {self.n}")
         if self.trials < 1:
@@ -258,7 +265,7 @@ def run_trial(
         noise.filter_batch(batch, pipeline.H), pipeline.recon
     )
     est = estimator.estimate_mask(avg)
-    report = maskgeom.error_report(pipeline.truth, est)
+    report = maskgeom.error_report(pipeline.truth, est.cells)
     success = tuple(report.containment_radius <= r for r in sc.r_list)
     result = TrialResult(
         trial_index=trial_index,
@@ -355,13 +362,8 @@ def run_simulate(
 
     maskgeom.write_mask_pgm(out / "truth.pgm", pipeline.truth)
     est_cells = extras["estimate"]
-    maskgeom.write_mask_pgm(
-        out / "estimate.pgm", Mask(cells=est_cells, grid=pipeline.grid)
-    )
-    maskgeom.write_mask_pgm(
-        out / "symdiff.pgm",
-        Mask(cells=pipeline.truth.cells ^ est_cells, grid=pipeline.grid),
-    )
+    maskgeom.write_mask_pgm(out / "estimate.pgm", Mask(est_cells))
+    maskgeom.write_mask_pgm(out / "symdiff.pgm", Mask(pipeline.truth.cells ^ est_cells))
     max_used = maskgeom.write_field_pgm(out / "rho.pgm", extras["rho"])
     (out / "rho.meta.txt").write_text(
         "field = rho\nquantization = linear 8-bit\n"
@@ -393,7 +395,7 @@ def run_sweep(
     summary_rows: list[dict] = []
     for value in values:
         if axis == "K":
-            pipeline = replace(shared, scenario=replace(scenario, count=int(value)))
+            pipeline = replace(shared, scenario=replace(scenario, count=value))
         else:
             pipeline = build_pipeline(
                 replace(scenario, shape=scaled_shape_spec(scenario.shape, float(value)))
@@ -495,7 +497,7 @@ _REPRODUCING_POINTS = 12
 
 def _random_mask(grid: TFGrid, rng: np.random.Generator) -> Mask:
     cells = rng.random((grid.n, grid.n)) < _RANDOM_FILL
-    return Mask(cells=cells, grid=grid)
+    return Mask(cells)
 
 
 def _reproducing_defect(g: Window, rng: np.random.Generator) -> float:
@@ -525,6 +527,8 @@ def run_verify(
     """Run every module invariant at oracle-speed sizes."""
     if not ns:
         raise ConfigurationError("verify needs at least one size")
+    if len(set(ns)) != len(ns):
+        raise ConfigurationError(f"verify sizes must not repeat, got {list(ns)}")
     for n in ns:
         if not 8 <= n <= 64:
             raise ConfigurationError(f"verify sizes must lie in [8, 64], got {n}")
@@ -570,7 +574,7 @@ def run_verify(
             for sigma in (0.1, 1.0, 10.0)
         ]
         sym_ab, sym_ba, sym_ac, sym_bc = (
-            maskgeom.error_report(p, q).sym_diff_measure
+            maskgeom.error_report(p, q.cells).sym_diff_measure
             for p, q in ((a, b), (b, a), (a, c), (b, c))
         )
 
@@ -642,7 +646,7 @@ def run_verify(
     # empty-mask scenario passes operator checks with a zero spectrum
     grid = TFGrid(ns[0])
     g = make_window(grid, tfcore.WINDOW_GAUSSIAN)
-    empty = Mask(cells=np.zeros((grid.n, grid.n), bool), grid=grid)
+    empty = Mask(np.zeros((grid.n, grid.n), bool))
     H0 = locop.assemble_locop(empty, g)
     spec0 = locop.spectrum(H0, 0.0)
     checks.append(

@@ -41,8 +41,6 @@ def assemble_locop(mask: Mask, g: Window) -> np.ndarray:
     lattice quadratic form applied to the mask indicator.  The result is
     read-only, so :func:`spectrum` keeps it without a copy.
     """
-    if mask.grid.n != g.n:
-        raise ConfigurationError(f"mask grid {mask.grid.n} != window length {g.n}")
     H = mask_operator(mask.cells, g)
     H /= g.n
     H.flags.writeable = False

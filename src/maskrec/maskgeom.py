@@ -28,21 +28,23 @@ from .tfcore import TFGrid, _cell_distances_sq
 class Mask:
     """A binary region of the time-frequency plane.
 
-    ``cells`` is a read-only copy, so the geometry cached on the mask never
-    goes stale.
+    ``cells`` is a read-only square copy, so the geometry cached on the mask
+    never goes stale; the grid is derived from its side.
     """
 
     cells: np.ndarray
-    grid: TFGrid
 
     def __post_init__(self) -> None:
         cells = np.array(self.cells, dtype=bool)
-        if cells.shape != (self.grid.n, self.grid.n):
-            raise ConfigurationError(
-                f"mask shape {cells.shape} does not match grid {self.grid.n}"
-            )
+        if cells.ndim != 2 or cells.shape[0] != cells.shape[1]:
+            raise ConfigurationError(f"mask cells must be square, got shape {cells.shape}")
+        TFGrid(cells.shape[0])  # rejects a side below 4
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
+
+    @property
+    def grid(self) -> TFGrid:
+        return TFGrid(self.cells.shape[0])
 
     @cached_property
     def boundary_distance(self) -> np.ndarray:
@@ -128,7 +130,7 @@ def dilate(mask: Mask, r: float) -> Mask:
     if r < 0:
         raise ConfigurationError(f"dilation radius must be >= 0, got {r}")
     grown = mask.cells | (distance_field(mask.cells) < r)
-    return Mask(cells=grown, grid=mask.grid)
+    return Mask(grown)
 
 
 @dataclass(frozen=True)
@@ -141,13 +143,8 @@ class ErrorReport:
     ratio: float
 
 
-def _estimate_cells(estimate) -> np.ndarray:
-    cells = getattr(estimate, "cells", estimate)
-    return np.asarray(cells, dtype=bool)
-
-
-def error_report(truth: Mask, estimate) -> ErrorReport:
-    """Compare an estimate (a Mask, a mask estimate, or a bool array) to truth.
+def error_report(truth: Mask, estimate: np.ndarray) -> ErrorReport:
+    """Compare the bool cell array of an estimate to the truth mask.
 
     ``containment_radius`` is the largest torus distance from an error cell
     to the boundary cells of the truth: 0 for a perfect estimate, +inf when
@@ -157,17 +154,20 @@ def error_report(truth: Mask, estimate) -> ErrorReport:
     measure over the truth perimeter (+inf for a zero perimeter with a
     non-empty error set, 0 for a perfect estimate).
     """
-    est = _estimate_cells(estimate)
-    if est.shape != truth.cells.shape:
-        raise ConfigurationError("estimate shape does not match the truth mask")
+    est = np.asarray(estimate)
+    if est.dtype != bool or est.shape != truth.cells.shape:
+        raise ConfigurationError(
+            f"estimate must be a bool cell array of shape {truth.cells.shape}"
+        )
+    grid = truth.grid
     err = truth.cells ^ est
-    sym = float(np.count_nonzero(err)) * truth.grid.cell_measure
+    sym = float(np.count_nonzero(err)) * grid.cell_measure
     perim = truth.perimeter
     if not err.any():
         radius = 0.0
     else:
         dist = truth.boundary_distance
-        radius = max(float(dist[err].max()), 0.5 * truth.grid.cell_side)
+        radius = max(float(dist[err].max()), 0.5 * grid.cell_side)
     if sym == 0.0:
         ratio = 0.0
     elif perim == 0.0:
@@ -217,7 +217,7 @@ def disc_mask(grid: TFGrid, target_measure: float, center: tuple[float, float] |
     elif not np.all(np.isfinite(center)):
         raise ConfigurationError(f"disc center must be finite, got {center}")
     count = int(round(target_measure * grid.n))
-    return Mask(cells=_closest_cells(grid, center, count), grid=grid)
+    return Mask(_closest_cells(grid, center, count))
 
 
 def rect_mask(grid: TFGrid, x0: int, f0: int, width: int, height: int) -> Mask:
@@ -230,7 +230,7 @@ def rect_mask(grid: TFGrid, x0: int, f0: int, width: int, height: int) -> Mask:
     xs = (x0 % grid.n + np.arange(width)) % grid.n
     fs = (f0 % grid.n + np.arange(height)) % grid.n
     cells[np.ix_(xs, fs)] = True
-    return Mask(cells=cells, grid=grid)
+    return Mask(cells)
 
 
 def annulus_mask(
@@ -244,7 +244,7 @@ def annulus_mask(
         raise ConfigurationError("annulus measures must be non-negative")
     outer = disc_mask(grid, target_measure + hole_measure, center)
     inner = disc_mask(grid, hole_measure, center)
-    return Mask(cells=outer.cells & ~inner.cells, grid=grid)
+    return Mask(outer.cells & ~inner.cells)
 
 
 def union_of_discs(grid: TFGrid, discs: list[tuple[tuple[float, float] | None, float]]) -> Mask:
@@ -252,7 +252,7 @@ def union_of_discs(grid: TFGrid, discs: list[tuple[tuple[float, float] | None, f
     cells = np.zeros((grid.n, grid.n), dtype=bool)
     for center, m in discs:
         cells |= disc_mask(grid, m, center).cells
-    return Mask(cells=cells, grid=grid)
+    return Mask(cells)
 
 
 _KV_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*=\s*([^,]+?)\s*$")
@@ -316,13 +316,13 @@ def make_mask(grid: TFGrid, spec: str) -> Mask:
     spec = spec.strip()
     if spec.startswith("not:"):
         inner = make_mask(grid, spec[4:])
-        return Mask(cells=~inner.cells, grid=grid)
+        return Mask(~inner.cells)
     kind, _, body = spec.partition(":")
     kind = kind.strip().lower()
     if kind == "full":
-        return Mask(cells=np.ones((grid.n, grid.n), bool), grid=grid)
+        return Mask(np.ones((grid.n, grid.n), bool))
     if kind == "empty":
-        return Mask(cells=np.zeros((grid.n, grid.n), bool), grid=grid)
+        return Mask(np.zeros((grid.n, grid.n), bool))
     if kind == "image":
         return read_mask_pgm(body.strip(), grid)
     if kind == "disc":
@@ -405,7 +405,10 @@ _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s")
 
 
 def read_mask_pgm(path: str | Path, grid: TFGrid | None = None) -> Mask:
-    """Read a binary P5 image back into a mask; a cell is inside when 2 * value > maxval."""
+    """Read a binary P5 image back into a mask; a cell is inside when 2 * value > maxval.
+
+    The image must be square, and n x n for a given grid.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -424,9 +427,7 @@ def read_mask_pgm(path: str | Path, grid: TFGrid | None = None) -> Mask:
     values = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
     if values.max(initial=0) > maxval:
         raise ConfigurationError(f"{path}: PGM sample above maxval {maxval}")
-    cells = values > maxval // 2  # 2 * value > maxval in integers
-    if grid is None:
-        if height != width:
-            raise ConfigurationError(f"{path}: mask image must be square")
-        grid = TFGrid(height)
-    return Mask(cells=cells, grid=grid)
+    n = width if grid is None else grid.n
+    if (height, width) != (n, n):
+        raise ConfigurationError(f"{path}: image is {width}x{height}, not {n}x{n}")
+    return Mask(values > maxval // 2)  # 2 * value > maxval in integers

@@ -64,7 +64,7 @@ def test_c01_trace_identity():
         grid = TFGrid(n)
         g = make_window(grid, "gaussian")
         for _ in range(count):
-            mask = Mask(cells=rng.random((n, n)) < rng.uniform(0.05, 0.8), grid=grid)
+            mask = Mask(rng.random((n, n)) < rng.uniform(0.05, 0.8))
             H = assemble_locop(mask, g)
             worst = max(worst, abs(float(np.trace(H).real) - measure(mask)))
     _report(1, "trace identity", worst < 1e-9, f"max defect {worst:.2e} over 20 masks",
@@ -80,7 +80,7 @@ def test_c02_double_orthogonality():
     worst = 0.0
     masks = [disc_mask(grid, 4.0)]
     for _ in range(3):
-        masks.append(Mask(cells=rng.random((n, n)) < 0.25, grid=grid))
+        masks.append(Mask(rng.random((n, n)) < 0.25))
     for mask in masks:
         spec = spectrum(assemble_locop(mask, g), measure(mask))
         worst = max(worst, double_orthogonality_defect(spec, mask, g, m_max=8))

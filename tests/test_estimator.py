@@ -9,7 +9,6 @@ from maskrec.estimator import (
     AvgSpectrogram,
     average_spectrogram,
     estimate_mask,
-    level_set,
 )
 from maskrec.locop import assemble_locop, spectrum, theta
 from maskrec.maskgeom import disc_mask, measure
@@ -150,26 +149,6 @@ def test_estimate_mask_rejects_a_non_finite_sample(bad):
         estimate_mask(average_spectrogram(filtered, phi))
 
 
-@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
-def test_level_set_rejects_a_non_finite_threshold(delta):
-    avg = AvgSpectrogram(rho=np.ones((16, 16)), count=1)
-    with pytest.raises(errors.ConfigurationError):
-        level_set(avg, delta)
-
-
-def test_level_set_examples():
-    rng = np.random.default_rng(44)
-    rho = rng.random((16, 16))
-    rho[rng.random((16, 16)) < 0.3] = 0.0
-    avg = AvgSpectrogram(rho=rho, count=1)
-    assert not level_set(avg, rho.max() + 1.0).any()
-    assert np.array_equal(level_set(avg, 1e-300), rho > 0)
-    est = estimate_mask(avg)
-    assert np.array_equal(level_set(avg, est.max_rho / 4.0), est.cells)
-    with pytest.raises(errors.ConfigurationError):
-        level_set(avg, 0.0)
-
-
 def test_complexify_commutes_with_filtering():
     grid, phi, mask, H, batch = _pipeline(count=8, kind="real", seed=48)
     via_pairs = filter_batch(complexify(batch), H)
@@ -187,4 +166,3 @@ def test_estimation_path_never_sees_sigma():
     assert not any("sigma" in f.name for f in dataclasses.fields(AvgSpectrogram))
     assert "sigma" not in inspect.signature(estimate_mask).parameters
     assert "sigma" not in inspect.getsource(estimate_mask)
-    assert "sigma" not in inspect.getsource(level_set)

@@ -55,10 +55,18 @@ def test_scenario_validation():
         Scenario(noise_kind="pink")
     with pytest.raises(errors.ConfigurationError):
         Scenario(r_list=(0.5, 0.2))
+    # integer fields take integers only: a float K used to fail late, inside sample_noise
     for bad in ({"sigma": float("nan")}, {"sigma": float("inf")}, {"seed": -1},
-                {"r_list": (0.2, float("nan"))}, {"r_list": (0.2, float("inf"))}):
+                {"r_list": (0.2, float("nan"))}, {"r_list": (0.2, float("inf"))},
+                {"n": 32.0}, {"count": 4.5}, {"trials": 2.5}, {"seed": 7.5}):
         with pytest.raises(errors.ConfigurationError):
             Scenario(**bad)
+
+
+def test_scenario_stores_numpy_integers_as_ints():
+    sc = Scenario(n=np.int64(32), count=np.int32(4), trials=np.uint8(2), seed=np.int64(5))
+    assert sc == Scenario(n=32, count=4, trials=2, seed=5)
+    assert all(type(v) is int for v in (sc.n, sc.count, sc.trials, sc.seed))
 
 
 def test_scenario_rejects_radii_that_share_a_csv_column():
@@ -328,6 +336,13 @@ def test_sweep_rejects_a_repeated_value(axis, values, tmp_path):
     # through a single K
     with pytest.raises(errors.ConfigurationError, match="strictly ascending"):
         run_sweep(SMALL, axis, values, tmp_path)
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_sweep_rejects_a_non_integer_k(tmp_path):
+    # K values 4.2 and 4.7 once both ran K=4 and wrote two identical rows
+    with pytest.raises(errors.ConfigurationError, match="count must be an integer"):
+        run_sweep(SMALL, "K", [4.2, 4.7], tmp_path)
     assert not (tmp_path / "summary.csv").exists()
 
 

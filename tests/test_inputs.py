@@ -60,6 +60,9 @@ CLI_ROWS = {
     "sweep-k-value-twice": ["sweep", "--axis", "K", "--values", "4,4", *_SMALL, *_DISC],
     "sweep-measure-value-twice": ["sweep", "--axis", "measure", "--values", "4,4", *_SMALL, *_DISC],
     "threads-repeated": ["simulate", *_SMALL, *_DISC, "--threads", "1", "--threads", "2"],
+    "verify-size-twice": ["verify", "--sizes", "8,8"],
+    "pgm-smaller-than-grid": ["simulate", *_SMALL, "--shape", "image:{tmp}/small.pgm"],
+    "pgm-not-square": ["simulate", *_SMALL, "--shape", "image:{tmp}/wide.pgm"],
 }
 
 
@@ -72,12 +75,17 @@ def test_malformed_input_exits_2_with_one_error_line(row, tmp_path, capsys):
     (tmp_path / "maxval0.pgm").write_bytes(b"P5\n16 16\n0\n" + bytes(256))
     (tmp_path / "above.pgm").write_bytes(b"P5\n16 16\n1\n" + bytes(255) + b"\x02")
     (tmp_path / "repeated.cfg").write_text("n = 32\nn = 64\nK = 4\ntrials = 1\n")
+    (tmp_path / "small.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(64))
+    (tmp_path / "wide.pgm").write_bytes(b"P5\n16 8\n255\n" + bytes(128))
     argv = [arg.format(tmp=tmp_path) for arg in CLI_ROWS[row]]
     if argv[0] != "verify":
         argv += ["--out-dir", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    # a bad image is named in its error line
+    images = [arg.removeprefix("image:") for arg in argv if arg.startswith("image:")]
+    assert all(image in err[0] for image in images), err
 
 
 def test_errors_defines_one_class_per_exit_code():

@@ -20,16 +20,12 @@ from maskrec.tfcore import TFGrid, make_window, product_field, tf_shift
 from helpers import brute_locop, brute_stft, full_product_theta, random_cells
 
 
-def _mask(cells, n):
-    return Mask(cells=np.asarray(cells, bool), grid=TFGrid(n))
-
-
 def _full(n):
-    return _mask(np.ones((n, n)), n)
+    return Mask(np.ones((n, n)))
 
 
 def _empty(n):
-    return _mask(np.zeros((n, n)), n)
+    return Mask(np.zeros((n, n)))
 
 
 def _spec(mask, g):
@@ -57,7 +53,7 @@ def test_assemble_single_cell_rank_one():
     g = make_window(TFGrid(n), "gaussian")
     cells = np.zeros((n, n), bool)
     cells[0, 0] = True
-    H = assemble_locop(_mask(cells, n), g)
+    H = assemble_locop(Mask(cells), g)
     expected = np.outer(g.samples, np.conj(g.samples)) / n
     assert np.max(np.abs(H - expected)) < 1e-12
     assert np.trace(H).real == pytest.approx(1 / 8, abs=1e-12)
@@ -68,7 +64,7 @@ def test_assemble_matches_brute_kernel_sum():
     rng = np.random.default_rng(31)
     g = make_window(TFGrid(n), "gaussian")
     cells = random_cells(n, rng, fill=0.15)
-    H = assemble_locop(_mask(cells, n), g)
+    H = assemble_locop(Mask(cells), g)
     assert np.max(np.abs(H - brute_locop(cells, g.samples))) < 1e-12
 
 
@@ -76,7 +72,7 @@ def test_assemble_is_hermitian_psd():
     n = 16
     rng = np.random.default_rng(32)
     g = make_window(TFGrid(n), "gaussian")
-    H = assemble_locop(_mask(random_cells(n, rng), n), g)
+    H = assemble_locop(Mask(random_cells(n, rng)), g)
     assert np.max(np.abs(H - H.conj().T)) == 0.0
     assert np.linalg.eigvalsh(H).min() > -1e-12
 
@@ -92,7 +88,7 @@ def test_trace_equals_measure(n):
     rng = np.random.default_rng(33 + n)
     g = make_window(TFGrid(n), "gaussian")
     for _ in range(3):
-        mask = _mask(random_cells(n, rng), n)
+        mask = Mask(random_cells(n, rng))
         H = assemble_locop(mask, g)
         assert abs(np.trace(H).real - measure(mask)) < 1e-9
 
@@ -169,7 +165,7 @@ def test_spectrum_eigenvalues_match_descending_eigh():
     n = 32
     rng = np.random.default_rng(36)
     g = make_window(TFGrid(n), "gaussian_t2")
-    H = assemble_locop(_mask(random_cells(n, rng), n), g)
+    H = assemble_locop(Mask(random_cells(n, rng)), g)
     want = np.linalg.eigh(H)[0][::-1]
     assert np.max(np.abs(spectrum(H, 0.0).eigenvalues - want)) < 1e-13
 
@@ -399,7 +395,7 @@ def test_first_moment_random_mask():
     g = make_window(TFGrid(n), "gaussian")
     cells = np.zeros(n * n, bool)
     cells[rng.choice(n * n, size=20, replace=False)] = True
-    mask = _mask(cells.reshape(n, n), n)
+    mask = Mask(cells.reshape(n, n))
     assert theta_first_moment(_spec(mask, g), g, mask, g) < 1e-8
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,26 +25,22 @@ from maskrec.tfcore import TFGrid
 from helpers import brute_torus_distance, random_cells, stable_sort_closest_cells
 
 
-def _mask(cells, n):
-    return Mask(cells=np.asarray(cells, bool), grid=TFGrid(n))
-
-
 def _full(n):
-    return _mask(np.ones((n, n)), n)
+    return Mask(np.ones((n, n)))
 
 
 def _empty(n):
-    return _mask(np.zeros((n, n)), n)
+    return Mask(np.zeros((n, n)))
 
 
 def _single(n, at=(0, 0)):
     cells = np.zeros((n, n), bool)
     cells[at] = True
-    return _mask(cells, n)
+    return Mask(cells)
 
 
 masks_16 = st.integers(0, 2**31 - 1).map(
-    lambda s: _mask(random_cells(16, np.random.default_rng(s)), 16)
+    lambda s: Mask(random_cells(16, np.random.default_rng(s)))
 )
 
 
@@ -258,7 +256,7 @@ def test_distance_field_empty_source_is_infinite():
 def test_boundary_distance_is_computed_once_and_read_only():
     n = 16
     rng = np.random.default_rng(22)
-    m = _mask(random_cells(n, rng), n)
+    m = Mask(random_cells(n, rng))
     d = m.boundary_distance
     assert d is m.boundary_distance
     want = brute_torus_distance(maskgeom.boundary_cells(m), n)
@@ -270,7 +268,7 @@ def test_boundary_distance_is_computed_once_and_read_only():
 def test_truth_perimeter_is_computed_once(monkeypatch):
     n = 16
     rng = np.random.default_rng(23)
-    truth = _mask(random_cells(n, rng), n)
+    truth = Mask(random_cells(n, rng))
     want = perimeter(truth)
     calls = []
     real = maskgeom.perimeter
@@ -285,7 +283,7 @@ def test_cached_geometry_ignores_later_writes_to_the_callers_array():
     n = 16
     cells = np.zeros((n, n), bool)
     cells[2:6, 2:6] = True
-    m = Mask(cells=cells, grid=TFGrid(n))
+    m = Mask(cells)
     assert m.perimeter == 4.0
     d = m.boundary_distance.copy()
     cells[10:14, 10:14] = True
@@ -296,10 +294,23 @@ def test_cached_geometry_ignores_later_writes_to_the_callers_array():
         m.cells[0, 0] = True
 
 
+@pytest.mark.parametrize("n", [4, 16, 17])
+def test_mask_is_its_cells_and_derives_its_grid(n):
+    m = Mask(np.zeros((n, n), bool))
+    assert [f.name for f in dataclasses.fields(Mask)] == ["cells"]
+    assert m.grid == TFGrid(n)
+
+
+@pytest.mark.parametrize("shape", [(16,), (8, 16), (2, 2), (4, 4, 4)])
+def test_mask_rejects_cells_that_are_not_a_square_grid(shape):
+    with pytest.raises(errors.ConfigurationError):
+        Mask(np.zeros(shape, bool))
+
+
 @settings(max_examples=20, deadline=None)
 @given(a=masks_16, b=masks_16)
 def test_error_report_perimeter_is_the_truth_perimeter(a, b):
-    assert error_report(a, b).perimeter == perimeter(a)
+    assert error_report(a, b.cells).perimeter == perimeter(a)
 
 
 def test_boundary_neighborhood_zero_radius_is_empty():
@@ -344,7 +355,7 @@ def test_dilate_matches_brute_force():
     n = 16
     rng = np.random.default_rng(22)
     cells = random_cells(n, rng, fill=0.15)
-    m = _mask(cells, n)
+    m = Mask(cells)
     r = 1.8 / np.sqrt(n)
     want = cells | (brute_torus_distance(cells, n) < r)
     assert np.array_equal(dilate(m, r).cells, want)
@@ -355,7 +366,7 @@ def test_dilate_matches_brute_force():
 
 def test_error_report_perfect_estimate():
     m = disc_mask(TFGrid(16), 4.0)
-    rep = error_report(m, m)
+    rep = error_report(m, m.cells)
     assert rep.sym_diff_measure == 0.0
     assert rep.perimeter == pytest.approx(perimeter(m))
     assert rep.containment_radius == 0.0
@@ -374,7 +385,7 @@ def test_error_report_dilated_ring():
     truth = disc_mask(TFGrid(n), 6.0)
     grown = dilate(truth, 1.01 / np.sqrt(n))
     ring = int(grown.cells.sum() - truth.cells.sum())
-    rep = error_report(truth, grown)
+    rep = error_report(truth, grown.cells)
     assert rep.sym_diff_measure == pytest.approx(ring / n)
     assert rep.containment_radius <= 1.5 / np.sqrt(n)
 
@@ -393,7 +404,7 @@ def test_error_report_zero_radius_only_for_perfect_estimate():
 
 def test_error_report_infinite_ratio_for_boundaryless_truth():
     n = 16
-    rep = error_report(_full(n), _single(n))
+    rep = error_report(_full(n), _single(n).cells)
     assert rep.ratio == np.inf
     assert rep.containment_radius == np.inf
 
@@ -403,18 +414,24 @@ def test_error_report_shape_mismatch():
         error_report(_full(16), np.zeros((8, 8), bool))
 
 
+@pytest.mark.parametrize("estimate", [_full(16), np.ones((16, 16), int)], ids=["mask", "int"])
+def test_error_report_takes_only_a_bool_cell_array(estimate):
+    with pytest.raises(errors.ConfigurationError):
+        error_report(_full(16), estimate)
+
+
 @settings(max_examples=20, deadline=None)
 @given(a=masks_16, b=masks_16)
 def test_sym_diff_symmetry(a, b):
-    assert error_report(a, b).sym_diff_measure == error_report(b, a).sym_diff_measure
+    assert error_report(a, b.cells).sym_diff_measure == error_report(b, a.cells).sym_diff_measure
 
 
 @settings(max_examples=20, deadline=None)
 @given(a=masks_16, b=masks_16, c=masks_16)
 def test_sym_diff_triangle(a, b, c):
-    ab = error_report(a, b).sym_diff_measure
-    bc = error_report(b, c).sym_diff_measure
-    ac = error_report(a, c).sym_diff_measure
+    ab = error_report(a, b.cells).sym_diff_measure
+    bc = error_report(b, c.cells).sym_diff_measure
+    ac = error_report(a, c.cells).sym_diff_measure
     assert ac <= ab + bc + 1e-12
 
 
@@ -447,12 +464,19 @@ def test_isoperimetric_ratio_of_disc():
 
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(24)
-    m = _mask(random_cells(16, rng), 16)
+    m = Mask(random_cells(16, rng))
     path = tmp_path / "mask.pgm"
     write_mask_pgm(path, m)
     back = read_mask_pgm(path)
     assert np.array_equal(back.cells, m.cells)
     assert back.grid.n == 16
+
+
+def test_read_pgm_without_a_grid_names_a_non_square_image(tmp_path):
+    path = tmp_path / "wide.pgm"
+    path.write_bytes(b"P5\n16 8\n255\n" + bytes(128))
+    with pytest.raises(errors.ConfigurationError, match="wide.pgm: image is 16x8"):
+        read_mask_pgm(path)
 
 
 def test_pgm_header_with_comments(tmp_path):
