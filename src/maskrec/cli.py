@@ -3,8 +3,8 @@
 A scenario flag is ``--`` plus a key of ``harness.SCENARIO_KEYS`` (``_`` as
 ``-``); ``harness.scenario_from_mapping`` parses its string.  Exit codes: 0
 success, 1 a failed verification and nothing else, 2 any malformed or
-repeated flag, config file, shape spec, comma list or PGM image, 3
-numeric/model failure.
+repeated flag, config file, shape spec, comma list, PGM image or
+output path, 3 numeric/model failure.
 """
 
 from __future__ import annotations
@@ -28,6 +28,13 @@ _HELP = {
     "noise_kind": "complex or real",
     "r_list": "comma-separated radii",
 }
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse error is a ConfigurationError, so it prints one ``error:`` line."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
 
 
 class _Once(argparse.Action):
@@ -73,7 +80,7 @@ def _scenario_from_args(args: argparse.Namespace) -> harness.Scenario:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maskrec",
         description="Recover a binary time-frequency mask from filtered white noise",
     )

@@ -13,6 +13,7 @@ import math
 import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -336,6 +337,16 @@ def _output_dir(out_dir: str | Path) -> Path:
     return out
 
 
+@contextmanager
+def _writing(out: Path):
+    """A file under ``out`` that cannot be written is a ConfigurationError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        path = exc.filename or out
+        raise ConfigurationError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
+
+
 def run_simulate(
     scenario: Scenario, out_dir: str | Path, threads: int = 1
 ) -> list[TrialResult]:
@@ -358,17 +369,17 @@ def run_simulate(
             + list(r.success_at_r)
             + [r.max_rho, r.wall_time]
         )
-    _write_csv(out / "trials.csv", columns, rows)
-
-    maskgeom.write_mask_pgm(out / "truth.pgm", pipeline.truth)
-    est_cells = extras["estimate"]
-    maskgeom.write_mask_pgm(out / "estimate.pgm", Mask(est_cells))
-    maskgeom.write_mask_pgm(out / "symdiff.pgm", Mask(pipeline.truth.cells ^ est_cells))
-    max_used = maskgeom.write_field_pgm(out / "rho.pgm", extras["rho"])
-    (out / "rho.meta.txt").write_text(
-        "field = rho\nquantization = linear 8-bit\n"
-        f"max_rho = {_fmt(float(max_used))}\n"
-    )
+    truth, est_cells = pipeline.truth.cells, extras["estimate"]
+    with _writing(out):
+        _write_csv(out / "trials.csv", columns, rows)
+        maskgeom.write_mask_pgm(out / "truth.pgm", truth)
+        maskgeom.write_mask_pgm(out / "estimate.pgm", est_cells)
+        maskgeom.write_mask_pgm(out / "symdiff.pgm", truth ^ est_cells)
+        max_used = maskgeom.write_field_pgm(out / "rho.pgm", extras["rho"])
+        (out / "rho.meta.txt").write_text(
+            "field = rho\nquantization = linear 8-bit\n"
+            f"max_rho = {_fmt(float(max_used))}\n"
+        )
     return results
 
 
@@ -428,7 +439,8 @@ def run_sweep(
     comments = []
     if axis == "K" and len(summary_rows) >= 2:
         comments.append(f"# diagnostic: {_failure_decay_comment(summary_rows)}")
-    _write_csv(out / "summary.csv", columns, rows, comments=comments)
+    with _writing(out):
+        _write_csv(out / "summary.csv", columns, rows, comments=comments)
     return summary_rows
 
 
@@ -465,7 +477,8 @@ def run_spectrum(scenario: Scenario, out_dir: str | Path) -> Path:
         for m in range(spec.eigenvalues.size)
     ]
     path = out / "spectrum.csv"
-    _write_csv(path, columns, rows)
+    with _writing(out):
+        _write_csv(path, columns, rows)
     return path
 
 

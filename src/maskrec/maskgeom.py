@@ -371,8 +371,9 @@ def scaled_shape_spec(spec: str, target_measure: float) -> str:
 # row = time index, column = frequency index)
 
 
-def write_mask_pgm(path: str | Path, mask: Mask) -> None:
-    data = np.where(mask.cells, 255, 0).astype(np.uint8)
+def write_mask_pgm(path: str | Path, cells: np.ndarray) -> None:
+    """Write a bool cell array as a P5 image: 255 inside, 0 outside."""
+    data = np.where(cells, 255, 0).astype(np.uint8)
     _write_pgm(path, data)
 
 

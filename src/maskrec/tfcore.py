@@ -108,6 +108,7 @@ class Window:
         samples = np.array(self.samples, dtype=np.complex128)
         if samples.ndim != 1:
             raise ConfigurationError("window samples must be a 1-D vector")
+        TFGrid(samples.shape[0])  # rejects a length below 4
         if not np.all(np.isfinite(samples)):
             raise ConfigurationError("window samples must be finite")
         norm = np.linalg.norm(samples)

@@ -29,6 +29,13 @@ SMALL = Scenario(
 )
 
 
+def _child_env(**extra):
+    """The environment of a child process that imports this checkout's maskrec."""
+    src = str(Path(maskrec.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def _csv_without_wall_time(path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# maskrec-csv v1"
@@ -218,6 +225,40 @@ def test_parallel_matches_serial(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "axis, values, kind",
+    [("K", "4,5,8", "complex"), ("K", "4,5,8", "real"), ("measure", "4,8", "complex")],
+)
+def test_sweep_summary_is_the_same_on_one_and_two_threads(axis, values, kind, tmp_path):
+    argv = ["sweep", "--axis", axis, "--values", values, "--n", "32", "--trials", "4",
+            "--noise-kind", kind]
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert cli.main([*argv, "--threads", threads, "--out-dir", str(out)]) == 0
+    summary = (tmp_path / "1" / "summary.csv").read_bytes()
+    assert summary == (tmp_path / "2" / "summary.csv").read_bytes()
+    rows = [line for line in summary.splitlines() if not line.startswith(b"#")]
+    assert len(rows) == 1 + len(values.split(","))
+
+
+def test_figure1_left_is_the_same_on_one_and_two_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count when numpy loads it, so each count
+    # runs in a process of its own
+    argv = [sys.executable, "-m", "maskrec.cli", "simulate", "--scenario-preset", "figure1-left"]
+    outputs = []
+    for blas in ("1", "2"):
+        out = tmp_path / blas
+        done = subprocess.run(
+            [*argv, "--out-dir", str(out)],
+            env=_child_env(OPENBLAS_NUM_THREADS=blas),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        pgms = [(out / name).read_bytes() for name in ("estimate.pgm", "rho.pgm")]
+        outputs.append([_csv_without_wall_time(out / "trials.csv"), *pgms])
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_artifacts(tmp_path):
     run_simulate(SMALL, tmp_path)
     meta = (tmp_path / "rho.meta.txt").read_text()
@@ -243,9 +284,9 @@ def test_real_noise_with_odd_k_drops_the_unpaired_realization(tmp_path):
     odd = Scenario(n=32, count=5, trials=3, noise_kind="real")
     run_simulate(odd, tmp_path / "k5")
     run_simulate(replace(odd, count=4), tmp_path / "k4")
-    assert _csv_without_wall_time(tmp_path / "k5" / "trials.csv") == _csv_without_wall_time(
-        tmp_path / "k4" / "trials.csv"
-    )
+    rows = _csv_without_wall_time(tmp_path / "k5" / "trials.csv")
+    assert len(rows) == 1 + odd.trials
+    assert rows == _csv_without_wall_time(tmp_path / "k4" / "trials.csv")
     for name in ("estimate.pgm", "rho.pgm", "rho.meta.txt"):
         assert (tmp_path / "k5" / name).read_bytes() == (tmp_path / "k4" / name).read_bytes()
 
@@ -380,6 +421,15 @@ def test_spectrum_full_mask(tmp_path):
     assert data[0][header.index("plateau_violations")] == "0"
 
 
+def test_spectrum_at_n_512_writes_512_finite_rows(tmp_path):
+    assert cli.main(["spectrum", "--n", "512", "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert lines[0] == "# maskrec-csv v1"
+    cells = np.array([line.split(",") for line in lines[2:]], dtype=float)
+    assert cells.shape[0] == 512
+    assert np.isfinite(cells).all()
+
+
 def test_spectrum_trace_column_matches_measure(tmp_path):
     sc = Scenario(n=32, shape="disc:measure=6", count=1, trials=1, seed=1)
     path = run_spectrum(sc, tmp_path)
@@ -415,10 +465,16 @@ def test_verify_check_names_in_order():
     assert small == [
         f"{name}[n={n}]" for n in (8, 16) for name in _VERIFY_ROWS
     ] + ["locop.empty_mask"]
-    large = [c.name for c in run_verify(ns=(64,))]
-    assert large == [
-        f"{name}[n=64]" for name in _VERIFY_ROWS if name != "tfcore.reproducing"
+    # `maskrec verify --sizes 8,16,32,64` at the CLI's default seed
+    seed = cli.build_parser().parse_args(["verify"]).seed
+    checks = run_verify(ns=(8, 16, 32, 64), seed=seed)
+    assert [c.name for c in checks] == [
+        f"{name}[n={n}]"
+        for n in (8, 16, 32, 64)
+        for name in _VERIFY_ROWS
+        if n <= 32 or name != "tfcore.reproducing"
     ] + ["locop.empty_mask", "locop.plateau[full-64]", "locop.plateau[holey-plane-64]"]
+    assert [c.line() for c in checks if not c.passed] == []
 
 
 def test_verify_corrupted_window_fails_isometry(monkeypatch):
@@ -448,11 +504,9 @@ print("ran without scipy")
 
 
 def test_simulate_and_verify_run_without_scipy(tmp_path):
-    src = str(Path(maskrec.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

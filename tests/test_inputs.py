@@ -63,6 +63,12 @@ CLI_ROWS = {
     "verify-size-twice": ["verify", "--sizes", "8,8"],
     "pgm-smaller-than-grid": ["simulate", *_SMALL, "--shape", "image:{tmp}/small.pgm"],
     "pgm-not-square": ["simulate", *_SMALL, "--shape", "image:{tmp}/wide.pgm"],
+    # argparse's own errors
+    "threads-not-an-int": ["simulate", "--n", "16", "--threads", "x"],
+    "verify-seed-not-an-int": ["verify", "--seed", "x"],
+    "unknown-flag": ["simulate", "--bogus", "1"],
+    "sweep-axis-missing": ["sweep", "--n", "16", "--values", "4"],
+    "sweep-axis-sigma": ["sweep", "--axis", "sigma", "--values", "1", "--n", "16"],
 }
 
 
@@ -123,6 +129,27 @@ def test_unusable_out_dir_exits_2(command, tmp_path, capsys):
     assert cli.main([*argv, "--out-dir", str(tmp_path / "file" / "x")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot create output directory")
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("simulate", "trials.csv"), ("simulate", "rho.pgm"), ("simulate", "rho.meta.txt"),
+     ("sweep", "summary.csv"), ("spectrum", "spectrum.csv")],
+)
+def test_unwritable_output_file_exits_2(command, name, tmp_path, capsys):
+    # a directory where the run writes a file
+    (tmp_path / name).mkdir()
+    argv = [command, *_COMMANDS[command], *_SMALL, *_DISC, "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {str(tmp_path / name)!r}")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(["sweep", "-h"])
+    assert done.value.code == 0
+    assert "--axis" in capsys.readouterr().out
 
 
 def test_unusable_out_dir_is_a_configuration_error(tmp_path):

@@ -466,7 +466,7 @@ def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(24)
     m = Mask(random_cells(16, rng))
     path = tmp_path / "mask.pgm"
-    write_mask_pgm(path, m)
+    write_mask_pgm(path, m.cells)
     back = read_mask_pgm(path)
     assert np.array_equal(back.cells, m.cells)
     assert back.grid.n == 16
@@ -509,6 +509,6 @@ def test_field_pgm_quantization(tmp_path):
 def test_read_pgm_from_image_spec(tmp_path):
     m = disc_mask(TFGrid(16), 3.0)
     path = tmp_path / "disc.pgm"
-    write_mask_pgm(path, m)
+    write_mask_pgm(path, m.cells)
     loaded = make_mask(TFGrid(16), f"image:{path}")
     assert np.array_equal(loaded.cells, m.cells)

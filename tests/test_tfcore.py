@@ -94,6 +94,14 @@ def test_window_and_custom_window_reject_non_finite_samples(bad):
         tfcore.custom_window(samples)
 
 
+@pytest.mark.parametrize("samples", [np.ones(1), np.ones(3) / np.sqrt(3)])
+def test_window_and_custom_window_reject_fewer_than_4_samples(samples):
+    with pytest.raises(errors.ConfigurationError, match="at least 4"):
+        tfcore.Window(samples=samples)
+    with pytest.raises(errors.ConfigurationError, match="at least 4"):
+        tfcore.custom_window(samples)
+
+
 def test_window_samples_are_a_read_only_copy():
     source = np.ones(8, dtype=complex) / np.sqrt(8)
     w = tfcore.Window(samples=source)
