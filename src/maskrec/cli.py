@@ -68,15 +68,17 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _scenario_from_args(args: argparse.Namespace) -> harness.Scenario:
-    base = harness.PRESETS.get(args.scenario_preset)
-    if args.config:
-        base = harness.scenario_from_mapping(harness.load_config(args.config), base)
-    overrides = {k: v for k, v in vars(args).items() if k in harness.SCENARIO_KEYS}
-    if base is None and not overrides:
+    """The preset, then the config file's keys, then the flags, as one mapping."""
+    preset = harness.PRESETS.get(args.scenario_preset)
+    values = harness.load_config(args.config) if args.config else {}
+    flags = {k: v for k, v in vars(args).items() if k in harness.SCENARIO_KEYS}
+    if preset is None and not args.config and not flags:
         raise ConfigurationError(
             "no scenario given: use --config, --scenario-preset, or flags"
         )
-    return harness.scenario_from_mapping(overrides, base)
+    # the file must hold a scenario of its own, even where a flag overrides it
+    harness.scenario_from_mapping(values, preset)
+    return harness.scenario_from_mapping({**values, **flags}, preset)
 
 
 def build_parser() -> argparse.ArgumentParser:

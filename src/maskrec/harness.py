@@ -280,17 +280,12 @@ def run_trial(
     return result, extras
 
 
-def _resolve_threads(threads: int) -> int:
-    """The worker count ``threads``, which must be at least 1."""
-    if threads < 1:
-        raise ConfigurationError(f"thread count must be >= 1, got {threads}")
-    return threads
-
-
 def run_trials(pipeline: Pipeline, threads: int = 1) -> tuple[list[TrialResult], dict]:
     """Run all trials of a scenario on at most one worker per trial; ordered merge."""
     sc = pipeline.scenario
-    workers = min(_resolve_threads(threads), sc.trials)
+    if threads < 1:
+        raise ConfigurationError(f"thread count must be >= 1, got {threads}")
+    workers = min(threads, sc.trials)
     indices = range(sc.trials)
     if workers == 1:
         outcomes = [run_trial(pipeline, t, keep_fields=(t == 0)) for t in indices]

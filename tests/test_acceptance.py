@@ -197,12 +197,10 @@ def test_c08_figure1_containment():
     _report(8, "figure-1 containment", ok, details, 600.0, started)
 
 
-def test_c09_perimeter_dominated_error():
+def test_c09_perimeter_dominated_error(tmp_path):
     started = time.perf_counter()
     scenario = replace(PRESETS["figure1-left"], count=32, seed=11)
-    rows = harness.run_sweep(
-        scenario, "measure", [25.0, 50.0, 100.0], out_dir="/tmp/maskrec-c09"
-    )
+    rows = harness.run_sweep(scenario, "measure", [25.0, 50.0, 100.0], out_dir=tmp_path)
     ratios = [row["mean_ratio"] for row in rows]
     ok = max(ratios) <= 2.0 * min(ratios) and max(ratios) <= RATIO_CAP
     _report(9, "perimeter-dominated error", ok,
@@ -210,13 +208,11 @@ def test_c09_perimeter_dominated_error():
             + f" (cap {RATIO_CAP})", 900.0, started)
 
 
-def test_c10_logarithmic_measurement_sufficiency():
+def test_c10_logarithmic_measurement_sufficiency(tmp_path):
     started = time.perf_counter()
     radius = CALIBRATED_R["figure1-left"]
     scenario = replace(PRESETS["figure1-left"], seed=13, r_list=(radius,))
-    rows = harness.run_sweep(
-        scenario, "K", [4, 8, 16, 32, 64], out_dir="/tmp/maskrec-c10"
-    )
+    rows = harness.run_sweep(scenario, "K", [4, 8, 16, 32, 64], out_dir=tmp_path)
     medians = [row["median_sym_diff"] for row in rows]
     omega = 100.0
     inversions = [

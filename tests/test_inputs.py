@@ -37,6 +37,7 @@ CLI_ROWS = {
     "r-list-same-column": ["sweep", "--axis", "K", "--values", "4", *_SMALL, *_DISC,
                            "--r-list", "0.1234561,0.1234562"],
     "config-r-list": ["simulate", "--config", "{tmp}/r_list.cfg"],
+    "config-r-list-under-a-flag": ["simulate", "--config", "{tmp}/r_list.cfg", "--r-list", "1"],
     "sweep-values-letter": ["sweep", "--axis", "K", "--values", "4,x", *_SMALL, *_DISC],
     "verify-sizes-letter": ["verify", "--sizes", "8,x"],
     "pgm-truncated-header": ["simulate", *_SMALL, "--shape", "image:{tmp}/head.pgm"],

@@ -83,16 +83,6 @@ def test_assemble_grid_mismatch():
         assemble_locop(_empty(8), g)
 
 
-@pytest.mark.parametrize("n", [16, 32, 64])
-def test_trace_equals_measure(n):
-    rng = np.random.default_rng(33 + n)
-    g = make_window(TFGrid(n), "gaussian")
-    for _ in range(3):
-        mask = Mask(random_cells(n, rng))
-        H = assemble_locop(mask, g)
-        assert abs(np.trace(H).real - measure(mask)) < 1e-9
-
-
 # ------------------------------------------------------------------ spectrum
 
 
@@ -274,13 +264,6 @@ def test_double_orth_first_eigenvector():
     assert double_orthogonality_defect(_spec(mask, g), mask, g, m_max=1) < 1e-9
 
 
-def test_double_orth_disc_n16():
-    n = 16
-    g = make_window(TFGrid(n), "gaussian")
-    mask = disc_mask(TFGrid(n), 4.0)
-    assert double_orthogonality_defect(_spec(mask, g), mask, g, m_max=8) < 1e-8
-
-
 def test_double_orth_full_mask_is_orthonormality():
     n = 16
     g = make_window(TFGrid(n), "gaussian")
@@ -353,10 +336,15 @@ def test_theta_matches_spectrograms_of_eigh_eigenvectors(n):
     assert np.max(np.abs(field - expected)) < 1e-12
 
 
-def test_theta_matches_the_full_product_oracle_at_every_size():
+def test_theta_matches_the_full_product_oracle_at_each_band_layout():
+    # theta is the band of H @ H, whose block and window layout the lag band
+    # tests check at every n; here one block (n <= 64), a one-row remainder
+    # joining the block before it (n = 1 mod 64), two or more blocks whose
+    # first window wraps (n = 100) or not (n = 128), odd and even n, n = 512.
     # theta reads H alone, so the spectrum skips the eigensolve here; BLAS
     # tiling differs between machines, so the bound is relative
-    for n in range(16, 513):
+    for n in (16, 17, 63, 64, 65, 66, 100, 127, 128, 129, 130, 191, 192, 255, 256, 257,
+              449, 511, 512):
         grid = TFGrid(n)
         g = make_window(grid, "gaussian")
         H = assemble_locop(disc_mask(grid, n / 8), g)

@@ -313,18 +313,18 @@ def test_error_report_perimeter_is_the_truth_perimeter(a, b):
     assert error_report(a, b.cells).perimeter == perimeter(a)
 
 
-def test_boundary_neighborhood_zero_radius_is_empty():
+def test_boundary_distance_is_never_negative():
     m = disc_mask(TFGrid(16), 4.0)
     assert not (m.boundary_distance < 0.0).any()
 
 
-def test_boundary_neighborhood_large_radius_is_everything():
+def test_boundary_distance_is_below_the_torus_diameter():
     m = disc_mask(TFGrid(16), 4.0)
     diameter = np.sqrt(2) * 16 / np.sqrt(16)
     assert (m.boundary_distance < diameter + 1).all()
 
 
-def test_boundary_neighborhood_single_cell_block():
+def test_boundary_distance_of_a_single_cell():
     n = 16
     m = _single(n, at=(5, 5))
     got = m.boundary_distance < 1.5 / np.sqrt(n)

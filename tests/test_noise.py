@@ -4,7 +4,7 @@ from scipy.stats import kstest
 
 from maskrec import errors, noise
 from maskrec.locop import assemble_locop, spectrum
-from maskrec.maskgeom import disc_mask, measure
+from maskrec.maskgeom import disc_mask
 from maskrec.noise import complexify, eigen_coefficients, filter_batch, sample_noise
 from maskrec.tfcore import TFGrid, make_window
 
@@ -177,21 +177,6 @@ def test_filter_scaling_equivariance():
     lhs = filter_batch(c, H)
     rhs = 3.0 * filter_batch(a, H)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
-
-
-def test_filtered_noise_matches_eigen_expansion():
-    # H N = sum_m lambda_m <N, f_m> f_m, exact in finite dimension
-    n = 16
-    grid = TFGrid(n)
-    g = make_window(grid, "gaussian")
-    mask = disc_mask(grid, 4.0)
-    H = assemble_locop(mask, g)
-    spec = spectrum(H, measure(mask))
-    batch = sample_noise(grid, 10, 1.0, seed=19)
-    filtered = filter_batch(batch, H)
-    coeffs = eigen_coefficients(batch, spec)
-    rebuilt = (coeffs * spec.eigenvalues) @ spec.eigenvectors.T
-    assert np.max(np.abs(filtered - rebuilt)) < 1e-9
 
 
 # --------------------------------------------------------------- coefficients
