@@ -1,10 +1,11 @@
 """Command-line harness: simulate, sweep, spectrum, verify.
 
 A scenario flag is ``--`` plus a key of ``harness.SCENARIO_KEYS`` (``_`` as
-``-``); ``harness.scenario_from_mapping`` parses its string.  Exit codes: 0
-success, 1 a failed verification and nothing else, 2 any malformed or
-repeated flag, config file, shape spec, comma list, PGM image or
-output path, 3 numeric/model failure.
+``-``).  A preset's keys (``harness.PRESET_KEYS``), then a config file's, then
+the flags merge into one mapping, and ``harness.scenario_from_mapping`` turns
+it into the scenario.  Exit codes: 0 success, 1 a failed verification and
+nothing else, 2 any malformed or repeated flag, config file, shape spec,
+comma list, PGM image or output path, 3 numeric/model failure.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario-preset",
         action=_Once,
-        choices=sorted(harness.PRESETS),
+        choices=sorted(harness.PRESET_KEYS),
         help="start from a named scenario preset",
     )
     for key in harness.SCENARIO_KEYS:
@@ -68,17 +69,18 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _scenario_from_args(args: argparse.Namespace) -> harness.Scenario:
-    """The preset, then the config file's keys, then the flags, as one mapping."""
-    preset = harness.PRESETS.get(args.scenario_preset)
-    values = harness.load_config(args.config) if args.config else {}
+    """The preset's keys, then the config file's, then the flags, as one mapping."""
+    values = dict(harness.PRESET_KEYS.get(args.scenario_preset, {}))
+    if args.config:
+        values.update(harness.load_config(args.config))
     flags = {k: v for k, v in vars(args).items() if k in harness.SCENARIO_KEYS}
-    if preset is None and not args.config and not flags:
+    if args.scenario_preset is None and not args.config and not flags:
         raise ConfigurationError(
             "no scenario given: use --config, --scenario-preset, or flags"
         )
-    # the file must hold a scenario of its own, even where a flag overrides it
-    harness.scenario_from_mapping(values, preset)
-    return harness.scenario_from_mapping({**values, **flags}, preset)
+    # preset and file keys must hold a scenario of their own, even under a flag
+    harness.scenario_from_mapping(values)
+    return harness.scenario_from_mapping({**values, **flags})
 
 
 def build_parser() -> argparse.ArgumentParser:

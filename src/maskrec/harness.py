@@ -102,11 +102,6 @@ class Scenario:
                 )
 
 
-PRESETS: dict[str, Scenario] = {
-    "figure1-left": Scenario(),
-    "figure1-right": Scenario(model_window=tfcore.WINDOW_GAUSSIAN_T2),
-}
-
 #: Mask bank exercised by the spectrum/plateau checks: a mix of shapes that
 #: genuinely satisfy the largeness condition (full plane, wide bands, the
 #: plane with a small hole) and disc scenarios that do not but are kept for
@@ -170,11 +165,11 @@ SCENARIO_KEYS = tuple(_FIELD_OF_KEY)
 _FIELD_TYPES = get_type_hints(Scenario)
 
 
-def scenario_from_mapping(values: dict[str, str], base: Scenario | None = None) -> Scenario:
-    """Build a scenario from string key/value pairs, over an optional base.
+def scenario_from_mapping(values: dict[str, str]) -> Scenario:
+    """Build a scenario from string key/value pairs.
 
-    A base that keeps its default radii or its default disc gets those of
-    an overridden ``n``.
+    A key left out takes its default; a left-out ``shape`` or ``r_list``
+    that of the mapping's own ``n``.
     """
     kwargs = {}
     for key, text in values.items():
@@ -186,14 +181,18 @@ def scenario_from_mapping(values: dict[str, str], base: Scenario | None = None) 
             kwargs[field_name] = parse_list(key, text, get_args(kind)[0])
         else:
             kwargs[field_name] = _convert(key, text, kind)
-    base = Scenario() if base is None else base
-    if "n" in kwargs:
-        default = Scenario(n=base.n)
-        if "r_list" not in kwargs and base.r_list == default.r_list:
-            kwargs["r_list"] = ()
-        if "shape" not in kwargs and base.shape == default.shape:
-            kwargs["shape"] = ""
-    return replace(base, **kwargs)
+    return Scenario(**kwargs)
+
+
+#: The scenario keys each preset sets; the command line merges them under a
+#: config file's keys and its flags.
+PRESET_KEYS: dict[str, dict[str, str]] = {
+    "figure1-left": {},
+    "figure1-right": {"model_window": tfcore.WINDOW_GAUSSIAN_T2},
+}
+PRESETS: dict[str, Scenario] = {
+    name: scenario_from_mapping(keys) for name, keys in PRESET_KEYS.items()
+}
 
 
 # ---------------------------------------------------------------------------

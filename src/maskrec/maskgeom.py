@@ -233,28 +233,6 @@ def rect_mask(grid: TFGrid, x0: int, f0: int, width: int, height: int) -> Mask:
     return Mask(cells)
 
 
-def annulus_mask(
-    grid: TFGrid,
-    target_measure: float,
-    hole_measure: float,
-    center: tuple[float, float] | None = None,
-) -> Mask:
-    """Annulus: a disc of measure (target + hole) minus the inner disc."""
-    if hole_measure < 0 or target_measure < 0:
-        raise ConfigurationError("annulus measures must be non-negative")
-    outer = disc_mask(grid, target_measure + hole_measure, center)
-    inner = disc_mask(grid, hole_measure, center)
-    return Mask(outer.cells & ~inner.cells)
-
-
-def union_of_discs(grid: TFGrid, discs: list[tuple[tuple[float, float] | None, float]]) -> Mask:
-    """Union of discs given as (center, measure) pairs; overlaps are not compensated."""
-    cells = np.zeros((grid.n, grid.n), dtype=bool)
-    for center, m in discs:
-        cells |= disc_mask(grid, m, center).cells
-    return Mask(cells)
-
-
 _KV_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*=\s*([^,]+?)\s*$")
 
 #: The parameters each kind of shape spec accepts; ``discs`` terms are discs.
@@ -308,8 +286,10 @@ def make_mask(grid: TFGrid, spec: str) -> Mask:
     - ``full`` / ``empty``
     - ``disc:measure=100`` with optional ``cx=..,cf=..`` (cell coordinates)
     - ``rect:x0=0,f0=0,w=8,h=4``
-    - ``annulus:measure=8,hole=2`` with optional center
-    - ``discs:(cx=..,cf=..,measure=..)+(...)`` for a union of discs
+    - ``annulus:measure=8,hole=2`` with optional center: the disc of measure
+      10 less the disc of measure 2
+    - ``discs:(cx=..,cf=..,measure=..)+(...)`` for a union of discs, overlaps
+      not compensated
     - ``image:PATH`` to load a PGM file (see :func:`read_mask_pgm`)
     - ``not:SPEC`` for the complement of any of the above
     """
@@ -338,7 +318,11 @@ def make_mask(grid: TFGrid, spec: str) -> Mask:
     if kind == "annulus":
         p = _parse_kv(body, kind)
         target, center = _disc_params(p, kind)
-        return annulus_mask(grid, target, p.get("hole", 0.0), center)
+        hole = p.get("hole", 0.0)
+        if hole < 0 or target < 0:
+            raise ConfigurationError("annulus measures must be non-negative")
+        outer = disc_mask(grid, target + hole, center).cells
+        return Mask(outer & ~disc_mask(grid, hole, center).cells)
     if kind == "discs":
         discs = []
         for part in body.split("+"):
@@ -346,8 +330,11 @@ def make_mask(grid: TFGrid, spec: str) -> Mask:
             if not (part.startswith("(") and part.endswith(")")):
                 raise ConfigurationError(f"bad union-of-discs term {part!r}")
             target, center = _disc_params(_parse_kv(part[1:-1], kind), kind)
-            discs.append((center, target))
-        return union_of_discs(grid, discs)
+            discs.append((target, center))
+        cells = np.zeros((grid.n, grid.n), dtype=bool)
+        for target, center in discs:
+            cells |= disc_mask(grid, target, center).cells
+        return Mask(cells)
     raise ConfigurationError(f"unknown shape spec {spec!r}")
 
 

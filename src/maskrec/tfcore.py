@@ -142,12 +142,6 @@ class Window:
         return P
 
 
-def time_coordinates(grid: TFGrid) -> np.ndarray:
-    """Continuous time coordinates t_k = (k - n/2)/sqrt(n) of the samples."""
-    k = np.arange(grid.n)
-    return (k - grid.n / 2) / np.sqrt(grid.n)
-
-
 def make_window(grid: TFGrid, label: str) -> Window:
     """Build one of the two stock windows on ``grid``.
 
@@ -158,7 +152,8 @@ def make_window(grid: TFGrid, label: str) -> Window:
     """
     if label not in (WINDOW_GAUSSIAN, WINDOW_GAUSSIAN_T2):
         raise ConfigurationError(f"unknown window label {label!r}")
-    t = time_coordinates(grid)
+    # continuous time coordinates t_k = (k - n/2)/sqrt(n) of the samples
+    t = (np.arange(grid.n) - grid.n / 2) / np.sqrt(grid.n)
     period = np.sqrt(grid.n)
     samples = np.zeros(grid.n)
     for p in range(-PERIODIZATION_TERMS, PERIODIZATION_TERMS + 1):
@@ -280,21 +275,21 @@ def lag_band(L: np.ndarray, R: np.ndarray) -> np.ndarray:
 
     for t0, t1 in zip(starts, starts[1:] + [n]):
         # row t reads columns t .. t + h, which wrap past n for the last rows
-        first, end = t0 - t0 % _BAND_ALIGN, t1 + h
-        windows = [(first, aligned(end))]
+        end = t1 + h
+        windows = [(t0, aligned(end))]
         if end > n:
             windows.append((0, aligned(end - n)))
-        rows, width, skip = t1 - t0, sum(b - a for a, b in windows), t0 - first
+        rows, width = t1 - t0, sum(b - a for a, b in windows)
         # the block product fills the head of a flat buffer, where its entry
-        # (i, skip + i + tau) sits at skip + i * (width + 1) + tau: rows one
-        # entry longer, from offset skip, start with the band
-        flat = np.empty(rows * (width + 1) + skip, dtype=np.complex128)
+        # (i, i + tau) sits at i * (width + 1) + tau: rows one entry longer
+        # start with the band
+        flat = np.empty(rows * (width + 1), dtype=np.complex128)
         block = flat[: rows * width].reshape(rows, width)
         col = 0
         for a, b in windows:
             np.matmul(L[t0:t1], R[:, a:b], out=block[:, col : col + b - a])
             col += b - a
-        D[t0:t1] = flat[skip : skip + rows * (width + 1)].reshape(rows, width + 1)[:, : h + 1]
+        D[t0:t1] = flat.reshape(rows, width + 1)[:, : h + 1]
     return D
 
 

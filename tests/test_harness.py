@@ -10,6 +10,7 @@ import pytest
 import maskrec
 from maskrec import cli, errors, harness, maskgeom, noise, tfcore
 from maskrec.harness import (
+    PRESET_KEYS,
     PRESETS,
     Scenario,
     build_pipeline,
@@ -27,6 +28,10 @@ SMALL = Scenario(
     n=32, shape="disc:measure=6", count=6, trials=3, seed=99,
     r_list=(0.2, 0.5, 1.0),
 )
+SMALL_KEYS = {
+    "n": "32", "shape": "disc:measure=6", "K": "6", "trials": "3", "seed": "99",
+    "r_list": "0.2,0.5,1.0",
+}
 
 
 def _child_env(**extra):
@@ -90,28 +95,38 @@ def test_default_r_list_scales_with_cell_side():
 
 
 def test_default_radii_follow_an_overridden_n():
-    left = PRESETS["figure1-left"]
-    sc = scenario_from_mapping({"n": "32"}, base=left)
-    assert sc.r_list == Scenario(n=32).r_list != left.r_list
-    explicit = scenario_from_mapping({"n": "32", "r_list": "0.1,0.2"}, base=left)
+    left = PRESET_KEYS["figure1-left"]
+    sc = scenario_from_mapping({**left, "n": "32"})
+    assert sc.r_list == Scenario(n=32).r_list != PRESETS["figure1-left"].r_list
+    explicit = scenario_from_mapping({**left, "n": "32", "r_list": "0.1,0.2"})
     assert explicit.r_list == (0.1, 0.2)
-    # radii the base set itself are kept
-    assert scenario_from_mapping({"n": "64"}, base=SMALL).r_list == SMALL.r_list
-    assert scenario_from_mapping({"trials": "2"}, base=left).r_list == left.r_list
+    assert scenario_from_mapping(SMALL_KEYS) == SMALL
+    # radii the mapping sets itself are kept
+    assert scenario_from_mapping({**SMALL_KEYS, "n": "64"}).r_list == SMALL.r_list
+    assert scenario_from_mapping({**left, "trials": "2"}).r_list == PRESETS["figure1-left"].r_list
 
 
 def test_default_disc_follows_an_overridden_n():
-    left = PRESETS["figure1-left"]
-    assert left.shape == scenario_from_mapping({"n": "256"}, base=left).shape
-    assert left.shape == "disc:measure=100"
-    for base in (None, left):
-        sc = scenario_from_mapping({"n": "32"}, base=base)
+    assert scenario_from_mapping({"n": "256"}).shape == "disc:measure=100"
+    for keys in PRESET_KEYS.values():
+        sc = scenario_from_mapping({**keys, "n": "32"})
         assert sc.shape == "disc:measure=12.5"
         # the same share of the plane: 100 of 256
         assert sc.shape == harness.default_shape(32)
-    # an explicit shape wins, in the same mapping or in the base
+    # an explicit shape wins
     assert scenario_from_mapping({"n": "32", "shape": "disc:measure=3"}).shape == "disc:measure=3"
-    assert scenario_from_mapping({"n": "64"}, base=SMALL).shape == SMALL.shape
+    assert scenario_from_mapping({**SMALL_KEYS, "n": "64"}).shape == SMALL.shape
+
+
+def test_a_preset_under_an_n_flag_keeps_its_window_and_gets_that_n_defaults(monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        harness, "run_spectrum", lambda scenario, out_dir: seen.append(scenario) or out_dir
+    )
+    assert cli.main(["spectrum", "--scenario-preset", "figure1-right", "--n", "32"]) == 0
+    assert seen == [Scenario(n=32, model_window="gaussian_t2")]
+    assert seen[0].shape == "disc:measure=12.5"
+    assert seen[0].r_list == Scenario(n=32).r_list
 
 
 def test_a_directly_built_scenario_gets_the_disc_of_its_n():
@@ -133,6 +148,9 @@ def test_the_default_disc_has_its_exact_cell_count_at_every_n():
 def test_presets_cover_both_figure_columns():
     left = PRESETS["figure1-left"]
     right = PRESETS["figure1-right"]
+    assert PRESETS.keys() == PRESET_KEYS.keys()
+    assert left == Scenario()
+    assert right == Scenario(model_window="gaussian_t2")
     assert left.n == right.n == 256
     assert left.shape == "disc:measure=100"
     assert left.count == 20 and right.count == 20
@@ -156,7 +174,7 @@ def test_config_round_trip(tmp_path):
     sc = scenario_from_mapping(load_config(cfg))
     assert sc.n == 32 and sc.count == 6 and sc.sigma == 2.0
     assert sc.r_list == (0.25, 0.5)
-    override = scenario_from_mapping({"trials": "7"}, base=sc)
+    override = scenario_from_mapping({**load_config(cfg), "trials": "7"})
     assert override.trials == 7 and override.n == 32
 
 
@@ -181,7 +199,10 @@ def test_a_config_value_equal_to_its_default_survives_an_n_flag(key, tmp_path):
     args = cli.build_parser().parse_args(["simulate", "--config", str(cfg), "--n", "64"])
     scenario = cli._scenario_from_args(args)
     assert scenario.n == 64
-    assert getattr(scenario, key) == getattr(written, key)
+    assert getattr(scenario, key) == getattr(written, key) != getattr(Scenario(n=64), key)
+    # the library takes the same merged mapping
+    merged = scenario_from_mapping({**load_config(cfg), "n": "64"})
+    assert getattr(merged, key) == getattr(written, key)
 
 
 # ------------------------------------------------------------------ trials

@@ -70,6 +70,13 @@ CLI_ROWS = {
     "unknown-flag": ["simulate", "--bogus", "1"],
     "sweep-axis-missing": ["sweep", "--n", "16", "--values", "4"],
     "sweep-axis-sigma": ["sweep", "--axis", "sigma", "--values", "1", "--n", "16"],
+    "annulus-outer-disc-past-the-plane": ["simulate", "--n", "32", "--shape",
+                                          "annulus:measure=30,hole=40"],
+}
+
+# rows whose whole error line is pinned
+ERROR_LINES = {
+    "annulus-outer-disc-past-the-plane": "error: disc measure 70.0 outside [0, 32.0]",
 }
 
 
@@ -90,6 +97,7 @@ def test_malformed_input_exits_2_with_one_error_line(row, tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert err[0] == ERROR_LINES.get(row, err[0])
     # a bad image is named in its error line
     images = [arg.removeprefix("image:") for arg in argv if arg.startswith("image:")]
     assert all(image in err[0] for image in images), err
@@ -216,12 +224,12 @@ _values = st.one_of(
     values=st.dictionaries(
         st.one_of(st.sampled_from(harness.SCENARIO_KEYS), st.text(max_size=6)), _values
     ),
-    preset=st.sampled_from([None, *sorted(harness.PRESETS)]),
+    preset=st.sampled_from([None, *sorted(harness.PRESET_KEYS)]),
 )
 def test_scenario_from_mapping_raises_only_package_errors(values, preset):
-    base = harness.PRESETS[preset] if preset else None
+    keys = harness.PRESET_KEYS[preset] if preset else {}
     try:
-        harness.scenario_from_mapping(values, base)
+        harness.scenario_from_mapping({**keys, **values})
     except MaskrecError:
         pass
 

@@ -9,7 +9,6 @@ from scipy.ndimage import distance_transform_edt
 from maskrec import errors, maskgeom
 from maskrec.maskgeom import (
     Mask,
-    annulus_mask,
     dilate,
     disc_mask,
     error_report,
@@ -137,7 +136,7 @@ def test_closest_cells_equals_the_stable_argsort(args):
 
 def test_annulus_has_hole():
     grid = TFGrid(32)
-    m = annulus_mask(grid, 6.0, 2.0)
+    m = make_mask(grid, "annulus:measure=6,hole=2")
     assert abs(measure(m) - 6.0) <= 2 / 32
     center = (grid.n // 2, grid.n // 2)
     assert not m.cells[center]
