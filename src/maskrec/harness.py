@@ -88,7 +88,7 @@ class Scenario:
         if not self.r_list:
             side = TFGrid(self.n).cell_side
             object.__setattr__(
-                self, "r_list", tuple(c * side for c in DEFAULT_R_CELLS)
+                self, "r_list", tuple(float(c * side) for c in DEFAULT_R_CELLS)
             )
         r_list = list(self.r_list)
         if not all(map(math.isfinite, r_list)) or r_list != sorted(r_list):
@@ -245,20 +245,59 @@ def trial_seed(scenario_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+@dataclass
+class KeptNoise:
+    """The noise a sweep keeps per trial, so a later value draws only the rest.
+
+    ``rows[t, :count]`` holds realizations 0..count-1 of trial t's stream;
+    ``rows`` has room for the largest count of any value but the last.
+    """
+
+    rows: np.ndarray
+    count: int = 0
+
+
+def _trial_noise(
+    pipeline: Pipeline, seed: int, slot: np.ndarray, kept: int
+) -> noise.NoiseBatch:
+    """Realizations 0..K-1 of a trial's stream; draws only those after the ``kept`` in ``slot``.
+
+    The new rows are stored in ``slot`` when it has room for all K; a count
+    beyond its room keeps nothing.
+    """
+    sc = pipeline.scenario
+    K = sc.count
+    if K > kept:
+        new = noise.sample_noise(
+            pipeline.grid, K - kept, sc.sigma, kind=sc.noise_kind, seed=seed, first=kept
+        ).realizations
+        if K > len(slot):
+            rows = np.concatenate([slot[:kept], new]) if kept else new
+            return noise.NoiseBatch(realizations=rows, kind=sc.noise_kind)
+        slot[kept:K] = new
+    return noise.NoiseBatch(realizations=slot[:K], kind=sc.noise_kind)
+
+
+_NO_ROWS = np.empty((0, 0), dtype=np.complex128)
+
+
 def run_trial(
-    pipeline: Pipeline, trial_index: int, keep_fields: bool = False
+    pipeline: Pipeline,
+    trial_index: int,
+    keep_fields: bool = False,
+    kept: KeptNoise | None = None,
 ) -> tuple[TrialResult, dict]:
     """Sample, filter, estimate and score one trial.
 
     Returns the result and, when ``keep_fields`` is set, the rho field and
-    estimate cells for artifact emission.
+    estimate cells for artifact emission.  With ``kept``, the trial reuses
+    the realizations its earlier sweep values drew and keeps its new ones.
     """
     sc = pipeline.scenario
     started = time.perf_counter()
     seed = trial_seed(sc.seed, trial_index)
-    batch = noise.sample_noise(
-        pipeline.grid, sc.count, sc.sigma, kind=sc.noise_kind, seed=seed
-    )
+    slot, count = (_NO_ROWS, 0) if kept is None else (kept.rows[trial_index], kept.count)
+    batch = _trial_noise(pipeline, seed, slot, count)
     if sc.noise_kind == noise.KIND_REAL:
         batch = noise.complexify(batch)
     avg = estimator.average_spectrogram(
@@ -279,20 +318,27 @@ def run_trial(
     return result, extras
 
 
-def run_trials(pipeline: Pipeline, threads: int = 1) -> tuple[list[TrialResult], dict]:
-    """Run all trials of a scenario on at most one worker per trial; ordered merge."""
+def run_trials(
+    pipeline: Pipeline, threads: int = 1, kept: KeptNoise | None = None
+) -> tuple[list[TrialResult], dict]:
+    """Run all trials of a scenario on at most one worker per trial; ordered merge.
+
+    Every trial takes its realizations from ``kept`` as :func:`run_trial` does.
+    """
     sc = pipeline.scenario
     if threads < 1:
         raise ConfigurationError(f"thread count must be >= 1, got {threads}")
     workers = min(threads, sc.trials)
     indices = range(sc.trials)
+
+    def one(t):
+        return run_trial(pipeline, t, keep_fields=(t == 0), kept=kept)
+
     if workers == 1:
-        outcomes = [run_trial(pipeline, t, keep_fields=(t == 0)) for t in indices]
+        outcomes = [one(t) for t in indices]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(lambda t: run_trial(pipeline, t, keep_fields=(t == 0)), indices)
-            )
+            outcomes = list(pool.map(one, indices))
     results = [r for r, _ in outcomes]
     first_extras = outcomes[0][1]
     return results, first_extras
@@ -333,10 +379,23 @@ def _output_dir(out_dir: str | Path) -> Path:
 
 @contextmanager
 def _writing(out: Path):
-    """A file under ``out`` that cannot be written is a ConfigurationError naming it."""
+    """Yield ``write(path, writer, *args)``, which calls ``writer(path, *args)``.
+
+    A file under ``out`` that cannot be written is a ConfigurationError
+    naming it, raised after the files written before it are removed.
+    """
+    written: list[Path] = []
+
+    def write(path: Path, writer, *args):
+        value = writer(path, *args)
+        written.append(path)
+        return value
+
     try:
-        yield
+        yield write
     except OSError as exc:
+        for done in written:
+            done.unlink(missing_ok=True)
         path = exc.filename or out
         raise ConfigurationError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
 
@@ -364,15 +423,17 @@ def run_simulate(
             + [r.max_rho, r.wall_time]
         )
     truth, est_cells = pipeline.truth.cells, extras["estimate"]
-    with _writing(out):
-        _write_csv(out / "trials.csv", columns, rows)
-        maskgeom.write_mask_pgm(out / "truth.pgm", truth)
-        maskgeom.write_mask_pgm(out / "estimate.pgm", est_cells)
-        maskgeom.write_mask_pgm(out / "symdiff.pgm", truth ^ est_cells)
-        max_used = maskgeom.write_field_pgm(out / "rho.pgm", extras["rho"])
-        (out / "rho.meta.txt").write_text(
+    with _writing(out) as write:
+        write(out / "trials.csv", _write_csv, columns, rows)
+        write(out / "truth.pgm", maskgeom.write_mask_pgm, truth)
+        write(out / "estimate.pgm", maskgeom.write_mask_pgm, est_cells)
+        write(out / "symdiff.pgm", maskgeom.write_mask_pgm, truth ^ est_cells)
+        max_used = write(out / "rho.pgm", maskgeom.write_field_pgm, extras["rho"])
+        write(
+            out / "rho.meta.txt",
+            Path.write_text,
             "field = rho\nquantization = linear 8-bit\n"
-            f"max_rho = {_fmt(float(max_used))}\n"
+            f"max_rho = {_fmt(float(max_used))}\n",
         )
     return results
 
@@ -388,7 +449,9 @@ def run_sweep(
 
     K leaves the truth, the windows and H unchanged, so its values share one
     pipeline and only its scenario is replaced; a measure sweep builds one
-    pipeline per value.
+    pipeline per value.  Each trial draws its noise once: a value draws only
+    the realizations the values before it lack (a measure sweep reuses the
+    first value's K), into one array that lives for the sweep.
     """
     if axis not in ("K", "measure"):
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
@@ -396,16 +459,26 @@ def run_sweep(
         raise ConfigurationError("sweep values must be strictly ascending")
     out = _output_dir(out_dir)
 
-    shared = None if axis == "measure" else build_pipeline(scenario)
-    summary_rows: list[dict] = []
-    for value in values:
-        if axis == "K":
-            pipeline = replace(shared, scenario=replace(scenario, count=value))
-        else:
-            pipeline = build_pipeline(
+    if axis == "K":
+        # every K is validated before anything runs: the kept array is sized from them
+        scenarios = [replace(scenario, count=value) for value in values]
+        shared = build_pipeline(scenario)
+        pipelines = (replace(shared, scenario=sc) for sc in scenarios)
+        counts = [sc.count for sc in scenarios]
+    else:
+        pipelines = (
+            build_pipeline(
                 replace(scenario, shape=scaled_shape_spec(scenario.shape, float(value)))
             )
-        results, _ = run_trials(pipeline, threads)
+            for value in values
+        )
+        counts = [scenario.count] * len(values)
+    room = max(counts[:-1], default=0)
+    kept = KeptNoise(np.empty((scenario.trials, room, scenario.n), dtype=np.complex128))
+    summary_rows: list[dict] = []
+    for value, pipeline in zip(values, pipelines):
+        results, _ = run_trials(pipeline, threads, kept=kept)
+        kept.count = min(pipeline.scenario.count, room)
         sym = np.array([r.error.sym_diff_measure for r in results])
         ratios = np.array([r.error.ratio for r in results])
         successes = np.array([r.success_at_r for r in results], dtype=float)

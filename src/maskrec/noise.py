@@ -1,11 +1,13 @@
 """Seeded white-noise batches, complexification, and filtering.
 
-Realization k of a batch is drawn from the counter-based Philox stream
-keyed by ``(seed, k)``, so a realization depends only on the seed and its
-index: batches are reproducible, independent of generation order, and safe
-to produce in parallel.  Standard-normal draws are scaled by sigma, which
-makes sigma-scaling of a batch exact (same seed, entries multiplied by
-sigma).
+Realization k of a seed's stream is drawn from the counter-based Philox
+stream keyed by ``(seed, k)``, so a realization depends only on the seed
+and its index: batches are reproducible, independent of generation order,
+and safe to produce in parallel.  A batch is rows ``first..`` of the seed's
+stream, so the first K rows of a larger batch equal the K-row batch bit for
+bit, and a batch can be extended by drawing the rows after it.
+Standard-normal draws are scaled by sigma, which makes sigma-scaling of a
+batch exact (same seed, entries multiplied by sigma).
 """
 
 from __future__ import annotations
@@ -37,23 +39,29 @@ class NoiseBatch:
 
 
 def sample_noise(
-    grid: TFGrid, count: int, sigma: float, kind: str = KIND_COMPLEX, seed: int = 0
+    grid: TFGrid,
+    count: int,
+    sigma: float,
+    kind: str = KIND_COMPLEX,
+    seed: int = 0,
+    first: int = 0,
 ) -> NoiseBatch:
-    """Draw ``count`` independent white-noise realizations of length n.
+    """Draw realizations ``first .. first+count-1`` of the seed's stream, of length n.
 
     Complex noise has independent real and imaginary parts of variance
     sigma^2 / 2 each; real noise has variance sigma^2.  One Philox
     generator is re-keyed to ``(seed, k)`` (counter 0, empty buffer) before
     realization k, which draws the same numbers as a fresh generator with
-    that key.  A count or seed that is not an integer, a seed outside
-    [0, 2**64) and a sigma that is not positive and finite raise
+    that key.  A count, seed or first that is not an integer, a seed
+    outside [0, 2**64), a negative first or a first + count above 2**64,
+    and a sigma that is not positive and finite raise
     :class:`ConfigurationError`.
     """
     try:
-        count, seed = operator.index(count), operator.index(seed)
+        count, seed, first = map(operator.index, (count, seed, first))
     except TypeError:
         raise ConfigurationError(
-            f"count and seed must be integers, got {count!r} and {seed!r}"
+            f"count, seed and first must be integers, got {count!r}, {seed!r} and {first!r}"
         ) from None
     if count < 1:
         raise ConfigurationError(f"need at least one realization, got {count}")
@@ -61,6 +69,10 @@ def sample_noise(
         raise ConfigurationError(f"sigma must be positive and finite, got {sigma}")
     if not 0 <= seed < 1 << 64:
         raise ConfigurationError(f"seed must be in [0, 2**64), got {seed}")
+    if not 0 <= first <= (1 << 64) - count:
+        raise ConfigurationError(
+            f"first must be in [0, 2**64 - count], got {first} with count {count}"
+        )
     if kind not in (KIND_COMPLEX, KIND_REAL):
         raise ConfigurationError(f"unknown noise kind {kind!r}")
     n = grid.n
@@ -70,10 +82,10 @@ def sample_noise(
     rng = np.random.Generator(bitgen)
     state = bitgen.state
     key = state["state"]["key"]
-    for k in range(count):
+    for row, k in enumerate(range(first, first + count)):
         key[:] = (seed, k)
         bitgen.state = state
-        rng.standard_normal(out=draws[k])
+        rng.standard_normal(out=draws[row])
     out = np.empty((count, n), dtype=np.complex128)
     out.real = draws[:, 0]
     if kind == KIND_COMPLEX:

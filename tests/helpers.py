@@ -128,20 +128,20 @@ def random_cells(n, rng, fill=0.3):
     return rng.random((n, n)) < fill
 
 
-def oracle_noise(n, count, sigma, kind, seed):
-    """White noise drawn with one fresh Philox generator per realization.
+def oracle_noise(n, count, sigma, kind, seed, first=0):
+    """Realizations ``first..first+count-1``, one fresh Philox generator each.
 
     Realization k comes from ``Generator(Philox(key=[seed mod 2**64, k]))``:
     2n standard normals for complex noise (the first n real, the last n
     imaginary, divided by sqrt 2), n for real noise; then scaled by sigma.
     """
     out = np.empty((count, n), dtype=complex)
-    for k in range(count):
+    for row, k in enumerate(range(first, first + count)):
         key = np.array([seed & (2**64 - 1), k], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         if kind == "complex":
             z = rng.standard_normal(2 * n)
-            out[k] = (z[:n] + 1j * z[n:]) / np.sqrt(2.0)
+            out[row] = (z[:n] + 1j * z[n:]) / np.sqrt(2.0)
         else:
-            out[k] = rng.standard_normal(n)
+            out[row] = rng.standard_normal(n)
     return out * sigma

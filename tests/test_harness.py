@@ -94,6 +94,14 @@ def test_default_r_list_scales_with_cell_side():
     assert sc.r_list == tuple(c / 16.0 for c in (2.0, 3.0, 4.0))
 
 
+def test_default_radii_are_floats_that_parse_back_from_their_repr():
+    # they were numpy floats, whose repr (np.float64(...)) a radii list cannot parse
+    sc = Scenario(n=32)
+    assert all(type(r) is float for r in sc.r_list)
+    text = ",".join(map(repr, sc.r_list))
+    assert scenario_from_mapping({"n": "32", "r_list": text}) == sc
+
+
 def test_default_radii_follow_an_overridden_n():
     left = PRESET_KEYS["figure1-left"]
     sc = scenario_from_mapping({**left, "n": "32"})
@@ -287,6 +295,19 @@ def test_figure1_left_is_the_same_on_one_and_two_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_a_failed_simulate_removes_only_the_files_it_wrote(tmp_path):
+    run_simulate(SMALL, tmp_path)
+    older = (tmp_path / "rho.meta.txt").read_bytes()
+    (tmp_path / "rho.pgm").unlink()
+    (tmp_path / "rho.pgm").mkdir()
+    with pytest.raises(errors.ConfigurationError) as failed:
+        run_simulate(SMALL, tmp_path)
+    assert str(failed.value).startswith(f"cannot write {str(tmp_path / 'rho.pgm')!r}")
+    # the four files written before rho.pgm are gone; the older run's sidecar stays
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rho.meta.txt", "rho.pgm"]
+    assert (tmp_path / "rho.meta.txt").read_bytes() == older
+
+
 def test_simulate_artifacts(tmp_path):
     run_simulate(SMALL, tmp_path)
     meta = (tmp_path / "rho.meta.txt").read_text()
@@ -370,19 +391,75 @@ def test_sweep_builds_one_pipeline_per_scenario_layout(axis, values, builds, tmp
     assert [row["value"] for row in rows] == values
 
 
-def test_sweep_k_rows_match_separate_pipelines(tmp_path):
-    values = [2, 4, 8]
-    rows = run_sweep(SMALL, "K", values, tmp_path, threads=2)
-    for k, row in zip(values, rows):
-        results, _ = harness.run_trials(build_pipeline(replace(SMALL, count=k)))
-        sym = [r.error.sym_diff_measure for r in results]
-        assert row["trials"] == len(results)
-        assert row["mean_sym_diff"] == np.mean(sym)
-        assert row["median_sym_diff"] == np.median(sym)
-        assert row["mean_ratio"] == np.mean([r.error.ratio for r in results])
-        assert row["success_rates"] == tuple(
-            np.mean([r.success_at_r for r in results], axis=0)
-        )
+def _sweep_pipeline(axis, value, scenario=SMALL):
+    if axis == "K":
+        return build_pipeline(replace(scenario, count=value))
+    shape = maskgeom.scaled_shape_spec(scenario.shape, value)
+    return build_pipeline(replace(scenario, shape=shape))
+
+
+def test_sweep_k_rows_match_separate_pipelines(tmp_path, monkeypatch):
+    # every value of a sweep, on either axis and noise kind, gives each trial
+    # the result a fresh run of that value's scenario gives it
+    swept = []
+    run_trials = harness.run_trials
+
+    def recording(*args, **kwargs):
+        results, extras = run_trials(*args, **kwargs)
+        swept.append(results)
+        return results, extras
+
+    monkeypatch.setattr(harness, "run_trials", recording)
+    real = replace(SMALL, noise_kind="real")
+    for scenario, axis, values in (
+        (SMALL, "K", [2, 4, 8]), (real, "K", [4, 5, 8]), (SMALL, "measure", [4.0, 6.0]),
+        (real, "measure", [4.0, 6.0]),
+    ):
+        for threads in (1, 2):
+            swept.clear()
+            rows = run_sweep(scenario, axis, values, tmp_path, threads=threads)
+            assert len(swept) == len(values)
+            for value, row, got in zip(values, rows, swept):
+                results, _ = run_trials(_sweep_pipeline(axis, value, scenario))
+                assert [replace(r, wall_time=0.0) for r in got] == [
+                    replace(r, wall_time=0.0) for r in results
+                ]
+                sym = [r.error.sym_diff_measure for r in results]
+                assert row["trials"] == len(results)
+                assert row["mean_sym_diff"] == np.mean(sym)
+                assert row["median_sym_diff"] == np.median(sym)
+                assert row["mean_ratio"] == np.mean([r.error.ratio for r in results])
+                assert row["success_rates"] == tuple(
+                    np.mean([r.success_at_r for r in results], axis=0)
+                )
+
+
+@pytest.mark.parametrize("run", ["K-sweep", "measure-sweep", "simulate"])
+def test_each_trial_draws_its_noise_once(run, tmp_path, monkeypatch):
+    # realization k of a trial is keyed (seed, k), so a K sweep over 2, 4, 8
+    # draws each trial's 8 realizations once (in 3 calls), and a measure
+    # sweep its K once
+    calls, drawn = {
+        "K-sweep": (3 * SMALL.trials, 8 * SMALL.trials),
+        "measure-sweep": (SMALL.trials, SMALL.count * SMALL.trials),
+        "simulate": (SMALL.trials, SMALL.count * SMALL.trials),
+    }[run]
+    counts = []
+    sample_noise = noise.sample_noise
+
+    def counting(*args, **kwargs):
+        batch = sample_noise(*args, **kwargs)
+        counts.append(batch.count)
+        return batch
+
+    monkeypatch.setattr(noise, "sample_noise", counting)
+    if run == "K-sweep":
+        run_sweep(SMALL, "K", [2, 4, 8], tmp_path, threads=2)
+    elif run == "measure-sweep":
+        run_sweep(SMALL, "measure", [4.0, 6.0, 8.0], tmp_path, threads=2)
+    else:
+        run_simulate(SMALL, tmp_path, threads=2)
+    assert (len(counts), sum(counts)) == (calls, drawn)
 
 
 def test_sweep_requires_sorted_values(tmp_path):

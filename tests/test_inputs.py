@@ -152,6 +152,8 @@ def test_unwritable_output_file_exits_2(command, name, tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {str(tmp_path / name)!r}")
+    # the files the run wrote before that one are removed
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_help_exits_0(capsys):

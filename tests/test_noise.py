@@ -41,9 +41,11 @@ def test_real_noise_second_moment():
 @pytest.mark.parametrize("kind", ["complex", "real"])
 @pytest.mark.parametrize("count", [1, 4, 20, 64])
 def test_noise_matches_per_realization_generators_bit_for_bit(kind, count):
-    for n, sigma, seed in ((16, 1.0, 0), (64, 0.37, 7), (17, 3.5, 2**63 + 11)):
-        batch = sample_noise(TFGrid(n), count, sigma, kind=kind, seed=seed)
-        expected = oracle_noise(n, count, sigma, kind, seed)
+    for n, sigma, seed, first in (
+        (16, 1.0, 0, 0), (64, 0.37, 7, 3), (17, 3.5, 2**63 + 11, 2**64 - count)
+    ):
+        batch = sample_noise(TFGrid(n), count, sigma, kind=kind, seed=seed, first=first)
+        expected = oracle_noise(n, count, sigma, kind, seed, first)
         assert batch.realizations.dtype == np.complex128
         assert batch.realizations.tobytes() == expected.tobytes()
 
@@ -58,6 +60,12 @@ def test_realizations_keyed_by_index_not_count():
     a = sample_noise(GRID64, 4, 1.0, seed=7)
     b = sample_noise(GRID64, 6, 1.0, seed=7)
     assert np.array_equal(a.realizations, b.realizations[:4])
+    # a batch from ``first`` is the rows first.. of a larger batch, bit for bit
+    for kind in ("complex", "real"):
+        whole = sample_noise(GRID64, 12, 0.7, kind=kind, seed=7).realizations
+        for first, count in ((0, 12), (1, 3), (4, 8), (11, 1)):
+            part = sample_noise(GRID64, count, 0.7, kind=kind, seed=7, first=first)
+            assert part.realizations.tobytes() == whole[first : first + count].tobytes()
 
 
 def test_sigma_scaling_is_exact():
@@ -87,15 +95,28 @@ def test_sample_rejects_seeds_outside_64_bits(seed):
     assert edge.realizations.tobytes() == oracle_noise(64, 3, 1.0, "complex", 2**64 - 1).tobytes()
 
 
+@pytest.mark.parametrize("first, count", [(-1, 3), (2**64 - 2, 3), (2**64, 1), (2**64 - 1, 2)])
+def test_sample_rejects_a_first_outside_64_bits(first, count):
+    # realization first + count - 1 must still be a 64-bit key
+    with pytest.raises(errors.ConfigurationError, match="first"):
+        sample_noise(GRID64, count, 1.0, seed=5, first=first)
+    last = 2**64 - count
+    edge = sample_noise(GRID64, count, 1.0, seed=5, first=last)
+    assert edge.realizations.tobytes() == oracle_noise(64, count, 1.0, "complex", 5, last).tobytes()
+
+
 @pytest.mark.parametrize("count", [2.5, 3.0, "3", None])
 def test_sample_rejects_a_count_that_is_not_an_integer(count):
     with pytest.raises(errors.ConfigurationError, match="integers"):
         sample_noise(GRID64, count, 1.0)
+    # the same values as the first realization
+    with pytest.raises(errors.ConfigurationError, match="integers"):
+        sample_noise(GRID64, 3, 1.0, first=count)
 
 
 def test_sample_takes_numpy_integers():
-    a = sample_noise(GRID64, np.int64(3), 1.0, seed=np.uint64(2**64 - 1))
-    b = sample_noise(GRID64, 3, 1.0, seed=2**64 - 1)
+    a = sample_noise(GRID64, np.int64(3), 1.0, seed=np.uint64(2**64 - 1), first=np.uint8(2))
+    b = sample_noise(GRID64, 3, 1.0, seed=2**64 - 1, first=2)
     assert np.array_equal(a.realizations, b.realizations)
 
 
