@@ -245,59 +245,28 @@ def trial_seed(scenario_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-@dataclass
-class KeptNoise:
-    """The noise a sweep keeps per trial, so a later value draws only the rest.
-
-    ``rows[t, :count]`` holds realizations 0..count-1 of trial t's stream;
-    ``rows`` has room for the largest count of any value but the last.
-    """
-
-    rows: np.ndarray
-    count: int = 0
-
-
-def _trial_noise(
-    pipeline: Pipeline, seed: int, slot: np.ndarray, kept: int
-) -> noise.NoiseBatch:
-    """Realizations 0..K-1 of a trial's stream; draws only those after the ``kept`` in ``slot``.
-
-    The new rows are stored in ``slot`` when it has room for all K; a count
-    beyond its room keeps nothing.
-    """
-    sc = pipeline.scenario
-    K = sc.count
-    if K > kept:
-        new = noise.sample_noise(
-            pipeline.grid, K - kept, sc.sigma, kind=sc.noise_kind, seed=seed, first=kept
-        ).realizations
-        if K > len(slot):
-            rows = np.concatenate([slot[:kept], new]) if kept else new
-            return noise.NoiseBatch(realizations=rows, kind=sc.noise_kind)
-        slot[kept:K] = new
-    return noise.NoiseBatch(realizations=slot[:K], kind=sc.noise_kind)
-
-
-_NO_ROWS = np.empty((0, 0), dtype=np.complex128)
-
-
 def run_trial(
     pipeline: Pipeline,
     trial_index: int,
     keep_fields: bool = False,
-    kept: KeptNoise | None = None,
+    drawn: np.ndarray | None = None,
 ) -> tuple[TrialResult, dict]:
     """Sample, filter, estimate and score one trial.
 
     Returns the result and, when ``keep_fields`` is set, the rho field and
-    estimate cells for artifact emission.  With ``kept``, the trial reuses
-    the realizations its earlier sweep values drew and keeps its new ones.
+    estimate cells for artifact emission.  With ``drawn``, a (trials, at
+    least K, n) array whose row ``[t, k]`` is realization k of trial t's
+    stream, the trial takes ``drawn[trial_index, :K]`` instead of sampling.
     """
     sc = pipeline.scenario
     started = time.perf_counter()
     seed = trial_seed(sc.seed, trial_index)
-    slot, count = (_NO_ROWS, 0) if kept is None else (kept.rows[trial_index], kept.count)
-    batch = _trial_noise(pipeline, seed, slot, count)
+    if drawn is None:
+        batch = noise.sample_noise(
+            pipeline.grid, sc.count, sc.sigma, kind=sc.noise_kind, seed=seed
+        )
+    else:
+        batch = noise.NoiseBatch(realizations=drawn[trial_index, : sc.count], kind=sc.noise_kind)
     if sc.noise_kind == noise.KIND_REAL:
         batch = noise.complexify(batch)
     avg = estimator.average_spectrogram(
@@ -319,11 +288,11 @@ def run_trial(
 
 
 def run_trials(
-    pipeline: Pipeline, threads: int = 1, kept: KeptNoise | None = None
+    pipeline: Pipeline, threads: int = 1, drawn: np.ndarray | None = None
 ) -> tuple[list[TrialResult], dict]:
     """Run all trials of a scenario on at most one worker per trial; ordered merge.
 
-    Every trial takes its realizations from ``kept`` as :func:`run_trial` does.
+    Every trial takes its realizations from ``drawn`` as :func:`run_trial` does.
     """
     sc = pipeline.scenario
     if threads < 1:
@@ -332,7 +301,7 @@ def run_trials(
     indices = range(sc.trials)
 
     def one(t):
-        return run_trial(pipeline, t, keep_fields=(t == 0), kept=kept)
+        return run_trial(pipeline, t, keep_fields=(t == 0), drawn=drawn)
 
     if workers == 1:
         outcomes = [one(t) for t in indices]
@@ -449,9 +418,10 @@ def run_sweep(
 
     K leaves the truth, the windows and H unchanged, so its values share one
     pipeline and only its scenario is replaced; a measure sweep builds one
-    pipeline per value.  Each trial draws its noise once: a value draws only
-    the realizations the values before it lack (a measure sweep reuses the
-    first value's K), into one array that lives for the sweep.
+    pipeline per value.  Before the first value, the calling thread draws
+    each trial's realizations for the largest K (a measure sweep's one K)
+    into one (trials, K, n) array that lives for the sweep; every value's
+    trials take their first K rows from it.
     """
     if axis not in ("K", "measure"):
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
@@ -460,11 +430,11 @@ def run_sweep(
     out = _output_dir(out_dir)
 
     if axis == "K":
-        # every K is validated before anything runs: the kept array is sized from them
+        # every K is validated before anything runs: the drawn array is sized from them
         scenarios = [replace(scenario, count=value) for value in values]
         shared = build_pipeline(scenario)
         pipelines = (replace(shared, scenario=sc) for sc in scenarios)
-        counts = [sc.count for sc in scenarios]
+        count = max((sc.count for sc in scenarios), default=scenario.count)
     else:
         pipelines = (
             build_pipeline(
@@ -472,13 +442,19 @@ def run_sweep(
             )
             for value in values
         )
-        counts = [scenario.count] * len(values)
-    room = max(counts[:-1], default=0)
-    kept = KeptNoise(np.empty((scenario.trials, room, scenario.n), dtype=np.complex128))
+        count = scenario.count
+    # drawn here, not in the pool: each realization's Python-level re-key
+    # holds the interpreter lock, so pool threads drawing at once wait on it
+    grid = TFGrid(scenario.n)
+    drawn = np.empty((scenario.trials, count, scenario.n), dtype=np.complex128)
+    for t, rows in enumerate(drawn):
+        rows[:] = noise.sample_noise(
+            grid, count, scenario.sigma, kind=scenario.noise_kind,
+            seed=trial_seed(scenario.seed, t),
+        ).realizations
     summary_rows: list[dict] = []
     for value, pipeline in zip(values, pipelines):
-        results, _ = run_trials(pipeline, threads, kept=kept)
-        kept.count = min(pipeline.scenario.count, room)
+        results, _ = run_trials(pipeline, threads, drawn=drawn)
         sym = np.array([r.error.sym_diff_measure for r in results])
         ratios = np.array([r.error.ratio for r in results])
         successes = np.array([r.success_at_r for r in results], dtype=float)

@@ -3,9 +3,9 @@
 Realization k of a seed's stream is drawn from the counter-based Philox
 stream keyed by ``(seed, k)``, so a realization depends only on the seed
 and its index: batches are reproducible, independent of generation order,
-and safe to produce in parallel.  A batch is rows ``first..`` of the seed's
-stream, so the first K rows of a larger batch equal the K-row batch bit for
-bit, and a batch can be extended by drawing the rows after it.
+and safe to produce in parallel.  The first K rows of a larger batch equal
+the K-row batch bit for bit, so one batch drawn for the largest K serves
+every smaller K.
 Standard-normal draws are scaled by sigma, which makes sigma-scaling of a
 batch exact (same seed, entries multiplied by sigma).
 """
@@ -44,24 +44,22 @@ def sample_noise(
     sigma: float,
     kind: str = KIND_COMPLEX,
     seed: int = 0,
-    first: int = 0,
 ) -> NoiseBatch:
-    """Draw realizations ``first .. first+count-1`` of the seed's stream, of length n.
+    """Draw realizations ``0 .. count-1`` of the seed's stream, of length n.
 
     Complex noise has independent real and imaginary parts of variance
     sigma^2 / 2 each; real noise has variance sigma^2.  One Philox
     generator is re-keyed to ``(seed, k)`` (counter 0, empty buffer) before
     realization k, which draws the same numbers as a fresh generator with
-    that key.  A count, seed or first that is not an integer, a seed
-    outside [0, 2**64), a negative first or a first + count above 2**64,
-    and a sigma that is not positive and finite raise
+    that key.  A count or seed that is not an integer, a seed outside
+    [0, 2**64) and a sigma that is not positive and finite raise
     :class:`ConfigurationError`.
     """
     try:
-        count, seed, first = map(operator.index, (count, seed, first))
+        count, seed = operator.index(count), operator.index(seed)
     except TypeError:
         raise ConfigurationError(
-            f"count, seed and first must be integers, got {count!r}, {seed!r} and {first!r}"
+            f"count and seed must be integers, got {count!r} and {seed!r}"
         ) from None
     if count < 1:
         raise ConfigurationError(f"need at least one realization, got {count}")
@@ -69,23 +67,21 @@ def sample_noise(
         raise ConfigurationError(f"sigma must be positive and finite, got {sigma}")
     if not 0 <= seed < 1 << 64:
         raise ConfigurationError(f"seed must be in [0, 2**64), got {seed}")
-    if not 0 <= first <= (1 << 64) - count:
-        raise ConfigurationError(
-            f"first must be in [0, 2**64 - count], got {first} with count {count}"
-        )
     if kind not in (KIND_COMPLEX, KIND_REAL):
         raise ConfigurationError(f"unknown noise kind {kind!r}")
     n = grid.n
     parts = 2 if kind == KIND_COMPLEX else 1
     draws = np.empty((count, parts, n))
-    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    # a fixed seed, not a key alone: a bare key makes numpy seed an unused
+    # SeedSequence from OS entropy on every call
+    bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
     key = state["state"]["key"]
-    for row, k in enumerate(range(first, first + count)):
+    for k in range(count):
         key[:] = (seed, k)
         bitgen.state = state
-        rng.standard_normal(out=draws[row])
+        rng.standard_normal(out=draws[k])
     out = np.empty((count, n), dtype=np.complex128)
     out.real = draws[:, 0]
     if kind == KIND_COMPLEX:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -437,19 +438,21 @@ def test_sweep_k_rows_match_separate_pipelines(tmp_path, monkeypatch):
 @pytest.mark.parametrize("run", ["K-sweep", "measure-sweep", "simulate"])
 def test_each_trial_draws_its_noise_once(run, tmp_path, monkeypatch):
     # realization k of a trial is keyed (seed, k), so a K sweep over 2, 4, 8
-    # draws each trial's 8 realizations once (in 3 calls), and a measure
-    # sweep its K once
+    # draws each trial's 8 realizations once (in one call), and a measure
+    # sweep its K once; a sweep draws on the thread that called it, not in
+    # the pool
     calls, drawn = {
-        "K-sweep": (3 * SMALL.trials, 8 * SMALL.trials),
+        "K-sweep": (SMALL.trials, 8 * SMALL.trials),
         "measure-sweep": (SMALL.trials, SMALL.count * SMALL.trials),
         "simulate": (SMALL.trials, SMALL.count * SMALL.trials),
     }[run]
-    counts = []
+    counts, threads = [], set()
     sample_noise = noise.sample_noise
 
     def counting(*args, **kwargs):
         batch = sample_noise(*args, **kwargs)
         counts.append(batch.count)
+        threads.add(threading.get_ident())
         return batch
 
     monkeypatch.setattr(noise, "sample_noise", counting)
@@ -460,6 +463,8 @@ def test_each_trial_draws_its_noise_once(run, tmp_path, monkeypatch):
     else:
         run_simulate(SMALL, tmp_path, threads=2)
     assert (len(counts), sum(counts)) == (calls, drawn)
+    if run != "simulate":
+        assert threads == {threading.get_ident()}
 
 
 def test_sweep_requires_sorted_values(tmp_path):
