@@ -5,7 +5,8 @@ A scenario flag is ``--`` plus a key of ``harness.SCENARIO_KEYS`` (``_`` as
 the flags merge into one mapping, and ``harness.scenario_from_mapping`` turns
 it into the scenario.  Exit codes: 0 success, 1 a failed verification and
 nothing else, 2 any malformed or repeated flag, config file, shape spec,
-comma list, PGM image or output path, 3 numeric/model failure.
+comma list, PGM image or output path, and any input too large to allocate
+(a ``MemoryError``), 3 numeric/model failure.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
         )
     parser.add_argument("--out-dir", action=_Once, default="out", help="artifact directory")
     parser.add_argument(
-        "--threads", action=_Once, type=int, default=1, help="worker threads (default 1)"
+        "--threads", action=_Once, type=int, default=1,
+        help="worker threads (default 1; at most one per trial and per usable CPU)",
     )
 
 
@@ -147,6 +149,9 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(parser.parse_args(argv))
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -287,17 +288,26 @@ def run_trial(
     return result, extras
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_trials(
     pipeline: Pipeline, threads: int = 1, drawn: np.ndarray | None = None
 ) -> tuple[list[TrialResult], dict]:
-    """Run all trials of a scenario on at most one worker per trial; ordered merge.
+    """Run all trials of a scenario on at most one worker per trial and per
+    usable CPU; ordered merge.
 
     Every trial takes its realizations from ``drawn`` as :func:`run_trial` does.
     """
     sc = pipeline.scenario
     if threads < 1:
         raise ConfigurationError(f"thread count must be >= 1, got {threads}")
-    workers = min(threads, sc.trials)
+    workers = min(threads, sc.trials, _usable_cpus())
     indices = range(sc.trials)
 
     def one(t):

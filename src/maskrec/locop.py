@@ -150,13 +150,14 @@ def theta_first_moment(
 ) -> float:
     """Defect of the first-moment identity, computed by two independent routes.
 
-    ``sum_m lambda_m * n * |stft(f_m, phi)(z)|^2`` must equal the cyclic
-    convolution of the mask indicator with ``|stft(g, phi)|^2`` (the latter
-    already carries one factor of the cell measure).  Returns the maximum
+    The field of H, ``<H pi(z)phi, pi(z)phi>`` (equal to
+    ``sum_m lambda_m * n * |stft(f_m, phi)(z)|^2``), read from the lag band
+    of H with no eigensolve, must equal the cyclic convolution of the mask
+    indicator with ``|stft(g, phi)|^2`` (the latter already carries one
+    factor of the cell measure), computed by 2-D FFTs.  Returns the maximum
     absolute difference over the lattice; expected < 1e-8.
     """
-    V = spec.eigenvectors
-    lhs = product_field(V * spec.eigenvalues, V.conj().T, phi)
+    lhs = product_field(spec.H, np.eye(spec.H.shape[0]), phi)
     return float(np.max(np.abs(lhs - _smooth(mask, _density(g, phi)))))
 
 

@@ -342,6 +342,7 @@ def test_threads_env_is_ignored(monkeypatch):
 
 
 def test_thread_pool_is_capped_at_the_trial_count(monkeypatch):
+    # and at the usable CPUs; the recording pool starts no thread
     sizes = []
 
     class RecordingPool:
@@ -359,11 +360,22 @@ def test_thread_pool_is_capped_at_the_trial_count(monkeypatch):
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
     pipeline = build_pipeline(SMALL)
+    workers = min(SMALL.trials, harness._usable_cpus())
     results, _ = harness.run_trials(pipeline, threads=64)
-    assert sizes == [SMALL.trials]
+    assert sizes == ([workers] if workers > 1 else [])
     assert [r.trial_index for r in results] == list(range(SMALL.trials))
     harness.run_trials(pipeline)
-    assert sizes == [SMALL.trials]
+    assert sizes == ([workers] if workers > 1 else [])
+    # two CPUs cap three trials at two workers; without an affinity call the
+    # CPU count is the cap
+    assert SMALL.trials == 3
+    sizes.clear()
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    harness.run_trials(pipeline, threads=64)
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    harness.run_trials(pipeline, threads=64)
+    assert sizes == [2, 2]
 
 
 def test_fmt_keeps_the_sign_of_infinity():

@@ -72,6 +72,12 @@ CLI_ROWS = {
     "sweep-axis-sigma": ["sweep", "--axis", "sigma", "--values", "1", "--n", "16"],
     "annulus-outer-disc-past-the-plane": ["simulate", "--n", "32", "--shape",
                                           "annulus:measure=30,hole=40"],
+    # inputs too large to allocate: 233 TiB is past the address space, so the
+    # allocation fails at once and uses no memory
+    "K-unallocatable": ["simulate", "--n", "16", *_DISC, "--K", "1000000000000",
+                        "--trials", "1"],
+    "sweep-K-unallocatable": ["sweep", "--axis", "K", "--values", "4,1000000000000",
+                              "--n", "16", *_DISC, "--trials", "1"],
 }
 
 # rows whose whole error line is pinned
@@ -112,7 +118,8 @@ def test_errors_defines_one_class_per_exit_code():
 
 @pytest.mark.parametrize(
     "exc, code, prefix",
-    [(ConfigurationError, 2, "error: "), (errors.NumericError, 3, "numeric error: ")],
+    [(ConfigurationError, 2, "error: "), (MemoryError, 2, "error: "),
+     (errors.NumericError, 3, "numeric error: ")],
 )
 def test_cli_maps_each_error_class_to_its_exit_code(exc, code, prefix, monkeypatch, capsys):
     def failing(scenario, out_dir):

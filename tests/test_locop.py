@@ -168,8 +168,10 @@ def test_spectrum_calls_eigh_only_when_eigenvectors_are_read(tmp_path, monkeypat
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
     n = 16
     g = make_window(TFGrid(n), "gaussian")
-    spec = _spec(disc_mask(TFGrid(n), 4.0), g)
+    disc = disc_mask(TFGrid(n), 4.0)
+    spec = _spec(disc, g)
     theta(spec, g)
+    theta_first_moment(spec, g, disc, g)
     harness.run_spectrum(harness.Scenario(n=n, shape="disc:measure=4"), tmp_path)
     assert calls == []
     assert spec.eigenvectors is spec.eigenvectors
