@@ -94,6 +94,9 @@ class Scenario:
         r_list = list(self.r_list)
         if not all(map(math.isfinite, r_list)) or r_list != sorted(r_list):
             raise ConfigurationError(f"r_list must be finite and ascending, got {r_list}")
+        # copysign, not < 0, so that -0 and its success_r_-0 column go too
+        if any(math.copysign(1.0, r) < 0 for r in r_list):
+            raise ConfigurationError(f"r_list must be non-negative, got {r_list}")
         # ascending radii give names in order, so a repeated name is adjacent
         columns = _success_columns(self.r_list)
         for earlier, column in zip(columns, columns[1:]):
@@ -258,21 +261,28 @@ def run_trial(
     estimate cells for artifact emission.  With ``drawn``, a (trials, at
     least K, n) array whose row ``[t, k]`` is realization k of trial t's
     stream, the trial takes ``drawn[trial_index, :K]`` instead of sampling.
+
+    A sigma large enough to overflow raises the NumericError of
+    :func:`estimator.estimate_mask`'s finite check, with no numpy warning.
     """
     sc = pipeline.scenario
     started = time.perf_counter()
     seed = trial_seed(sc.seed, trial_index)
-    if drawn is None:
-        batch = noise.sample_noise(
-            pipeline.grid, sc.count, sc.sigma, kind=sc.noise_kind, seed=seed
+    # errstate holds for the calling thread only, so each trial sets its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        if drawn is None:
+            batch = noise.sample_noise(
+                pipeline.grid, sc.count, sc.sigma, kind=sc.noise_kind, seed=seed
+            )
+        else:
+            batch = noise.NoiseBatch(
+                realizations=drawn[trial_index, : sc.count], kind=sc.noise_kind
+            )
+        if sc.noise_kind == noise.KIND_REAL:
+            batch = noise.complexify(batch)
+        avg = estimator.average_spectrogram(
+            noise.filter_batch(batch, pipeline.H), pipeline.recon
         )
-    else:
-        batch = noise.NoiseBatch(realizations=drawn[trial_index, : sc.count], kind=sc.noise_kind)
-    if sc.noise_kind == noise.KIND_REAL:
-        batch = noise.complexify(batch)
-    avg = estimator.average_spectrogram(
-        noise.filter_batch(batch, pipeline.H), pipeline.recon
-    )
     est = estimator.estimate_mask(avg)
     report = maskgeom.error_report(pipeline.truth, est.cells)
     success = tuple(report.containment_radius <= r for r in sc.r_list)
@@ -426,6 +436,10 @@ def run_sweep(
 ) -> list[dict]:
     """Sweep K or the mask measure; emit one summary row per value.
 
+    Each returned row holds the summary.csv fields of its value and, under
+    ``"results"``, the :class:`TrialResult` list its statistics come from,
+    in trial order.
+
     K leaves the truth, the windows and H unchanged, so its values share one
     pipeline and only its scenario is replaced; a measure sweep builds one
     pipeline per value.  Before the first value, the calling thread draws
@@ -457,11 +471,12 @@ def run_sweep(
     # holds the interpreter lock, so pool threads drawing at once wait on it
     grid = TFGrid(scenario.n)
     drawn = np.empty((scenario.trials, count, scenario.n), dtype=np.complex128)
-    for t, rows in enumerate(drawn):
-        rows[:] = noise.sample_noise(
-            grid, count, scenario.sigma, kind=scenario.noise_kind,
-            seed=trial_seed(scenario.seed, t),
-        ).realizations
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, rows in enumerate(drawn):
+            rows[:] = noise.sample_noise(
+                grid, count, scenario.sigma, kind=scenario.noise_kind,
+                seed=trial_seed(scenario.seed, t),
+            ).realizations
     summary_rows: list[dict] = []
     for value, pipeline in zip(values, pipelines):
         results, _ = run_trials(pipeline, threads, drawn=drawn)
@@ -477,6 +492,7 @@ def run_sweep(
                 "median_sym_diff": float(np.median(sym)),
                 "mean_ratio": float(ratios.mean()),
                 "success_rates": tuple(successes.mean(axis=0)),
+                "results": results,
             }
         )
 

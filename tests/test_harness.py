@@ -20,6 +20,7 @@ from maskrec.harness import (
     run_spectrum,
     run_sweep,
     run_trial,
+    run_trials,
     run_verify,
     scenario_from_mapping,
     trial_seed,
@@ -71,6 +72,7 @@ def test_scenario_validation():
     # integer fields take integers only: a float K used to fail late, inside sample_noise
     for bad in ({"sigma": float("nan")}, {"sigma": float("inf")}, {"seed": -1},
                 {"r_list": (0.2, float("nan"))}, {"r_list": (0.2, float("inf"))},
+                {"r_list": (-1.0, 2.0)}, {"r_list": (-0.0, 2.0)},
                 {"n": 32.0}, {"count": 4.5}, {"trials": 2.5}, {"seed": 7.5}):
         with pytest.raises(errors.ConfigurationError):
             Scenario(**bad)
@@ -411,34 +413,24 @@ def _sweep_pipeline(axis, value, scenario=SMALL):
     return build_pipeline(replace(scenario, shape=shape))
 
 
-def test_sweep_k_rows_match_separate_pipelines(tmp_path, monkeypatch):
+def test_sweep_k_rows_match_separate_pipelines(tmp_path):
     # every value of a sweep, on either axis and noise kind, gives each trial
     # the result a fresh run of that value's scenario gives it
-    swept = []
-    run_trials = harness.run_trials
-
-    def recording(*args, **kwargs):
-        results, extras = run_trials(*args, **kwargs)
-        swept.append(results)
-        return results, extras
-
-    monkeypatch.setattr(harness, "run_trials", recording)
     real = replace(SMALL, noise_kind="real")
     for scenario, axis, values in (
         (SMALL, "K", [2, 4, 8]), (real, "K", [4, 5, 8]), (SMALL, "measure", [4.0, 6.0]),
         (real, "measure", [4.0, 6.0]),
     ):
         for threads in (1, 2):
-            swept.clear()
             rows = run_sweep(scenario, axis, values, tmp_path, threads=threads)
-            assert len(swept) == len(values)
-            for value, row, got in zip(values, rows, swept):
+            assert len(rows) == len(values)
+            for value, row in zip(values, rows):
                 results, _ = run_trials(_sweep_pipeline(axis, value, scenario))
-                assert [replace(r, wall_time=0.0) for r in got] == [
+                assert [replace(r, wall_time=0.0) for r in row["results"]] == [
                     replace(r, wall_time=0.0) for r in results
                 ]
                 sym = [r.error.sym_diff_measure for r in results]
-                assert row["trials"] == len(results)
+                assert row["trials"] == len(row["results"]) == len(results)
                 assert row["mean_sym_diff"] == np.mean(sym)
                 assert row["median_sym_diff"] == np.median(sym)
                 assert row["mean_ratio"] == np.mean([r.error.ratio for r in results])
@@ -681,6 +673,26 @@ def test_cli_non_finite_samples_exit_3_without_a_csv(tmp_path, monkeypatch, caps
     assert code == 3
     assert "not finite" in capsys.readouterr().err
     assert not (tmp_path / "trials.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "16", "--shape", "disc:measure=2", "--K", "4", "--trials", "1",
+         "--sigma", "1e160"],
+        ["sweep", "--axis", "K", "--values", "4,8", "--n", "16", "--shape", "disc:measure=2",
+         "--trials", "1", "--sigma", "1e300"],
+        # overflows while the sweep draws, before any trial runs
+        ["sweep", "--axis", "K", "--values", "4,8", "--n", "16", "--shape", "disc:measure=2",
+         "--trials", "2", "--threads", "2", "--sigma", "1.7e308"],
+    ],
+)
+def test_cli_overflowing_sigma_exits_3_with_one_line(argv, tmp_path, capsys):
+    # numpy's overflow warnings stay inside the trial; the finite check on
+    # the average spectrogram reports the failure
+    assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric error: "), err
 
 
 def test_cli_requires_a_scenario():

@@ -21,6 +21,8 @@ CLI_ROWS = {
     "sigma-nan": ["simulate", *_SMALL, *_DISC, "--sigma", "nan"],
     "sigma-inf": ["simulate", *_SMALL, *_DISC, "--sigma", "inf"],
     "r-list-nan": ["simulate", *_SMALL, *_DISC, "--r-list", "nan"],
+    "r-list-negative": ["simulate", *_SMALL, *_DISC, "--r-list=-1,2"],
+    "r-list-negative-zero": ["simulate", *_SMALL, *_DISC, "--r-list=-0,2"],
     "annulus-cf-only": ["simulate", *_SMALL, "--shape", "annulus:measure=4,cf=2"],
     "seed-negative": ["simulate", *_SMALL, *_DISC, "--seed", "-1"],
     "verify-seed-negative": ["verify", "--sizes", "8", "--seed", "-1"],
