@@ -682,14 +682,19 @@ def test_cli_non_finite_samples_exit_3_without_a_csv(tmp_path, monkeypatch, caps
          "--sigma", "1e160"],
         ["sweep", "--axis", "K", "--values", "4,8", "--n", "16", "--shape", "disc:measure=2",
          "--trials", "1", "--sigma", "1e300"],
+        # overflows in pool threads, which do not inherit the caller's errstate
+        ["sweep", "--axis", "K", "--values", "4,8", "--n", "16", "--shape", "disc:measure=2",
+         "--trials", "2", "--threads", "2", "--sigma", "1e300"],
         # overflows while the sweep draws, before any trial runs
         ["sweep", "--axis", "K", "--values", "4,8", "--n", "16", "--shape", "disc:measure=2",
          "--trials", "2", "--threads", "2", "--sigma", "1.7e308"],
     ],
 )
-def test_cli_overflowing_sigma_exits_3_with_one_line(argv, tmp_path, capsys):
+def test_cli_overflowing_sigma_exits_3_with_one_line(argv, tmp_path, capsys, monkeypatch):
     # numpy's overflow warnings stay inside the trial; the finite check on
-    # the average spectrogram reports the failure
+    # the average spectrogram reports the failure.  Two usable CPUs, so
+    # --threads 2 runs a real two-worker pool on any host
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numeric error: "), err
