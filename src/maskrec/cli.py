@@ -64,10 +64,6 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
             flag, dest=key, action=_Once, default=argparse.SUPPRESS, help=_HELP.get(key)
         )
     parser.add_argument("--out-dir", action=_Once, default="out", help="artifact directory")
-    parser.add_argument(
-        "--threads", action=_Once, type=int, default=1,
-        help="worker threads (default 1; at most one per trial and per usable CPU)",
-    )
 
 
 def _scenario_from_args(args: argparse.Namespace) -> harness.Scenario:
@@ -102,21 +98,29 @@ def build_parser() -> argparse.ArgumentParser:
         "--values", action=_Once, required=True, help="comma-separated ascending axis values"
     )
 
+    for pooled in (p_sim, p_sweep):
+        pooled.add_argument(
+            "--threads", action=_Once, type=int, default=1,
+            help="worker threads (default 1; at most one per trial and per usable CPU)",
+        )
+
     p_spec = sub.add_parser("spectrum", help="eigenvalue profile of the operator")
     _add_scenario_args(p_spec)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument(
-        "--sizes", action=_Once, default="8,16,32", help="comma-separated grid sizes"
+        "--sizes", dest="ns", action=_Once, default=argparse.SUPPRESS,
+        type=lambda text: harness.parse_list("--sizes", text, int),
+        help="comma-separated grid sizes",
     )
-    p_verify.add_argument("--seed", action=_Once, type=int, default=20240901)
+    p_verify.add_argument("--seed", action=_Once, type=int, default=argparse.SUPPRESS)
     return parser
 
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify":
-        sizes = harness.parse_list("--sizes", args.sizes, int)
-        checks = harness.run_verify(ns=sizes, seed=args.seed)
+        given = {k: v for k, v in vars(args).items() if k in ("ns", "seed")}
+        checks = harness.run_verify(**given)
         failures = [c for c in checks if not c.passed]
         for check in checks:
             print(check.line())

@@ -3,8 +3,8 @@
 The estimator thresholds the average of the spectrograms of the filtered
 observations at one quarter of its maximum.  The threshold is relative, so
 the estimate is invariant under rescaling of the noise level: for a fixed
-seed the returned mask is bit-identical for every sigma.  Nothing in this
-module accepts a noise variance.
+seed the returned mask is bit-identical for every sigma in
+``noise.SIGMA_RANGE``.  Nothing in this module accepts a noise variance.
 """
 
 from __future__ import annotations

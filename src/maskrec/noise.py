@@ -12,7 +12,6 @@ batch exact (same seed, entries multiplied by sigma).
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -24,6 +23,10 @@ from .tfcore import TFGrid
 
 KIND_COMPLEX = "complex"
 KIND_REAL = "real"
+
+#: Accepted noise levels, inclusive.  Every sigma in [1e-150, 1e150] gives the masks
+#: of sigma = 1; at 1e-160 sigma^2 is subnormal, and from 1e153 rho can overflow.
+SIGMA_RANGE = (1e-100, 1e100)
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ def sample_noise(
     generator is re-keyed to ``(seed, k)`` (counter 0, empty buffer) before
     realization k, which draws the same numbers as a fresh generator with
     that key.  A count or seed that is not an integer, a seed outside
-    [0, 2**64) and a sigma that is not positive and finite raise
+    [0, 2**64) and a sigma outside :data:`SIGMA_RANGE` raise
     :class:`ConfigurationError`.
     """
     try:
@@ -63,8 +66,8 @@ def sample_noise(
         ) from None
     if count < 1:
         raise ConfigurationError(f"need at least one realization, got {count}")
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ConfigurationError(f"sigma must be positive and finite, got {sigma}")
+    if not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
+        raise ConfigurationError(f"sigma must be finite, in {list(SIGMA_RANGE)}, got {sigma}")
     if not 0 <= seed < 1 << 64:
         raise ConfigurationError(f"seed must be in [0, 2**64), got {seed}")
     if kind not in (KIND_COMPLEX, KIND_REAL):

@@ -124,7 +124,8 @@ def test_estimate_mask_bit_identical_across_sigma():
     mask = disc_mask(grid, 8.0)
     H = assemble_locop(mask, make_window(grid, "gaussian"))
     reference = None
-    for sigma in (0.1, 1.0, 10.0):
+    # the ends of noise.SIGMA_RANGE included
+    for sigma in (1e-100, 0.1, 1.0, 10.0, 1e100):
         batch = sample_noise(grid, 12, sigma, seed=43)
         est = estimate_mask(average_spectrogram(filter_batch(batch, H), phi))
         if reference is None:

@@ -20,6 +20,9 @@ _DISC = ["--shape", "disc:measure=2"]
 CLI_ROWS = {
     "sigma-nan": ["simulate", *_SMALL, *_DISC, "--sigma", "nan"],
     "sigma-inf": ["simulate", *_SMALL, *_DISC, "--sigma", "inf"],
+    # sigma^2 subnormal; an average spectrogram that overflows
+    "sigma-below-range": ["simulate", *_SMALL, *_DISC, "--sigma", "1e-160"],
+    "sigma-above-range": ["simulate", *_SMALL, *_DISC, "--sigma", "1e160"],
     "r-list-nan": ["simulate", *_SMALL, *_DISC, "--r-list", "nan"],
     "r-list-negative": ["simulate", *_SMALL, *_DISC, "--r-list=-1,2"],
     "r-list-negative-zero": ["simulate", *_SMALL, *_DISC, "--r-list=-0,2"],
@@ -63,6 +66,8 @@ CLI_ROWS = {
     "sweep-k-value-twice": ["sweep", "--axis", "K", "--values", "4,4", *_SMALL, *_DISC],
     "sweep-measure-value-twice": ["sweep", "--axis", "measure", "--values", "4,4", *_SMALL, *_DISC],
     "threads-repeated": ["simulate", *_SMALL, *_DISC, "--threads", "1", "--threads", "2"],
+    # spectrum runs no trial pool
+    "spectrum-threads": ["spectrum", *_SMALL, *_DISC, "--threads", "2"],
     "verify-size-twice": ["verify", "--sizes", "8,8"],
     "pgm-smaller-than-grid": ["simulate", *_SMALL, "--shape", "image:{tmp}/small.pgm"],
     "pgm-not-square": ["simulate", *_SMALL, "--shape", "image:{tmp}/wide.pgm"],

@@ -86,7 +86,12 @@ def test_sigma_scaling_is_exact():
     assert np.array_equal(b.realizations, 2.0 * a.realizations)
 
 
-@pytest.mark.parametrize("count,sigma", [(0, 1.0), (3, 0.0), (3, -1.0)])
+# the last two sigmas lie one step outside noise.SIGMA_RANGE
+@pytest.mark.parametrize(
+    "count,sigma",
+    [(0, 1.0), (3, 0.0), (3, -1.0),
+     (3, np.nextafter(1e-100, 0.0)), (3, np.nextafter(1e100, np.inf))],
+)
 def test_sample_rejects_bad_parameters(count, sigma):
     with pytest.raises(errors.ConfigurationError):
         sample_noise(GRID64, count, sigma)
