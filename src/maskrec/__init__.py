@@ -34,7 +34,7 @@ from .locop import (
     theta,
     theta_first_moment,
 )
-from .noise import NoiseBatch, complexify, eigen_coefficients, filter_batch, sample_noise
+from .noise import NoiseBatch, complexify, filter_batch, sample_noise
 from .estimator import (
     AvgSpectrogram,
     MaskEstimate,

@@ -305,10 +305,16 @@ def run_trials(
     usable CPU; ordered merge.
 
     Every trial takes its realizations from ``drawn`` as :func:`run_trial` does.
+    A truth with no boundary, the full plane or the empty mask, would score
+    every trial inf, so it raises :class:`ConfigurationError`.
     """
     sc = pipeline.scenario
     if threads < 1:
         raise ConfigurationError(f"thread count must be >= 1, got {threads}")
+    if pipeline.truth.perimeter == 0:
+        raise ConfigurationError(
+            f"shape {sc.shape!r} has no boundary, so every containment radius and ratio is inf"
+        )
     workers = min(threads, sc.trials, _usable_cpus())
     indices = range(sc.trials)
 
@@ -636,7 +642,7 @@ def run_verify(
         reg_lhs, reg_rhs = locop.regularization_defect(disc, g, phi)
         reg_lhs2, reg_rhs2 = locop.regularization_defect(disc, g2, phi)
         batch = noise.sample_noise(grid, 10, 1.0, seed=seed + n)
-        coeffs = noise.eigen_coefficients(batch, spec)
+        coeffs = batch.realizations @ np.conj(spec.eigenvectors)
         estimates = [
             estimator.estimate_mask(
                 estimator.average_spectrogram(

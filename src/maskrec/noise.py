@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .locop import LocOpSpectrum
 from .tfcore import TFGrid
 
 KIND_COMPLEX = "complex"
@@ -121,14 +120,3 @@ def filter_batch(batch: NoiseBatch, H: np.ndarray) -> np.ndarray:
         )
     return batch.realizations @ H.T
 
-
-def eigen_coefficients(batch: NoiseBatch, spec: LocOpSpectrum) -> np.ndarray:
-    """Coefficients alpha[k, m] = <N_k, f_m> against the eigenvector basis.
-
-    For unit-variance complex noise the coefficients are independent
-    standard complex Gaussians; their squared moduli sum to ||N_k||^2
-    (Parseval for the orthonormal basis).
-    """
-    if spec.H.shape[0] != batch.realizations.shape[1]:
-        raise ConfigurationError("spectrum grid does not match batch length")
-    return batch.realizations @ np.conj(spec.eigenvectors)

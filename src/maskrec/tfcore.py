@@ -96,10 +96,10 @@ class TFGrid:
 class Window:
     """A unit-norm analysis/synthesis window.
 
-    ``samples`` must be finite with l2 norm 1 within 1e-12; use
-    :func:`make_window` or :func:`custom_window` to construct one.  The
-    samples are a read-only copy, so the lag plan cached on the window never
-    goes stale.
+    ``samples`` must be finite with l2 norm 1 within 1e-12: build a stock
+    window with :func:`make_window`, or pass ``v / np.linalg.norm(v)`` for
+    samples ``v`` of your own.  The samples are a read-only copy, so the lag
+    plan cached on the window never goes stale.
     """
 
     samples: np.ndarray
@@ -162,28 +162,6 @@ def make_window(grid: TFGrid, label: str) -> Window:
         samples = samples * t**2
     samples = samples / np.linalg.norm(samples)
     return Window(samples=samples.astype(np.complex128))
-
-
-def custom_window(samples: np.ndarray) -> Window:
-    """Wrap user-supplied samples as a window, scaled to unit norm.
-
-    Wrap samples that are already unit-norm with :class:`Window` instead.
-    """
-    samples = np.asarray(samples, dtype=np.complex128)
-    if not np.all(np.isfinite(samples)):
-        # before the norm, which a NaN or inf would spread to every sample
-        raise ConfigurationError("window samples must be finite")
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(samples)
-    if norm == 0 or not np.isfinite(norm):
-        # the squared norm under- or overflowed: scale the largest part to 1
-        peak = np.max(np.abs([samples.real, samples.imag]), initial=0.0)
-        if peak == 0:
-            raise ConfigurationError("cannot normalize a zero window")
-        # part by part: a complex division by a subnormal peak overflows
-        samples = samples.real / peak + 1j * (samples.imag / peak)
-        norm = np.linalg.norm(samples)
-    return Window(samples=samples / norm)
 
 
 def tf_shift(f: np.ndarray, z: tuple[int, int]) -> np.ndarray:

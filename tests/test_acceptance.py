@@ -25,7 +25,7 @@ from maskrec.locop import (
     theta_first_moment,
 )
 from maskrec.maskgeom import Mask, disc_mask, make_mask, measure
-from maskrec.noise import eigen_coefficients, filter_batch, sample_noise
+from maskrec.noise import filter_batch, sample_noise
 from maskrec.tfcore import TFGrid, make_window
 
 # Calibrated containment radii (continuous units) for the Figure-1 scale
@@ -135,7 +135,7 @@ def test_c05_noise_eigen_expansion():
     spec = spectrum(H, measure(mask))
     batch = sample_noise(grid, 10, 1.0, seed=1005)
     filtered = filter_batch(batch, H)
-    coeffs = eigen_coefficients(batch, spec)
+    coeffs = batch.realizations @ np.conj(spec.eigenvectors)
     rebuilt = (coeffs * spec.eigenvalues) @ spec.eigenvectors.T
     worst = float(np.max(np.abs(filtered - rebuilt)))
     _report(5, "noise eigen-expansion", worst < 1e-9,

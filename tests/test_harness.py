@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -702,3 +703,12 @@ def test_cli_verify_exit_zero(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "PASS tfcore.isometry[n=8]" in out
+
+
+def test_the_readme_library_block_runs(capsys):
+    # the one python block of README.md, as written: it pins the top-level names it imports
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("ErrorReport(")

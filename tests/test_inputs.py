@@ -35,6 +35,10 @@ CLI_ROWS = {
     "disc-measure-nan": ["simulate", *_SMALL, "--shape", "disc:measure=nan"],
     "disc-measure-abc": ["simulate", *_SMALL, "--shape", "disc:measure=abc"],
     "shape-blank": ["simulate", *_SMALL, "--shape", " "],
+    # no boundary: every containment radius and ratio would be inf
+    "shape-full": ["simulate", *_SMALL, "--shape", "full"],
+    "shape-empty": ["simulate", *_SMALL, "--shape", "empty"],
+    "sweep-measure-full-plane": ["sweep", "--axis", "measure", "--values", "4,16", *_SMALL, *_DISC],
     "config-shape-blank": ["simulate", "--config", "{tmp}/blank_shape.cfg"],
     "sweep-values-nan": ["sweep", "--axis", "measure", "--values", "1,nan", *_SMALL, *_DISC],
     "r-list-letters": ["simulate", *_SMALL, *_DISC, "--r-list", "a,b"],
@@ -90,6 +94,9 @@ CLI_ROWS = {
 # rows whose whole error line is pinned
 ERROR_LINES = {
     "annulus-outer-disc-past-the-plane": "error: disc measure 70.0 outside [0, 32.0]",
+    "sweep-measure-full-plane": (
+        "error: shape 'disc:measure=16' has no boundary, so every containment radius and ratio is inf"
+    ),
 }
 
 
@@ -108,6 +115,7 @@ def test_malformed_input_exits_2_with_one_error_line(row, tmp_path, capsys):
     if argv[0] != "verify":
         argv += ["--out-dir", str(tmp_path / "out")]
     assert cli.main(argv) == 2
+    assert not list(tmp_path.glob("out/*.csv"))
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert err[0] == ERROR_LINES.get(row, err[0])

@@ -58,27 +58,6 @@ def test_unknown_window_label():
         make_window(TFGrid(16), "hann")
 
 
-def test_custom_window_normalizes():
-    w = tfcore.custom_window(np.ones(16))
-    assert abs(np.linalg.norm(w.samples) - 1.0) < 1e-12
-    with pytest.raises(errors.ConfigurationError):
-        tfcore.custom_window(np.zeros(16))
-
-
-@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310])
-def test_custom_window_normalizes_huge_and_tiny_samples(scale):
-    # the plain squared norm overflows to inf or underflows to 0 here
-    w = tfcore.custom_window(np.full(8, scale))
-    assert abs(np.linalg.norm(w.samples) - 1.0) < 1e-15
-    assert np.max(np.abs(w.samples - np.full(8, 8**-0.5))) < 1e-15
-
-
-def test_custom_window_keeps_the_plain_normalization():
-    samples = np.random.default_rng(2).standard_normal(16) + 0.5j
-    w = tfcore.custom_window(samples)
-    assert np.array_equal(w.samples, samples / np.linalg.norm(samples))
-
-
 def test_window_rejects_bad_norm():
     with pytest.raises(errors.ConfigurationError):
         tfcore.Window(samples=np.ones(8))
@@ -90,16 +69,12 @@ def test_window_and_custom_window_reject_non_finite_samples(bad):
     samples[3] = bad
     with pytest.raises(errors.ConfigurationError, match="finite"):
         tfcore.Window(samples=samples)
-    with pytest.raises(errors.ConfigurationError, match="finite"):
-        tfcore.custom_window(samples)
 
 
 @pytest.mark.parametrize("samples", [np.ones(1), np.ones(3) / np.sqrt(3)])
 def test_window_and_custom_window_reject_fewer_than_4_samples(samples):
     with pytest.raises(errors.ConfigurationError, match="at least 4"):
         tfcore.Window(samples=samples)
-    with pytest.raises(errors.ConfigurationError, match="at least 4"):
-        tfcore.custom_window(samples)
 
 
 def test_window_samples_are_a_read_only_copy():
@@ -334,7 +309,7 @@ def test_product_field_and_mask_operator_shape_mismatch():
 def _windows(n, rng):
     """The Gaussian and a random complex window of length n."""
     noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return make_window(TFGrid(n), "gaussian"), tfcore.custom_window(noise)
+    return make_window(TFGrid(n), "gaussian"), tfcore.Window(noise / np.linalg.norm(noise))
 
 
 @pytest.mark.parametrize("n", [9, 15, 16])
@@ -439,7 +414,8 @@ def test_lag_plan_positions_and_translates_equal_the_gathered_oracles():
     # the window's values; a random complex window is the most general plan
     rng = np.random.default_rng(60)
     for n in range(16, 513):
-        g = tfcore.custom_window(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        g = tfcore.Window(v / np.linalg.norm(v))
         index, transposed, P = gather_lag_plan(g)
         assert np.array_equal(g.lag_plan, P), n
         got_index, got_transposed = tfcore._lag_positions(n)
