@@ -28,11 +28,9 @@ from .locop import (
     ambiguity_moment,
     assemble_locop,
     check_largeness,
-    double_orthogonality_defect,
     plateau_violations,
     spectrum,
     theta,
-    theta_first_moment,
 )
 from .noise import NoiseBatch, complexify, filter_batch, sample_noise
 from .estimator import (
@@ -41,7 +39,8 @@ from .estimator import (
     average_spectrogram,
     estimate_mask,
 )
-from .harness import PRESETS, Scenario, run_simulate, run_spectrum, run_sweep, run_verify
+from .harness import PRESETS, Scenario, run_simulate, run_spectrum, run_sweep
+from .verify import double_orthogonality_defect, run_verify, theta_first_moment
 
 __version__ = "0.1.0"
 

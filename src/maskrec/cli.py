@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .errors import ConfigurationError, NumericError
-from . import harness
+from . import harness, verify
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify":
         given = {k: v for k, v in vars(args).items() if k in ("ns", "seed")}
-        checks = harness.run_verify(**given)
+        checks = verify.run_verify(**given)
         failures = [c for c in checks if not c.passed]
         for check in checks:
             print(check.line())

@@ -1,4 +1,4 @@
-"""Scenario configuration, Monte Carlo trial orchestration, and verification.
+"""Scenario configuration, Monte Carlo trial orchestration and output files.
 
 Reproducibility contract: a (scenario, seed) pair fully determines every
 emitted mask and every numeric CSV cell except wall_time.  Each trial owns
@@ -105,21 +105,6 @@ class Scenario:
                 raise ConfigurationError(
                     f"r_list values {r_list} give the CSV column {column!r} twice"
                 )
-
-
-#: Mask bank exercised by the spectrum/plateau checks: a mix of shapes that
-#: genuinely satisfy the largeness condition (full plane, wide bands, the
-#: plane with a small hole) and disc scenarios that do not but are kept for
-#: reporting.
-SPECTRUM_BANK: tuple[tuple[str, int, str], ...] = (
-    ("full-64", 64, "full"),
-    ("band-96-128", 128, "rect:x0=0,f0=0,w=128,h=96"),
-    ("band-160-256", 256, "rect:x0=0,f0=0,w=256,h=160"),
-    ("holey-plane-64", 64, "not:disc:measure=4"),
-    ("holey-plane-128", 128, "not:disc:measure=8"),
-    ("figure1-disc-256", 256, "disc:measure=100"),
-    ("disc-8-64", 64, "disc:measure=8"),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -354,23 +339,20 @@ def _write_csv(path: Path, columns: list[str], rows: list[list], comments: list[
     path.write_text("\n".join(lines) + "\n")
 
 
-def _output_dir(out_dir: str | Path) -> Path:
-    """Create the output directory; a path that cannot be one is a ConfigurationError."""
-    out = Path(out_dir)
+@contextmanager
+def _writing(out: Path):
+    """Create the directory ``out``, then yield ``write(path, writer, *args)``,
+    which calls ``writer(path, *args)``.
+
+    The directory is made only once a run has its results, so a rejected
+    run leaves none behind.  A directory that cannot be made, or a file
+    under it that cannot be written, is a ConfigurationError naming it; the
+    files written before a failed one are removed first.
+    """
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {str(out)!r}: {exc}") from exc
-    return out
-
-
-@contextmanager
-def _writing(out: Path):
-    """Yield ``write(path, writer, *args)``, which calls ``writer(path, *args)``.
-
-    A file under ``out`` that cannot be written is a ConfigurationError
-    naming it, raised after the files written before it are removed.
-    """
     written: list[Path] = []
 
     def write(path: Path, writer, *args):
@@ -391,7 +373,6 @@ def run_simulate(
     scenario: Scenario, out_dir: str | Path, threads: int = 1
 ) -> list[TrialResult]:
     """Run the scenario and emit trials.csv plus first-trial PGM artifacts."""
-    out = _output_dir(out_dir)
     pipeline = build_pipeline(scenario)
     results, extras = run_trials(pipeline, threads)
 
@@ -409,7 +390,7 @@ def run_simulate(
             + list(r.success_at_r)
             + [r.max_rho, r.wall_time]
         )
-    truth, est_cells = pipeline.truth.cells, extras["estimate"]
+    out, truth, est_cells = Path(out_dir), pipeline.truth.cells, extras["estimate"]
     with _writing(out) as write:
         write(out / "trials.csv", _write_csv, columns, rows)
         write(out / "truth.pgm", maskgeom.write_mask_pgm, truth)
@@ -449,7 +430,6 @@ def run_sweep(
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ConfigurationError("sweep values must be strictly ascending")
-    out = _output_dir(out_dir)
 
     if axis == "K":
         # every K is validated before anything runs: the drawn array is sized from them
@@ -505,6 +485,7 @@ def run_sweep(
     comments = []
     if axis == "K" and len(summary_rows) >= 2:
         comments.append(f"# diagnostic: {_failure_decay_comment(summary_rows)}")
+    out = Path(out_dir)
     with _writing(out):
         _write_csv(out / "summary.csv", columns, rows, comments=comments)
     return summary_rows
@@ -527,7 +508,6 @@ def _failure_decay_comment(summary_rows: list[dict]) -> str:
 
 def run_spectrum(scenario: Scenario, out_dir: str | Path) -> Path:
     """Eigenvalue profile of the scenario's operator, with plateau columns."""
-    out = _output_dir(out_dir)
     pipeline = build_pipeline(scenario)
     omega = maskgeom.measure(pipeline.truth)
     spec = locop.spectrum(pipeline.H, omega)
@@ -542,215 +522,9 @@ def run_spectrum(scenario: Scenario, out_dir: str | Path) -> Path:
          largeness.lhs, largeness.rhs, violations]
         for m in range(spec.eigenvalues.size)
     ]
+    out = Path(out_dir)
     path = out / "spectrum.csv"
     with _writing(out):
         _write_csv(path, columns, rows)
     return path
 
-
-# ---------------------------------------------------------------------------
-# Verification suite
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    defect: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.defect <= self.tolerance
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status} {self.name}: defect={self.defect:.3e} tol={self.tolerance:.3e}"
-
-
-#: Share of the cells inside a random verify mask.
-_RANDOM_FILL = 0.2
-
-#: Number of points z at which the reproducing identity is checked.
-_REPRODUCING_POINTS = 12
-
-
-def _random_mask(grid: TFGrid, rng: np.random.Generator) -> Mask:
-    cells = rng.random((grid.n, grid.n)) < _RANDOM_FILL
-    return Mask(cells)
-
-
-def _reproducing_defect(g: Window, rng: np.random.Generator) -> float:
-    """Brute-force kernel-sum check of the lattice reproducing identity."""
-    grid = g.grid
-    n = grid.n
-    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    V = tfcore.stft(f, g)
-    # all time-frequency shifts of g, flattened as pi(x, xi) -> row x*n+xi
-    t = np.arange(n)
-    phases = np.exp(2j * np.pi * np.outer(t, t) / n)  # [xi, t]
-    shifts = np.einsum("xt,ft->xft", tfcore.translates(g), phases).reshape(n * n, n)
-    worst = 0.0
-    zs = rng.integers(0, n, size=(_REPRODUCING_POINTS, 2))
-    for zx, zf in zs:
-        pz = tfcore.tf_shift(g.samples, (int(zx), int(zf)))
-        kernel = shifts @ np.conj(pz)  # K(z, w) over all w
-        total = np.dot(V.ravel(), kernel) * grid.cell_measure
-        worst = max(worst, abs(total - V[zx, zf]))
-    return worst
-
-
-def run_verify(
-    ns: tuple[int, ...] = (8, 16, 32),
-    seed: int = 20240901,
-) -> list[CheckResult]:
-    """Run every module invariant at oracle-speed sizes."""
-    if not ns:
-        raise ConfigurationError("verify needs at least one size")
-    if len(set(ns)) != len(ns):
-        raise ConfigurationError(f"verify sizes must not repeat, got {list(ns)}")
-    for n in ns:
-        if not 8 <= n <= 64:
-            raise ConfigurationError(f"verify sizes must lie in [8, 64], got {n}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    # size n draws its noise with the Philox key seed + n, below 2**64
-    if seed + max(ns) >= 1 << 64:
-        raise ConfigurationError(f"seed + n must be below 2**64, got seed {seed}")
-    checks: list[CheckResult] = []
-    rng = np.random.default_rng(seed)
-
-    for n in ns:
-        # shared objects; the rng draws keep their order: signals, G, the
-        # reproducing check, then the four random masks
-        grid = TFGrid(n)
-        g = phi = make_window(grid, tfcore.WINDOW_GAUSSIAN)
-        g2 = make_window(grid, tfcore.WINDOW_GAUSSIAN_T2)
-        signals = rng.standard_normal((100, n)) + 1j * rng.standard_normal((100, n))
-        f = signals[0]
-        F = tfcore.stft(f, g)
-        z0 = (n // 3, (2 * n) // 3)
-        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        # the brute-force kernel sum runs at n <= 32 only
-        reproducing = _reproducing_defect(g, rng) if n <= 32 else None
-        rand_mask, a, b, c = (_random_mask(grid, rng) for _ in range(4))
-        disc = maskgeom.disc_mask(grid, grid.plane_measure / 8)
-        H = locop.assemble_locop(disc, g)
-        spec = locop.spectrum(H, maskgeom.measure(disc))
-        grown = maskgeom.dilate(disc, 2.5 * grid.cell_side)
-        spec_grown = locop.spectrum(locop.assemble_locop(grown, g), maskgeom.measure(grown))
-        th = locop.theta(spec, phi).values
-        reg_lhs, reg_rhs = locop.regularization_defect(disc, g, phi)
-        reg_lhs2, reg_rhs2 = locop.regularization_defect(disc, g2, phi)
-        batch = noise.sample_noise(grid, 10, 1.0, seed=seed + n)
-        coeffs = batch.realizations @ np.conj(spec.eigenvectors)
-        estimates = [
-            estimator.estimate_mask(
-                estimator.average_spectrogram(
-                    noise.filter_batch(noise.sample_noise(grid, 8, sigma, seed=seed + n), H),
-                    phi,
-                )
-            ).cells
-            for sigma in (0.1, 1.0, 10.0)
-        ]
-        sym_ab, sym_ba, sym_ac, sym_bc = (
-            maskgeom.error_report(p, q.cells).sym_diff_measure
-            for p, q in ((a, b), (b, a), (a, c), (b, c))
-        )
-
-        rows = [
-            ("tfcore.isometry", 1e-10, float(np.max(np.abs(
-                np.sum(np.abs(tfcore.stft(signals, g)) ** 2, axis=(1, 2))
-                - np.sum(np.abs(signals) ** 2, axis=1)
-            )))),
-            ("tfcore.covariance", 1e-10, float(np.max(np.abs(
-                np.abs(tfcore.stft(tfcore.tf_shift(f, z0), g))
-                - np.abs(np.roll(F, z0, axis=(0, 1)))
-            )))),
-            ("tfcore.adjoint", 1e-10, float(abs(
-                np.sum(F * np.conj(G)) - np.sum(f * np.conj(tfcore.istft(G, g)))
-            ))),
-            ("tfcore.reproducing", 1e-9, reproducing),
-            ("locop.trace", 1e-9, max(
-                abs(float(np.trace(h).real) - maskgeom.measure(mask))
-                for mask, h in ((disc, H), (rand_mask, locop.assemble_locop(rand_mask, g)))
-            )),
-            ("locop.eigenvector_gram", 1e-9, float(np.max(np.abs(
-                spec.eigenvectors.conj().T @ spec.eigenvectors - np.eye(n)
-            )))),
-            ("locop.eigenvalue_sum", 1e-9,
-             abs(float(spec.eigenvalues.sum()) - spec.omega_measure)),
-            ("locop.monotonicity", 1e-9,
-             float(np.max(spec.eigenvalues - spec_grown.eigenvalues))),
-            ("locop.double_orth", 1e-8,
-             locop.double_orthogonality_defect(spec, disc, g, m_max=8)),
-            ("locop.first_moment", 1e-8, locop.theta_first_moment(spec, phi, disc, g)),
-            ("locop.theta_bounds", 1e-9, max(
-                float(th.max()) - 1.0,
-                float(th.sum() * grid.cell_measure) - spec.omega_measure,
-                0.0,
-            )),
-            ("locop.theta_l1_bound", 0.0,
-             float(np.sum(np.abs(disc.cells - th)) * grid.cell_measure)
-             - 2.0 * locop.ambiguity_moment(g, phi) * maskgeom.perimeter(disc)),
-            ("locop.far_field", 1e-8, locop.far_field_defect(spec, disc, g, phi)),
-            ("locop.regularization", 0.0, reg_lhs - 1.1 * reg_rhs),
-            ("locop.regularization_t2", 0.0, reg_lhs2 - 1.1 * reg_rhs2),
-            ("noise.parseval", 1e-9, float(np.max(np.abs(
-                np.sum(np.abs(coeffs) ** 2, axis=1)
-                - np.sum(np.abs(batch.realizations) ** 2, axis=1)
-            )))),
-            ("noise.eigen_expansion", 1e-9, float(np.max(np.abs(
-                noise.filter_batch(batch, H)
-                - (coeffs * spec.eigenvalues) @ spec.eigenvectors.T
-            )))),
-            ("noise.sigma_scaling", 0.0, float(np.max(np.abs(
-                noise.sample_noise(grid, 10, 2.0, seed=seed + n).realizations
-                - 2.0 * batch.realizations
-            )))),
-            ("estimator.sigma_invariance", 0.0,
-             0.0 if all(np.array_equal(e, estimates[0]) for e in estimates) else 1.0),
-            ("maskgeom.geometry", 1e-12, max(
-                abs(maskgeom.perimeter(maskgeom.rect_mask(grid, 1, 2, 3, 2))
-                    - 2 * (3 + 2) * grid.cell_side),
-                abs(sym_ab - sym_ba),
-                sym_ac - (sym_ab + sym_bc),
-            )),
-        ]
-        checks += [
-            CheckResult(f"{name}[n={n}]", defect, tolerance)
-            for name, tolerance, defect in rows
-            if defect is not None
-        ]
-
-    # empty-mask scenario passes operator checks with a zero spectrum
-    grid = TFGrid(ns[0])
-    g = make_window(grid, tfcore.WINDOW_GAUSSIAN)
-    empty = Mask(np.zeros((grid.n, grid.n), bool))
-    H0 = locop.assemble_locop(empty, g)
-    spec0 = locop.spectrum(H0, 0.0)
-    checks.append(
-        CheckResult(
-            "locop.empty_mask",
-            max(float(np.max(np.abs(H0))), float(spec0.eigenvalues.max())),
-            1e-12,
-        )
-    )
-
-    # plateau on small bank members that satisfy the largeness condition
-    for name, n, shape in SPECTRUM_BANK:
-        if n > max(ns):
-            continue
-        grid = TFGrid(n)
-        mask = make_mask(grid, shape)
-        g = make_window(grid, tfcore.WINDOW_GAUSSIAN)
-        largeness = locop.check_largeness(mask, g)
-        if not largeness.passed:
-            continue
-        spec = locop.spectrum(locop.assemble_locop(mask, g), maskgeom.measure(mask))
-        checks.append(
-            CheckResult(
-                f"locop.plateau[{name}]", float(locop.plateau_violations(spec)), 0.0
-            )
-        )
-
-    return checks

@@ -1,4 +1,4 @@
-"""Time-frequency localization operators and their spectral diagnostics.
+"""Time-frequency localization operators, their spectra and the field theta.
 
 ``assemble_locop`` realizes the analyze -> mask -> synthesize map as an
 n x n Hermitian matrix.  On the full lattice the analysis map is an
@@ -6,7 +6,8 @@ isometry, so the operator is positive semidefinite with eigenvalues in
 [0, 1] and trace equal to the mask measure, exactly.
 
 :func:`spectrum` computes the eigenvalues only; the eigenvectors are
-computed on first read, by the diagnostics that check the eigenbasis.
+computed on first read, by the ``maskrec verify`` rows that check the
+eigenbasis.
 
 The auxiliary field computed by :func:`theta` is the noise-free profile the
 average of the observed spectrograms concentrates around: the lattice
@@ -24,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .maskgeom import Mask, distance_field, measure, perimeter
+from .maskgeom import Mask, measure, perimeter
 from .tfcore import Window, mask_operator, offset_distances, product_field, stft
 
 _EIG_RANGE_TOL = 1e-8
@@ -139,47 +140,6 @@ def _density(g: Window, phi: Window) -> np.ndarray:
     return np.abs(stft(g.samples, phi)) ** 2
 
 
-def _smooth(mask: Mask, q: np.ndarray) -> np.ndarray:
-    """Cyclic convolution of the mask indicator with the kernel q."""
-    chi = mask.cells.astype(float)
-    return np.real(np.fft.ifft2(np.fft.fft2(chi) * np.fft.fft2(q)))
-
-
-def theta_first_moment(
-    spec: LocOpSpectrum, phi: Window, mask: Mask, g: Window
-) -> float:
-    """Defect of the first-moment identity, computed by two independent routes.
-
-    The field of H, ``<H pi(z)phi, pi(z)phi>`` (equal to
-    ``sum_m lambda_m * n * |stft(f_m, phi)(z)|^2``), read from the lag band
-    of H with no eigensolve, must equal the cyclic convolution of the mask
-    indicator with ``|stft(g, phi)|^2`` (the latter already carries one
-    factor of the cell measure), computed by 2-D FFTs.  Returns the maximum
-    absolute difference over the lattice; expected < 1e-8.
-    """
-    lhs = product_field(spec.H, np.eye(spec.H.shape[0]), phi)
-    return float(np.max(np.abs(lhs - _smooth(mask, _density(g, phi)))))
-
-
-def double_orthogonality_defect(
-    spec: LocOpSpectrum, mask: Mask, g: Window, m_max: int
-) -> float:
-    """Defect of sum_{z in mask} stft(f_m)(z) conj(stft(f_n)(z)) = lambda_m delta_mn.
-
-    The lattice sum over the mask (counting norm) carries the cell measure
-    through the transform normalization, so it reproduces the eigenvalues
-    exactly.  Returns the max absolute defect over m, n <= m_max.
-    """
-    n = spec.H.shape[0]
-    if m_max > n:
-        raise ConfigurationError(f"m_max {m_max} exceeds grid size {n}")
-    transforms = stft(spec.eigenvectors.T[:m_max], g)
-    gram = np.einsum(
-        "mxf,nxf->mn", transforms * mask.cells[None], np.conj(transforms)
-    )
-    return float(np.max(np.abs(gram - np.diag(spec.eigenvalues[:m_max]))))
-
-
 def ambiguity_moment(f: Window, window: Window) -> float:
     """First absolute moment of the cross-ambiguity density of two windows.
 
@@ -213,45 +173,3 @@ def plateau_violations(spec: LocOpSpectrum) -> int:
         return 0
     m_half = min(m_half, spec.eigenvalues.size)
     return int(np.count_nonzero(spec.eigenvalues[:m_half] < 0.75))
-
-
-def far_field_defect(
-    spec: LocOpSpectrum, mask: Mask, g: Window, phi: Window
-) -> float:
-    """Max violation of the pointwise tail bound on |chi - theta|.
-
-    For each cell z let R_z be the torus distance to the nearest
-    opposite-value cell; then ``|chi(z) - theta(z)|`` is bounded by four
-    times the mass of |stft(g, phi)|^2 outside radius R_z.  Returns the
-    maximum of (left side - right side); values <= 0 mean the bound holds.
-    """
-    th = theta(spec, phi).values
-    chi = mask.cells.astype(float)
-    inside = distance_field(~mask.cells)
-    outside = distance_field(mask.cells)
-    radius = np.where(mask.cells, inside, outside)
-
-    q = _density(g, phi)
-    dist = offset_distances(mask.grid)
-    order = np.argsort(dist.ravel(), kind="stable")
-    sorted_dist = dist.ravel()[order]
-    # tail(R) = mass at offsets with |z| >= R
-    suffix = np.concatenate([np.cumsum(q.ravel()[order][::-1])[::-1], [0.0]])
-
-    idx = np.searchsorted(sorted_dist, radius.ravel(), side="left")
-    tails = suffix[idx].reshape(radius.shape)
-    return float(np.max(np.abs(chi - th) - 4.0 * tails))
-
-
-def regularization_defect(mask: Mask, g: Window, phi: Window) -> tuple[float, float]:
-    """L1 distance between the smoothed and raw indicators, with its bound.
-
-    Returns ``(lhs, rhs)`` where lhs = ||chi * psi - chi||_1 for the
-    unit-mass smoothing kernel psi = |stft(g, phi)|^2 and
-    rhs = moment(g, phi) * perimeter.  The bound holds exactly on the
-    lattice; callers compare with a small slack for grid effects.
-    """
-    q = _density(g, phi)
-    defect = _smooth(mask, q) - q.sum() * mask.cells
-    lhs = float(np.sum(np.abs(defect)) * mask.grid.cell_measure)
-    return lhs, ambiguity_moment(g, phi) * perimeter(mask)

@@ -14,19 +14,18 @@ import numpy as np
 import pytest
 
 from maskrec import estimator, harness, locop, maskgeom, noise, tfcore
-from maskrec.harness import PRESETS, SPECTRUM_BANK, Scenario, build_pipeline, run_trials
+from maskrec.harness import PRESETS, Scenario, build_pipeline, run_trials
 from maskrec.locop import (
     assemble_locop,
     check_largeness,
-    double_orthogonality_defect,
     plateau_violations,
     spectrum,
     theta,
-    theta_first_moment,
 )
 from maskrec.maskgeom import Mask, disc_mask, make_mask, measure
 from maskrec.noise import filter_batch, sample_noise
 from maskrec.tfcore import TFGrid, make_window
+from maskrec.verify import SPECTRUM_BANK, double_orthogonality_defect, theta_first_moment
 
 # Calibrated containment radii (continuous units) for the Figure-1 scale
 # scenarios: at K = 20 the quarter-max threshold admits occasional interior

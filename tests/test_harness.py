@@ -22,10 +22,10 @@ from maskrec.harness import (
     run_sweep,
     run_trial,
     run_trials,
-    run_verify,
     scenario_from_mapping,
     trial_seed,
 )
+from maskrec.verify import run_verify
 
 SMALL = Scenario(
     n=32, shape="disc:measure=6", count=6, trials=3, seed=99,
@@ -596,10 +596,10 @@ def test_verify_corrupted_window_fails_isometry(monkeypatch):
 _WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None
-from maskrec import harness
+from maskrec import harness, verify
 
 results = harness.run_simulate(harness.Scenario(n=32, count=6, trials=2), sys.argv[1])
-checks = harness.run_verify(ns=(8,))
+checks = verify.run_verify(ns=(8,))
 assert len(results) == 2, results
 assert checks and all(c.passed for c in checks), [c.line() for c in checks]
 loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod]

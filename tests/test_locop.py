@@ -3,19 +3,18 @@ import pytest
 from scipy.special import gammainc
 from scipy.stats import poisson
 
-from maskrec import errors, locop
+from maskrec import errors, locop, verify
 from maskrec.locop import (
     ambiguity_moment,
     assemble_locop,
     check_largeness,
-    double_orthogonality_defect,
     plateau_violations,
     spectrum,
     theta,
-    theta_first_moment,
 )
 from maskrec.maskgeom import Mask, disc_mask, measure, perimeter
 from maskrec.tfcore import TFGrid, make_window, product_field, tf_shift
+from maskrec.verify import double_orthogonality_defect, theta_first_moment
 
 from helpers import brute_locop, brute_stft, full_product_theta, random_cells
 
@@ -476,7 +475,7 @@ def test_far_field_tail_bound():
     grid = TFGrid(n)
     g = make_window(grid, "gaussian")
     mask = disc_mask(grid, 8.0)
-    defect = locop.far_field_defect(_spec(mask, g), mask, g, g)
+    defect = verify.far_field_defect(_spec(mask, g), mask, g, g)
     assert defect <= 1e-8
 
 
@@ -487,5 +486,5 @@ def test_regularization_bound_with_slack(model_label):
     g = make_window(grid, model_label)
     phi = make_window(grid, "gaussian")
     mask = disc_mask(grid, 8.0)
-    lhs, rhs = locop.regularization_defect(mask, g, phi)
+    lhs, rhs = verify.regularization_defect(mask, g, phi)
     assert lhs <= 1.1 * rhs

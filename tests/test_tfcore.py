@@ -7,8 +7,8 @@ import pytest
 
 from maskrec import errors, tfcore
 from maskrec.maskgeom import _cell_distances_sq
-from maskrec.harness import _reproducing_defect
 from maskrec.tfcore import TFGrid, istft, make_window, stft
+from maskrec.verify import _reproducing_defect
 
 from helpers import (
     brute_istft,
@@ -64,7 +64,7 @@ def test_window_rejects_bad_norm():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan), complex(-np.inf, 0.0)])
-def test_window_and_custom_window_reject_non_finite_samples(bad):
+def test_window_rejects_non_finite_samples(bad):
     samples = np.full(8, 0.5, dtype=complex)
     samples[3] = bad
     with pytest.raises(errors.ConfigurationError, match="finite"):
@@ -72,7 +72,7 @@ def test_window_and_custom_window_reject_non_finite_samples(bad):
 
 
 @pytest.mark.parametrize("samples", [np.ones(1), np.ones(3) / np.sqrt(3)])
-def test_window_and_custom_window_reject_fewer_than_4_samples(samples):
+def test_window_rejects_fewer_than_4_samples(samples):
     with pytest.raises(errors.ConfigurationError, match="at least 4"):
         tfcore.Window(samples=samples)
 
