@@ -16,10 +16,10 @@ from .maskgeom import (
     disc_mask,
     error_report,
     make_mask,
+    mask_pgm,
     measure,
     perimeter,
     read_mask_pgm,
-    write_mask_pgm,
 )
 from .locop import (
     LargenessCheck,

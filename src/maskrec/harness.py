@@ -14,7 +14,6 @@ import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -330,22 +329,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[list], comments: list[str] = ()) -> None:
-    lines = [CSV_HEADER]
-    lines.extend(comments)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _csv(columns: list[str], rows: list[list], comments=()) -> str:
+    lines = [CSV_HEADER, *comments, ",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
-@contextmanager
-def _writing(out: Path):
-    """Create the directory ``out``, then yield ``write(path, writer, *args)``,
-    which calls ``writer(path, *args)``.
+def _write_files(out: Path, files: dict[str, bytes]) -> None:
+    """Create the directory ``out`` and write each named file under it, in order.
 
-    The directory is made only once a run has its results, so a rejected
-    run leaves none behind.  A directory that cannot be made, or a file
+    Commands encode every file before calling this, so a rejected run
+    leaves no directory behind.  A directory that cannot be made, or a file
     under it that cannot be written, is a ConfigurationError naming it; the
     files written before a failed one are removed first.
     """
@@ -354,19 +348,15 @@ def _writing(out: Path):
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {str(out)!r}: {exc}") from exc
     written: list[Path] = []
-
-    def write(path: Path, writer, *args):
-        value = writer(path, *args)
+    for name, data in files.items():
+        path = out / name
+        try:
+            path.write_bytes(data)
+        except OSError as exc:
+            for done in written:
+                done.unlink(missing_ok=True)
+            raise ConfigurationError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
         written.append(path)
-        return value
-
-    try:
-        yield write
-    except OSError as exc:
-        for done in written:
-            done.unlink(missing_ok=True)
-        path = exc.filename or out
-        raise ConfigurationError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
 
 
 def run_simulate(
@@ -390,19 +380,17 @@ def run_simulate(
             + list(r.success_at_r)
             + [r.max_rho, r.wall_time]
         )
-    out, truth, est_cells = Path(out_dir), pipeline.truth.cells, extras["estimate"]
-    with _writing(out) as write:
-        write(out / "trials.csv", _write_csv, columns, rows)
-        write(out / "truth.pgm", maskgeom.write_mask_pgm, truth)
-        write(out / "estimate.pgm", maskgeom.write_mask_pgm, est_cells)
-        write(out / "symdiff.pgm", maskgeom.write_mask_pgm, truth ^ est_cells)
-        max_used = write(out / "rho.pgm", maskgeom.write_field_pgm, extras["rho"])
-        write(
-            out / "rho.meta.txt",
-            Path.write_text,
-            "field = rho\nquantization = linear 8-bit\n"
-            f"max_rho = {_fmt(float(max_used))}\n",
-        )
+    truth, est_cells = pipeline.truth.cells, extras["estimate"]
+    rho_pgm, max_used = maskgeom.field_pgm(extras["rho"])
+    meta = f"field = rho\nquantization = linear 8-bit\nmax_rho = {_fmt(float(max_used))}\n"
+    _write_files(Path(out_dir), {
+        "trials.csv": _csv(columns, rows).encode(),
+        "truth.pgm": maskgeom.mask_pgm(truth),
+        "estimate.pgm": maskgeom.mask_pgm(est_cells),
+        "symdiff.pgm": maskgeom.mask_pgm(truth ^ est_cells),
+        "rho.pgm": rho_pgm,
+        "rho.meta.txt": meta.encode(),
+    })
     return results
 
 
@@ -428,6 +416,8 @@ def run_sweep(
     """
     if axis not in ("K", "measure"):
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
+    if not values:
+        raise ConfigurationError("a sweep needs at least one value")
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ConfigurationError("sweep values must be strictly ascending")
 
@@ -436,7 +426,7 @@ def run_sweep(
         scenarios = [replace(scenario, count=value) for value in values]
         shared = build_pipeline(scenario)
         pipelines = (replace(shared, scenario=sc) for sc in scenarios)
-        count = max((sc.count for sc in scenarios), default=scenario.count)
+        count = max(sc.count for sc in scenarios)
     else:
         pipelines = (
             build_pipeline(
@@ -485,9 +475,7 @@ def run_sweep(
     comments = []
     if axis == "K" and len(summary_rows) >= 2:
         comments.append(f"# diagnostic: {_failure_decay_comment(summary_rows)}")
-    out = Path(out_dir)
-    with _writing(out):
-        _write_csv(out / "summary.csv", columns, rows, comments=comments)
+    _write_files(Path(out_dir), {"summary.csv": _csv(columns, rows, comments).encode()})
     return summary_rows
 
 
@@ -522,9 +510,6 @@ def run_spectrum(scenario: Scenario, out_dir: str | Path) -> Path:
          largeness.lhs, largeness.rhs, violations]
         for m in range(spec.eigenvalues.size)
     ]
-    out = Path(out_dir)
-    path = out / "spectrum.csv"
-    with _writing(out):
-        _write_csv(path, columns, rows)
-    return path
+    _write_files(Path(out_dir), {"spectrum.csv": _csv(columns, rows).encode()})
+    return Path(out_dir) / "spectrum.csv"
 

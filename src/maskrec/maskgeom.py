@@ -294,9 +294,12 @@ def make_mask(grid: TFGrid, spec: str) -> Mask:
     - ``not:SPEC`` for the complement of any of the above
     """
     spec = spec.strip()
-    if spec.startswith("not:"):
-        inner = make_mask(grid, spec[4:])
-        return Mask(~inner.cells)
+    # a loop, not a recursion per prefix, so any number of not: prefixes parses
+    negated = False
+    while spec.startswith("not:"):
+        spec, negated = spec[4:].strip(), not negated
+    if negated:
+        return Mask(~make_mask(grid, spec).cells)
     kind, _, body = spec.partition(":")
     kind = kind.strip().lower()
     if kind == "full":
@@ -358,17 +361,16 @@ def scaled_shape_spec(spec: str, target_measure: float) -> str:
 # row = time index, column = frequency index)
 
 
-def write_mask_pgm(path: str | Path, cells: np.ndarray) -> None:
-    """Write a bool cell array as a P5 image: 255 inside, 0 outside."""
-    data = np.where(cells, 255, 0).astype(np.uint8)
-    _write_pgm(path, data)
+def mask_pgm(cells: np.ndarray) -> bytes:
+    """Encode a bool cell array as a P5 image: 255 inside, 0 outside."""
+    return _pgm(np.where(cells, 255, 0).astype(np.uint8))
 
 
-def write_field_pgm(path: str | Path, values: np.ndarray) -> float:
-    """Quantize a non-negative field linearly to 8 bits of its maximum; write P5.
+def field_pgm(values: np.ndarray) -> tuple[bytes, float]:
+    """Quantize a non-negative field linearly to 8 bits of its maximum; encode P5.
 
-    Returns that maximum so callers can record it in a sidecar file and
-    invert the image to band precision.
+    Returns the image and that maximum, so callers can record it in a
+    sidecar file and invert the image to band precision.
     """
     values = np.asarray(values, dtype=float)
     max_value = float(values.max()) if values.size else 0.0
@@ -376,15 +378,12 @@ def write_field_pgm(path: str | Path, values: np.ndarray) -> float:
         data = np.zeros(values.shape, dtype=np.uint8)
     else:
         data = np.clip(np.round(values / max_value * 255.0), 0, 255).astype(np.uint8)
-    _write_pgm(path, data)
-    return max_value
+    return _pgm(data), max_value
 
 
-def _write_pgm(path: str | Path, data: np.ndarray) -> None:
+def _pgm(data: np.ndarray) -> bytes:
     height, width = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    return f"P5\n{width} {height}\n255\n".encode("ascii") + data.tobytes()
 
 
 # magic, width, height, maxval, separated by whitespace and #-comments; one

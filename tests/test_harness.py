@@ -299,6 +299,17 @@ def test_figure1_left_is_the_same_on_one_and_two_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_a_simulate_that_fails_to_encode_leaves_no_directory(tmp_path, monkeypatch):
+    # every file is encoded before the directory is made
+    def fail(values):
+        raise RuntimeError("field encoder failed")
+
+    monkeypatch.setattr(maskgeom, "field_pgm", fail)
+    with pytest.raises(RuntimeError, match="field encoder failed"):
+        run_simulate(SMALL, tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_failed_simulate_removes_only_the_files_it_wrote(tmp_path):
     run_simulate(SMALL, tmp_path)
     older = (tmp_path / "rho.meta.txt").read_bytes()
@@ -491,6 +502,18 @@ def test_sweep_rejects_a_non_integer_k(tmp_path):
     with pytest.raises(errors.ConfigurationError, match="count must be an integer"):
         run_sweep(SMALL, "K", [4.2, 4.7], tmp_path)
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("axis", ["K", "measure"])
+def test_sweep_rejects_an_empty_value_list(axis, tmp_path, monkeypatch):
+    # it once built the pipeline, drew every trial's noise and wrote a
+    # header-only summary.csv
+    built = []
+    monkeypatch.setattr(harness, "build_pipeline", built.append)
+    with pytest.raises(errors.ConfigurationError, match="at least one value"):
+        run_sweep(SMALL, axis, [], tmp_path / "out")
+    assert built == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_unknown_axis(tmp_path):

@@ -13,11 +13,11 @@ from maskrec.maskgeom import (
     disc_mask,
     error_report,
     make_mask,
+    mask_pgm,
     measure,
     perimeter,
     read_mask_pgm,
     rect_mask,
-    write_mask_pgm,
 )
 from maskrec.tfcore import TFGrid
 
@@ -155,6 +155,10 @@ def test_make_mask_specs():
     assert measure(comp) == pytest.approx(32 - measure(make_mask(grid, "disc:measure=4")))
     two = make_mask(grid, "discs:(cx=4,cf=4,measure=1)+(cx=24,cf=24,measure=1)")
     assert measure(two) == pytest.approx(2.0, abs=2 / 32)
+    # once a RecursionError: every not: prefix recursed once
+    disc = make_mask(grid, "disc:measure=4")
+    assert np.array_equal(make_mask(grid, "not:" * 1200 + "disc:measure=4").cells, disc.cells)
+    assert np.array_equal(make_mask(grid, "not: " * 1201 + "disc:measure=4").cells, ~disc.cells)
 
 
 @pytest.mark.parametrize(
@@ -465,7 +469,7 @@ def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(24)
     m = Mask(random_cells(16, rng))
     path = tmp_path / "mask.pgm"
-    write_mask_pgm(path, m.cells)
+    path.write_bytes(mask_pgm(m.cells))
     back = read_mask_pgm(path)
     assert np.array_equal(back.cells, m.cells)
     assert back.grid.n == 16
@@ -489,17 +493,19 @@ def test_pgm_header_with_comments(tmp_path):
 
 def test_pgm_layout_row_is_time():
     n = 16
-    m = _single(n, at=(3, 9))  # time 3, frequency 9
-    path_cells = np.where(m.cells, 255, 0).astype(np.uint8)
-    assert path_cells[3, 9] == 255
+    raw = mask_pgm(_single(n, at=(3, 9)).cells)  # time 3, frequency 9
+    header = f"P5\n{n} {n}\n255\n".encode()
+    assert raw.startswith(header)
+    payload = raw[len(header) :]
+    assert len(payload) == n * n
+    assert [i for i, value in enumerate(payload) if value] == [3 * n + 9]
+    assert payload[3 * n + 9] == 255
 
 
-def test_field_pgm_quantization(tmp_path):
+def test_field_pgm_quantization():
     values = np.linspace(0, 2.0, 256).reshape(16, 16)
-    path = tmp_path / "rho.pgm"
-    max_used = maskgeom.write_field_pgm(path, values)
+    raw, max_used = maskgeom.field_pgm(values)
     assert max_used == pytest.approx(2.0)
-    raw = path.read_bytes()
     data = np.frombuffer(raw[raw.index(b"255\n") + 4 :], dtype=np.uint8, count=256)
     recon = data.reshape(16, 16) / 255.0 * max_used
     assert np.max(np.abs(recon - values)) <= max_used / 255.0
@@ -508,6 +514,6 @@ def test_field_pgm_quantization(tmp_path):
 def test_read_pgm_from_image_spec(tmp_path):
     m = disc_mask(TFGrid(16), 3.0)
     path = tmp_path / "disc.pgm"
-    write_mask_pgm(path, m.cells)
+    path.write_bytes(mask_pgm(m.cells))
     loaded = make_mask(TFGrid(16), f"image:{path}")
     assert np.array_equal(loaded.cells, m.cells)
