@@ -239,6 +239,7 @@ def run_trial(
     trial_index: int,
     keep_fields: bool = False,
     drawn: np.ndarray | None = None,
+    filtered: np.ndarray | None = None,
 ) -> tuple[TrialResult, dict]:
     """Sample, filter, estimate and score one trial.
 
@@ -246,19 +247,26 @@ def run_trial(
     estimate cells for artifact emission.  With ``drawn``, a (trials, at
     least K, n) array whose row ``[t, k]`` is realization k of trial t's
     stream, the trial takes ``drawn[trial_index, :K]`` instead of sampling.
+    With ``filtered``, an array of the same layout whose complex rows have
+    already been through H, it takes ``filtered[trial_index, :K]`` and
+    neither samples nor filters.
     """
     sc = pipeline.scenario
     started = time.perf_counter()
     seed = trial_seed(sc.seed, trial_index)
-    if drawn is None:
-        batch = noise.sample_noise(
-            pipeline.grid, sc.count, sc.sigma, kind=sc.noise_kind, seed=seed
-        )
+    if filtered is not None:
+        rows = filtered[trial_index, : sc.count]
     else:
-        batch = noise.NoiseBatch(realizations=drawn[trial_index, : sc.count], kind=sc.noise_kind)
-    if sc.noise_kind == noise.KIND_REAL:
-        batch = noise.complexify(batch)
-    avg = estimator.average_spectrogram(noise.filter_batch(batch, pipeline.H), pipeline.recon)
+        if drawn is None:
+            batch = noise.sample_noise(
+                pipeline.grid, sc.count, sc.sigma, kind=sc.noise_kind, seed=seed
+            )
+        else:
+            batch = noise.NoiseBatch(drawn[trial_index, : sc.count], kind=sc.noise_kind)
+        if sc.noise_kind == noise.KIND_REAL:
+            batch = noise.complexify(batch)
+        rows = noise.filter_batch(batch, pipeline.H)
+    avg = estimator.average_spectrogram(rows, pipeline.recon)
     est = estimator.estimate_mask(avg)
     report = maskgeom.error_report(pipeline.truth, est.cells)
     success = tuple(report.containment_radius <= r for r in sc.r_list)
@@ -283,12 +291,16 @@ def _usable_cpus() -> int:
 
 
 def run_trials(
-    pipeline: Pipeline, threads: int = 1, drawn: np.ndarray | None = None
+    pipeline: Pipeline,
+    threads: int = 1,
+    drawn: np.ndarray | None = None,
+    filtered: np.ndarray | None = None,
 ) -> tuple[list[TrialResult], dict]:
     """Run all trials of a scenario on at most one worker per trial and per
     usable CPU; ordered merge.
 
-    Every trial takes its realizations from ``drawn`` as :func:`run_trial` does.
+    Every trial takes its realizations from ``drawn``, or its filtered rows
+    from ``filtered``, as :func:`run_trial` does.
     A truth with no boundary, the full plane or the empty mask, would score
     every trial inf, so it raises :class:`ConfigurationError`.
     """
@@ -303,7 +315,7 @@ def run_trials(
     indices = range(sc.trials)
 
     def one(t):
-        return run_trial(pipeline, t, keep_fields=(t == 0), drawn=drawn)
+        return run_trial(pipeline, t, keep_fields=(t == 0), drawn=drawn, filtered=filtered)
 
     if workers == 1:
         outcomes = [one(t) for t in indices]
@@ -413,6 +425,20 @@ def run_sweep(
     each trial's realizations for the largest K (a measure sweep's one K)
     into one (trials, K, n) array that lives for the sweep; every value's
     trials take their first K rows from it.
+
+    A complex-noise K sweep also filters each trial's rows once, in place,
+    and every value's trials take their first K filtered rows.  When the
+    sweep runs at least 2 workers, one helper thread filters each trial
+    while the calling thread draws the next, after it has computed the
+    truth's boundary distances; with 1 worker the calling thread filters
+    each trial after drawing it.  Each value's trials give the results of
+    a fresh :func:`run_trials` of its scenario, bit for bit for K >= 2.  At
+    K = 1 a fresh run filters its one row as a matrix-vector product, so
+    ``max_rho`` may differ from it by up to 1e-15 relative; only a cell
+    whose rho lies that close to the quarter-max threshold could change
+    the mask.  A real-noise K sweep pairs its rows differently for each K
+    and a measure value has its own H, so those sweeps filter each value's
+    rows in its trials.
     """
     if axis not in ("K", "measure"):
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
@@ -421,12 +447,15 @@ def run_sweep(
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ConfigurationError("sweep values must be strictly ascending")
 
+    filter_with = None
     if axis == "K":
         # every K is validated before anything runs: the drawn array is sized from them
         scenarios = [replace(scenario, count=value) for value in values]
         shared = build_pipeline(scenario)
         pipelines = (replace(shared, scenario=sc) for sc in scenarios)
         count = max(sc.count for sc in scenarios)
+        if scenario.noise_kind == noise.KIND_COMPLEX:
+            filter_with = shared
     else:
         pipelines = (
             build_pipeline(
@@ -435,18 +464,13 @@ def run_sweep(
             for value in values
         )
         count = scenario.count
-    # drawn here, not in the pool: each realization's Python-level re-key
-    # holds the interpreter lock, so pool threads drawing at once wait on it
-    grid = TFGrid(scenario.n)
-    drawn = np.empty((scenario.trials, count, scenario.n), dtype=np.complex128)
-    for t, rows in enumerate(drawn):
-        rows[:] = noise.sample_noise(
-            grid, count, scenario.sigma, kind=scenario.noise_kind,
-            seed=trial_seed(scenario.seed, t),
-        ).realizations
+    drawn = _draw_trials(
+        scenario, count, filter_with, min(threads, scenario.trials, _usable_cpus())
+    )
+    source = {"drawn": drawn} if filter_with is None else {"filtered": drawn}
     summary_rows: list[dict] = []
     for value, pipeline in zip(values, pipelines):
-        results, _ = run_trials(pipeline, threads, drawn=drawn)
+        results, _ = run_trials(pipeline, threads, **source)
         sym = np.array([r.error.sym_diff_measure for r in results])
         ratios = np.array([r.error.ratio for r in results])
         successes = np.array([r.success_at_r for r in results], dtype=float)
@@ -477,6 +501,47 @@ def run_sweep(
         comments.append(f"# diagnostic: {_failure_decay_comment(summary_rows)}")
     _write_files(Path(out_dir), {"summary.csv": _csv(columns, rows, comments).encode()})
     return summary_rows
+
+
+def _draw_trials(
+    scenario: Scenario, count: int, filter_with: Pipeline | None, workers: int
+) -> np.ndarray:
+    """Draw realizations ``0 .. count-1`` of every trial into one (trials, count, n) array.
+
+    The draws run on the calling thread, not in a pool: each realization's
+    Python-level re-key holds the interpreter lock, so threads drawing at
+    once wait on it.  With ``filter_with``, each trial's rows are replaced
+    by their product with its H: on one helper thread while the next trial
+    draws when ``workers >= 2``, since the product releases the lock, and
+    on the calling thread otherwise.
+    """
+    grid = TFGrid(scenario.n)
+    drawn = np.empty((scenario.trials, count, scenario.n), dtype=np.complex128)
+
+    def draw(t):
+        drawn[t] = noise.sample_noise(
+            grid, count, scenario.sigma, kind=scenario.noise_kind,
+            seed=trial_seed(scenario.seed, t),
+        ).realizations
+
+    def filter_rows(t):
+        drawn[t] = noise.filter_batch(noise.NoiseBatch(drawn[t], noise.KIND_COMPLEX), filter_with.H)
+
+    if filter_with is None or workers < 2:
+        for t in range(scenario.trials):
+            draw(t)
+            if filter_with is not None:
+                filter_rows(t)
+        return drawn
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        # the pool's first error_report would compute the distances otherwise
+        futures = [helper.submit(lambda: filter_with.truth.boundary_distance)]
+        for t in range(scenario.trials):
+            draw(t)
+            futures.append(helper.submit(filter_rows, t))
+    for future in futures:
+        future.result()
+    return drawn
 
 
 def _failure_decay_comment(summary_rows: list[dict]) -> str:

@@ -99,17 +99,21 @@ def distance_field(source: np.ndarray) -> np.ndarray:
     n = source.shape[0]
     if not source.any():
         return np.full((n, n), np.inf)
-    # squared distances stay below 2 n^2 (a sourceless column counts as n away)
-    dtype = np.int32 if 2 * n * n < 2**31 else np.int64
+    # a sourceless column counts as ceil(3n/4) away, whose square exceeds the
+    # largest true squared distance n^2 / 2; pass 2 adds at most (n/2)^2 to
+    # it, so the narrowest unsigned type that holds the sum is exact
+    sentinel = -(-3 * n // 4)
+    dtype = np.min_scalar_type(sentinel * sentinel + (n // 2) ** 2)
+    index = np.min_scalar_type(-3 * n)
 
     # pass 1, along time over two periods: the last source at or before x + n
     # and the next one at or after x; a sourceless column gives gaps above n
-    rows = np.arange(2 * n, dtype=dtype)[:, None]
+    rows = np.arange(2 * n, dtype=index)[:, None]
     twice = np.concatenate([source, source])
     last = np.maximum.accumulate(np.where(twice, rows, -n), axis=0)[n:]
     after = np.minimum.accumulate(np.where(twice, rows, 3 * n)[::-1], axis=0)[::-1][:n]
-    d2 = np.minimum(rows[n:] - last, after - rows[:n])
-    np.minimum(d2, n, out=d2)
+    gap = np.minimum(rows[n:] - last, after - rows[:n])
+    d2 = np.minimum(gap, sentinel).astype(dtype)
     d2 *= d2
 
     # pass 2, along frequency: columns xi + s and xi - s of the doubled g^2;
@@ -122,7 +126,7 @@ def distance_field(source: np.ndarray) -> np.ndarray:
         np.minimum(wide[:, s : s + n], wide[:, n - s : 2 * n - s], out=shifted)
         shifted += s * s
         np.minimum(d2, shifted, out=d2)
-    return np.sqrt(d2) * TFGrid(n).cell_side
+    return np.sqrt(d2, dtype=np.float64) * TFGrid(n).cell_side
 
 
 def dilate(mask: Mask, r: float) -> Mask:

@@ -483,6 +483,89 @@ def test_each_trial_draws_its_noise_once(run, tmp_path, monkeypatch):
         assert threads == {threading.get_ident()}
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "kind, axis, values, rows",
+    [("complex", "K", [2, 4, 8], [8]), ("real", "K", [4, 5, 8], [2, 2, 4]),
+     ("complex", "measure", [4.0, 6.0], [6, 6])],
+)
+def test_a_complex_k_sweep_filters_each_trial_once(
+    kind, axis, values, rows, threads, tmp_path, monkeypatch
+):
+    # a complex K sweep filters each trial's 8 rows once, on one helper thread
+    # when it runs 2 workers; real noise pairs its rows differently for each
+    # K and a measure value has its own H, so those filter per (trial, value)
+    caller = threading.get_ident()
+    filtered, filter_threads, draw_threads = [], set(), set()
+    filter_batch, sample_noise = noise.filter_batch, noise.sample_noise
+
+    def counting_filter(batch, H):
+        filtered.append(batch.count)
+        filter_threads.add(threading.get_ident())
+        return filter_batch(batch, H)
+
+    def counting_draw(*args, **kwargs):
+        draw_threads.add(threading.get_ident())
+        return sample_noise(*args, **kwargs)
+
+    monkeypatch.setattr(noise, "filter_batch", counting_filter)
+    monkeypatch.setattr(noise, "sample_noise", counting_draw)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    if threads == 1:
+        # one worker starts no thread, neither a pool nor a helper
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", None)
+    run_sweep(replace(SMALL, noise_kind=kind), axis, values, tmp_path, threads=threads)
+    assert sorted(filtered) == sorted(rows * SMALL.trials)
+    assert draw_threads == {caller}
+    if threads == 1:
+        assert filter_threads == {caller}
+    elif (kind, axis) == ("complex", "K"):
+        assert len(filter_threads) == 1 and caller not in filter_threads
+
+
+def test_a_k_sweep_keeps_its_rows_under_rapid_thread_switches(tmp_path, monkeypatch):
+    # the helper filters trial t in place while the calling thread draws
+    # t + 1 and a 4-worker pool waits; a row filtered before its draw
+    # landed, or twice, would change that trial's results
+    scenario = replace(SMALL, trials=24)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = run_sweep(scenario, "K", [2, 8], tmp_path, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = run_sweep(scenario, "K", [2, 8], tmp_path, threads=1)
+    for got, want in zip(pooled, serial):
+        assert [replace(r, wall_time=0.0) for r in got["results"]] == [
+            replace(r, wall_time=0.0) for r in want["results"]
+        ]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_k_sweep_at_k_1_matches_a_fresh_run(threads, tmp_path, monkeypatch):
+    # a fresh K = 1 run filters its one row as a matrix-vector product, the
+    # sweep slices it out of the K = 8 matrix product: max_rho may move in
+    # the last bits, the masks and everything scored from them may not
+    masks = {}
+
+    def keeping(pipeline, t, keep_fields=False, **rows):
+        result, extras = run_trial(pipeline, t, keep_fields=True, **rows)
+        masks[pipeline.scenario.count, t] = extras["estimate"]
+        return result, extras
+
+    monkeypatch.setattr(harness, "run_trial", keeping)
+    swept = run_sweep(SMALL, "K", [1, 2, 8], tmp_path, threads=threads)[0]["results"]
+    monkeypatch.undo()
+    fresh = build_pipeline(replace(SMALL, count=1))
+    results, _ = run_trials(fresh)
+    assert len(swept) == len(results) == SMALL.trials
+    for t, (got, want) in enumerate(zip(swept, results)):
+        assert np.array_equal(masks[1, t], run_trial(fresh, t, keep_fields=True)[1]["estimate"])
+        assert (got.error, got.success_at_r) == (want.error, want.success_at_r)
+        assert got.max_rho == pytest.approx(want.max_rho, rel=1e-15, abs=0.0)
+
+
 def test_sweep_requires_sorted_values(tmp_path):
     with pytest.raises(errors.ConfigurationError):
         run_sweep(SMALL, "K", [8, 4], tmp_path)

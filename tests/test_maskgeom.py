@@ -245,6 +245,21 @@ def test_distance_field_takes_the_shift_at_a_stop_check():
     assert got.max() == 9 * TFGrid(n).cell_side
 
 
+@pytest.mark.parametrize("n", [16, 17, 64, 256])
+def test_distance_field_is_exact_from_one_source_cell(n):
+    # every other frequency column has no source, so the value standing in
+    # for a sourceless column must stay above the antipode's (n/2)^2 * 2;
+    # the oracle is the min-image distance over the four torus images
+    source = np.zeros((n, n), bool)
+    source[3, 5] = True
+    di, dj = np.abs(np.indices((n, n)) - np.array([3, 5])[:, None, None])
+    d2 = np.minimum(di, n - di) ** 2 + np.minimum(dj, n - dj) ** 2
+    got = maskgeom.distance_field(source)
+    assert np.array_equal(got, np.sqrt(d2.astype(float)) * TFGrid(n).cell_side)
+    half = n // 2
+    assert got[(3 + half) % n, (5 + half) % n] == np.sqrt(2.0 * half * half) * TFGrid(n).cell_side
+
+
 @pytest.mark.parametrize("shape", [(16, 8), (16,), (2, 16, 16)])
 def test_distance_field_rejects_a_non_square_source(shape):
     with pytest.raises(errors.ConfigurationError, match="square"):
