@@ -13,6 +13,7 @@ import math
 import operator
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -234,38 +235,38 @@ def trial_seed(scenario_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _draw(scenario: Scenario, seed: int, count: int) -> np.ndarray:
+    """Realizations ``0 .. count-1`` of the trial stream ``seed``, as a (count, n) array."""
+    return noise.sample_noise(
+        TFGrid(scenario.n), count, scenario.sigma, kind=scenario.noise_kind, seed=seed
+    ).realizations
+
+
+def _filtered(pipeline: Pipeline, drawn: np.ndarray) -> np.ndarray:
+    """A trial's realizations through H; real ones are paired by ``complexify`` first."""
+    batch = noise.NoiseBatch(drawn, kind=pipeline.scenario.noise_kind)
+    if batch.kind == noise.KIND_REAL:
+        batch = noise.complexify(batch)
+    return noise.filter_batch(batch, pipeline.H)
+
+
 def run_trial(
     pipeline: Pipeline,
     trial_index: int,
     keep_fields: bool = False,
-    drawn: np.ndarray | None = None,
-    filtered: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[TrialResult, dict]:
-    """Sample, filter, estimate and score one trial.
+    """Estimate and score one trial from its filtered ``rows``: K of them, or
+    floor(K/2) for real noise; with ``None`` it draws and filters its own.
 
     Returns the result and, when ``keep_fields`` is set, the rho field and
-    estimate cells for artifact emission.  With ``drawn``, a (trials, at
-    least K, n) array whose row ``[t, k]`` is realization k of trial t's
-    stream, the trial takes ``drawn[trial_index, :K]`` instead of sampling.
-    With ``filtered``, an array of the same layout whose complex rows have
-    already been through H, it takes ``filtered[trial_index, :K]`` and
-    neither samples nor filters.
+    estimate cells for artifact emission.
     """
     sc = pipeline.scenario
     started = time.perf_counter()
     seed = trial_seed(sc.seed, trial_index)
-    if filtered is not None:
-        rows = filtered[trial_index, : sc.count]
-    else:
-        if drawn is None:
-            batch = noise.sample_noise(
-                pipeline.grid, sc.count, sc.sigma, kind=sc.noise_kind, seed=seed
-            )
-        else:
-            batch = noise.NoiseBatch(drawn[trial_index, : sc.count], kind=sc.noise_kind)
-        if sc.noise_kind == noise.KIND_REAL:
-            batch = noise.complexify(batch)
-        rows = noise.filter_batch(batch, pipeline.H)
+    if rows is None:
+        rows = _filtered(pipeline, _draw(sc, seed, sc.count))
     avg = estimator.average_spectrogram(rows, pipeline.recon)
     est = estimator.estimate_mask(avg)
     report = maskgeom.error_report(pipeline.truth, est.cells)
@@ -290,41 +291,43 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_trials(
-    pipeline: Pipeline,
-    threads: int = 1,
-    drawn: np.ndarray | None = None,
-    filtered: np.ndarray | None = None,
-) -> tuple[list[TrialResult], dict]:
-    """Run all trials of a scenario on at most one worker per trial and per
-    usable CPU; ordered merge.
+def _workers(sc: Scenario, truth: Mask | None, threads: int) -> int:
+    """The pool size for the scenario's trials: at most one worker per trial and per usable CPU.
 
-    Every trial takes its realizations from ``drawn``, or its filtered rows
-    from ``filtered``, as :func:`run_trial` does.
-    A truth with no boundary, the full plane or the empty mask, would score
-    every trial inf, so it raises :class:`ConfigurationError`.
+    A thread count below 1 raises :class:`ConfigurationError`, and so does
+    a ``truth`` with no boundary, the full plane or the empty mask, which
+    would score every trial inf.
     """
-    sc = pipeline.scenario
     if threads < 1:
         raise ConfigurationError(f"thread count must be >= 1, got {threads}")
-    if pipeline.truth.perimeter == 0:
+    if truth is not None and truth.perimeter == 0:
         raise ConfigurationError(
             f"shape {sc.shape!r} has no boundary, so every containment radius and ratio is inf"
         )
-    workers = min(threads, sc.trials, _usable_cpus())
-    indices = range(sc.trials)
+    return min(threads, sc.trials, _usable_cpus())
+
+
+def run_trials(
+    pipeline: Pipeline, threads: int = 1, rows: Callable[[int], np.ndarray] | None = None
+) -> tuple[list[TrialResult], dict]:
+    """Run all trials of a scenario on :func:`_workers` threads; ordered merge.
+
+    With ``rows``, a callable from a trial index to that trial's filtered
+    rows, each trial's worker calls it and the trial scores what it returns.
+    """
+    workers = _workers(pipeline.scenario, pipeline.truth, threads)
+    indices = range(pipeline.scenario.trials)
 
     def one(t):
-        return run_trial(pipeline, t, keep_fields=(t == 0), drawn=drawn, filtered=filtered)
+        given = None if rows is None else rows(t)
+        return run_trial(pipeline, t, keep_fields=(t == 0), rows=given)
 
     if workers == 1:
         outcomes = [one(t) for t in indices]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one, indices))
-    results = [r for r, _ in outcomes]
-    first_extras = outcomes[0][1]
-    return results, first_extras
+    return [r for r, _ in outcomes], outcomes[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -421,24 +424,10 @@ def run_sweep(
 
     K leaves the truth, the windows and H unchanged, so its values share one
     pipeline and only its scenario is replaced; a measure sweep builds one
-    pipeline per value.  Before the first value, the calling thread draws
-    each trial's realizations for the largest K (a measure sweep's one K)
-    into one (trials, K, n) array that lives for the sweep; every value's
-    trials take their first K rows from it.
-
-    A complex-noise K sweep also filters each trial's rows once, in place,
-    and every value's trials take their first K filtered rows.  When the
-    sweep runs at least 2 workers, one helper thread filters each trial
-    while the calling thread draws the next, after it has computed the
-    truth's boundary distances; with 1 worker the calling thread filters
-    each trial after drawing it.  Each value's trials give the results of
-    a fresh :func:`run_trials` of its scenario, bit for bit for K >= 2.  At
-    K = 1 a fresh run filters its one row as a matrix-vector product, so
-    ``max_rho`` may differ from it by up to 1e-15 relative; only a cell
-    whose rho lies that close to the quarter-max threshold could change
-    the mask.  A real-noise K sweep pairs its rows differently for each K
-    and a measure value has its own H, so those sweeps filter each value's
-    rows in its trials.
+    pipeline per value.  Bad values and threads, and a K sweep's truth with
+    no boundary, raise before any noise is drawn.  :func:`_draw_trials`
+    draws and shares the noise; then each value runs one :func:`run_trials`,
+    in value order.
     """
     if axis not in ("K", "measure"):
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
@@ -447,13 +436,14 @@ def run_sweep(
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ConfigurationError("sweep values must be strictly ascending")
 
-    filter_with = None
+    filter_with = truth = None
     if axis == "K":
         # every K is validated before anything runs: the drawn array is sized from them
         scenarios = [replace(scenario, count=value) for value in values]
         shared = build_pipeline(scenario)
         pipelines = (replace(shared, scenario=sc) for sc in scenarios)
         count = max(sc.count for sc in scenarios)
+        truth = shared.truth
         if scenario.noise_kind == noise.KIND_COMPLEX:
             filter_with = shared
     else:
@@ -464,13 +454,17 @@ def run_sweep(
             for value in values
         )
         count = scenario.count
-    drawn = _draw_trials(
-        scenario, count, filter_with, min(threads, scenario.trials, _usable_cpus())
-    )
-    source = {"drawn": drawn} if filter_with is None else {"filtered": drawn}
+    drawn = _draw_trials(scenario, count, filter_with, _workers(scenario, truth, threads))
+
+    def rows_of(pipeline):
+        K = pipeline.scenario.count
+        if filter_with is None:
+            return lambda t: _filtered(pipeline, drawn[t, :K])
+        return lambda t: drawn[t, :K]
+
     summary_rows: list[dict] = []
     for value, pipeline in zip(values, pipelines):
-        results, _ = run_trials(pipeline, threads, **source)
+        results, _ = run_trials(pipeline, threads, rows=rows_of(pipeline))
         sym = np.array([r.error.sym_diff_measure for r in results])
         ratios = np.array([r.error.ratio for r in results])
         successes = np.array([r.success_at_r for r in results], dtype=float)
@@ -508,24 +502,25 @@ def _draw_trials(
 ) -> np.ndarray:
     """Draw realizations ``0 .. count-1`` of every trial into one (trials, count, n) array.
 
-    The draws run on the calling thread, not in a pool: each realization's
-    Python-level re-key holds the interpreter lock, so threads drawing at
-    once wait on it.  With ``filter_with``, each trial's rows are replaced
-    by their product with its H: on one helper thread while the next trial
-    draws when ``workers >= 2``, since the product releases the lock, and
-    on the calling thread otherwise.
+    A sweep's sharing rule: ``count`` is a K sweep's largest K or a measure
+    sweep's one K, and every value's trials take their first K rows.  The
+    draws run on the calling thread: each realization's Python-level re-key
+    holds the interpreter lock.  A complex K sweep passes its pipeline as
+    ``filter_with``, and each trial's rows are filtered once, in place: on
+    one helper thread while the next trial draws when ``workers >= 2``, on
+    the calling thread otherwise.  That gives each value a fresh run's
+    results bit for bit for K >= 2; at K = 1 a fresh run filters its row as
+    a matrix-vector product, so ``max_rho`` may differ by 1e-15 relative.
+    Real noise pairs its rows differently for each K and a measure value
+    has its own H, so those sweeps filter each value's rows on its worker.
     """
-    grid = TFGrid(scenario.n)
     drawn = np.empty((scenario.trials, count, scenario.n), dtype=np.complex128)
 
     def draw(t):
-        drawn[t] = noise.sample_noise(
-            grid, count, scenario.sigma, kind=scenario.noise_kind,
-            seed=trial_seed(scenario.seed, t),
-        ).realizations
+        drawn[t] = _draw(scenario, trial_seed(scenario.seed, t), count)
 
     def filter_rows(t):
-        drawn[t] = noise.filter_batch(noise.NoiseBatch(drawn[t], noise.KIND_COMPLEX), filter_with.H)
+        drawn[t] = _filtered(filter_with, drawn[t])
 
     if filter_with is None or workers < 2:
         for t in range(scenario.trials):

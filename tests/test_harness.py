@@ -497,11 +497,13 @@ def test_a_complex_k_sweep_filters_each_trial_once(
     # K and a measure value has its own H, so those filter per (trial, value)
     caller = threading.get_ident()
     filtered, filter_threads, draw_threads = [], set(), set()
+    filter_names = set()
     filter_batch, sample_noise = noise.filter_batch, noise.sample_noise
 
     def counting_filter(batch, H):
         filtered.append(batch.count)
         filter_threads.add(threading.get_ident())
+        filter_names.add(threading.current_thread().name)
         return filter_batch(batch, H)
 
     def counting_draw(*args, **kwargs):
@@ -521,6 +523,30 @@ def test_a_complex_k_sweep_filters_each_trial_once(
         assert filter_threads == {caller}
     elif (kind, axis) == ("complex", "K"):
         assert len(filter_threads) == 1 and caller not in filter_threads
+    else:
+        # each trial's worker filters its rows: rows filtered before the
+        # pool started would all have run on the calling thread
+        assert caller not in filter_threads
+        assert all(name.startswith("ThreadPoolExecutor") for name in filter_names)
+
+
+@pytest.mark.parametrize(
+    "axis, values, shape, threads, message",
+    [("K", [4, 8], SMALL.shape, 0, "thread count"),
+     ("measure", [4.0, 8.0], SMALL.shape, 0, "thread count"),
+     ("K", [4, 8], "full", 1, "no boundary")],
+)
+def test_a_sweep_rejects_bad_threads_and_a_boundaryless_truth_before_drawing(
+    axis, values, shape, threads, message, tmp_path, monkeypatch
+):
+    # it once drew, and for complex noise filtered, every trial before the
+    # first run_trials raised
+    draws = []
+    monkeypatch.setattr(noise, "sample_noise", lambda *args, **kwargs: draws.append(args))
+    with pytest.raises(errors.ConfigurationError, match=message):
+        run_sweep(replace(SMALL, shape=shape), axis, values, tmp_path / "out", threads=threads)
+    assert draws == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_k_sweep_keeps_its_rows_under_rapid_thread_switches(tmp_path, monkeypatch):
