@@ -424,8 +424,8 @@ def run_sweep(
 
     K leaves the truth, the windows and H unchanged, so its values share one
     pipeline and only its scenario is replaced; a measure sweep builds one
-    pipeline per value.  Bad values and threads, and a K sweep's truth with
-    no boundary, raise before any noise is drawn.  :func:`_draw_trials`
+    pipeline per value.  Bad values and threads, and a truth with no
+    boundary, raise before any noise is drawn.  :func:`_draw_trials`
     draws and shares the noise; then each value runs one :func:`run_trials`,
     in value order.
     """
@@ -436,25 +436,26 @@ def run_sweep(
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ConfigurationError("sweep values must be strictly ascending")
 
-    filter_with = truth = None
+    filter_with = None
     if axis == "K":
         # every K is validated before anything runs: the drawn array is sized from them
         scenarios = [replace(scenario, count=value) for value in values]
         shared = build_pipeline(scenario)
         pipelines = (replace(shared, scenario=sc) for sc in scenarios)
         count = max(sc.count for sc in scenarios)
-        truth = shared.truth
+        workers = _workers(scenario, shared.truth, threads)
         if scenario.noise_kind == noise.KIND_COMPLEX:
             filter_with = shared
     else:
-        pipelines = (
-            build_pipeline(
-                replace(scenario, shape=scaled_shape_spec(scenario.shape, float(value)))
-            )
+        scenarios = [
+            replace(scenario, shape=scaled_shape_spec(scenario.shape, float(value)))
             for value in values
-        )
+        ]
+        # every value's truth is checked before the draw; its H waits for its trials
+        workers = min(_workers(sc, make_mask(TFGrid(sc.n), sc.shape), threads) for sc in scenarios)
+        pipelines = (build_pipeline(sc) for sc in scenarios)
         count = scenario.count
-    drawn = _draw_trials(scenario, count, filter_with, _workers(scenario, truth, threads))
+    drawn = _draw_trials(scenario, count, filter_with, workers)
 
     def rows_of(pipeline):
         K = pipeline.scenario.count

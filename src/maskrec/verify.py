@@ -4,6 +4,9 @@ Each grid size runs a table of rows ``(name, tolerance, defect)``.  A row's
 ``defect`` takes no arguments and builds what only that row reads; the
 objects several rows read are built once per size, before the table.  Rows
 run in table order, so they draw from the suite's rng in that order.
+
+An identity that an acceptance criterion checks too is a module-level
+function of explicit inputs, which the row and the criterion both call.
 """
 
 from __future__ import annotations
@@ -54,6 +57,46 @@ def _smooth(mask: Mask, q: np.ndarray) -> np.ndarray:
     """Cyclic convolution of the mask indicator with the kernel q."""
     chi = mask.cells.astype(float)
     return np.real(np.fft.ifft2(np.fft.fft2(chi) * np.fft.fft2(q)))
+
+
+def trace_defect(mask: Mask, H: np.ndarray) -> float:
+    """|Re tr H - |mask||: the trace of a localization operator is its mask's measure."""
+    return abs(float(np.trace(H).real) - maskgeom.measure(mask))
+
+
+def eigen_expansion_defect(spec: LocOpSpectrum, batch: noise.NoiseBatch) -> float:
+    """Max gap between ``H y`` and ``sum_m lambda_m <y, f_m> f_m`` over the batch."""
+    coeffs = batch.realizations @ np.conj(spec.eigenvectors)
+    rebuilt = (coeffs * spec.eigenvalues) @ spec.eigenvectors.T
+    return float(np.max(np.abs(noise.filter_batch(batch, spec.H) - rebuilt)))
+
+
+def sigma_invariance_defect(H: np.ndarray, phi: Window, count: int, seed: int, kind: str) -> float:
+    """0 when the masks estimated from one seed at sigma 0.1, 1 and 10 are equal, else 1."""
+    grid = TFGrid(H.shape[0])
+    first, *rest = (
+        estimator.estimate_mask(estimator.average_spectrogram(noise.filter_batch(
+            noise.sample_noise(grid, count, sigma, kind=kind, seed=seed), H
+        ), phi)).cells
+        for sigma in (0.1, 1.0, 10.0)
+    )
+    return 0.0 if all(np.array_equal(e, first) for e in rest) else 1.0
+
+
+def bank_plateau_violations(max_n: float = float("inf")) -> dict[str, int]:
+    """Name -> plateau violations of each bank mask on a grid of at most ``max_n``
+    that passes the largeness condition, under the Gaussian window."""
+    violations = {}
+    for name, n, shape in SPECTRUM_BANK:
+        if n > max_n:
+            continue
+        grid = TFGrid(n)
+        mask = make_mask(grid, shape)
+        g = make_window(grid, tfcore.WINDOW_GAUSSIAN)
+        if locop.check_largeness(mask, g).passed:
+            H = locop.assemble_locop(mask, g)
+            violations[name] = locop.plateau_violations(locop.spectrum(H, maskgeom.measure(mask)))
+    return violations
 
 
 def theta_first_moment(spec: LocOpSpectrum, phi: Window, mask: Mask, g: Window) -> float:
@@ -157,7 +200,6 @@ def _size_rows(n: int, seed: int, rng: np.random.Generator) -> list:
     spec = locop.spectrum(H, maskgeom.measure(disc))
     th = locop.theta(spec, phi).values
     batch = noise.sample_noise(grid, 10, 1.0, seed=seed + n)
-    coeffs = batch.realizations @ np.conj(spec.eigenvectors)
 
     def covariance():
         z0 = (n // 3, (2 * n) // 3)
@@ -171,10 +213,8 @@ def _size_rows(n: int, seed: int, rng: np.random.Generator) -> list:
 
     def trace():
         rand_mask = Mask(rng.random((n, n)) < _RANDOM_FILL)
-        return max(
-            abs(float(np.trace(h).real) - maskgeom.measure(mask))
-            for mask, h in ((disc, H), (rand_mask, locop.assemble_locop(rand_mask, g)))
-        )
+        rand_H = locop.assemble_locop(rand_mask, g)
+        return max(trace_defect(disc, H), trace_defect(rand_mask, rand_H))
 
     def monotonicity():
         grown = maskgeom.dilate(disc, 2.5 * grid.cell_side)
@@ -184,15 +224,6 @@ def _size_rows(n: int, seed: int, rng: np.random.Generator) -> list:
     def regularization(model: Window):
         lhs, rhs = regularization_defect(disc, model, phi)
         return lhs - 1.1 * rhs
-
-    def sigma_invariance():
-        first, *rest = (
-            estimator.estimate_mask(estimator.average_spectrogram(
-                noise.filter_batch(noise.sample_noise(grid, 8, sigma, seed=seed + n), H), phi
-            )).cells
-            for sigma in (0.1, 1.0, 10.0)
-        )
-        return 0.0 if all(np.array_equal(e, first) for e in rest) else 1.0
 
     def geometry():
         a, b, c = (Mask(rng.random((n, n)) < _RANDOM_FILL) for _ in range(3))
@@ -239,18 +270,16 @@ def _size_rows(n: int, seed: int, rng: np.random.Generator) -> list:
         ("locop.regularization_t2", 0.0,
          lambda: regularization(make_window(grid, tfcore.WINDOW_GAUSSIAN_T2))),
         ("noise.parseval", 1e-9, lambda: float(np.max(np.abs(
-            np.sum(np.abs(coeffs) ** 2, axis=1)
+            np.sum(np.abs(batch.realizations @ np.conj(spec.eigenvectors)) ** 2, axis=1)
             - np.sum(np.abs(batch.realizations) ** 2, axis=1)
         )))),
-        ("noise.eigen_expansion", 1e-9, lambda: float(np.max(np.abs(
-            noise.filter_batch(batch, H)
-            - (coeffs * spec.eigenvalues) @ spec.eigenvectors.T
-        )))),
+        ("noise.eigen_expansion", 1e-9, lambda: eigen_expansion_defect(spec, batch)),
         ("noise.sigma_scaling", 0.0, lambda: float(np.max(np.abs(
             noise.sample_noise(grid, 10, 2.0, seed=seed + n).realizations
             - 2.0 * batch.realizations
         )))),
-        ("estimator.sigma_invariance", 0.0, sigma_invariance),
+        ("estimator.sigma_invariance", 0.0,
+         lambda: sigma_invariance_defect(H, phi, 8, seed + n, noise.KIND_COMPLEX)),
         ("maskgeom.geometry", 1e-12, geometry),
     ]
 
@@ -286,16 +315,8 @@ def run_verify(
     checks.append(CheckResult("locop.empty_mask", defect, 1e-12))
 
     # plateau on small bank members that satisfy the largeness condition
-    for name, n, shape in SPECTRUM_BANK:
-        if n > max(ns):
-            continue
-        grid = TFGrid(n)
-        mask = make_mask(grid, shape)
-        g = make_window(grid, tfcore.WINDOW_GAUSSIAN)
-        if not locop.check_largeness(mask, g).passed:
-            continue
-        spec = locop.spectrum(locop.assemble_locop(mask, g), maskgeom.measure(mask))
-        violations = float(locop.plateau_violations(spec))
-        checks.append(CheckResult(f"locop.plateau[{name}]", violations, 0.0))
-
+    checks += [
+        CheckResult(f"locop.plateau[{name}]", float(count), 0.0)
+        for name, count in bank_plateau_violations(max(ns)).items()
+    ]
     return checks

@@ -11,21 +11,21 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
-from maskrec import estimator, harness, locop, maskgeom, noise, tfcore
+from maskrec import estimator, harness, noise
 from maskrec.harness import PRESETS, Scenario, build_pipeline, run_trials
-from maskrec.locop import (
-    assemble_locop,
-    check_largeness,
-    plateau_violations,
-    spectrum,
-    theta,
-)
-from maskrec.maskgeom import Mask, disc_mask, make_mask, measure
+from maskrec.locop import assemble_locop, spectrum, theta
+from maskrec.maskgeom import Mask, disc_mask, measure
 from maskrec.noise import filter_batch, sample_noise
 from maskrec.tfcore import TFGrid, make_window
-from maskrec.verify import SPECTRUM_BANK, double_orthogonality_defect, theta_first_moment
+from maskrec.verify import (
+    bank_plateau_violations,
+    double_orthogonality_defect,
+    eigen_expansion_defect,
+    sigma_invariance_defect,
+    theta_first_moment,
+    trace_defect,
+)
 
 # Calibrated containment radii (continuous units) for the Figure-1 scale
 # scenarios: at K = 20 the quarter-max threshold admits occasional interior
@@ -64,8 +64,7 @@ def test_c01_trace_identity():
         g = make_window(grid, "gaussian")
         for _ in range(count):
             mask = Mask(rng.random((n, n)) < rng.uniform(0.05, 0.8))
-            H = assemble_locop(mask, g)
-            worst = max(worst, abs(float(np.trace(H).real) - measure(mask)))
+            worst = max(worst, trace_defect(mask, assemble_locop(mask, g)))
     _report(1, "trace identity", worst < 1e-9, f"max defect {worst:.2e} over 20 masks",
             10.0, started)
 
@@ -104,39 +103,20 @@ def test_c03_theta_convolution_identity():
 
 def test_c04_eigenvalue_plateau_on_bank():
     started = time.perf_counter()
-    passing = 0
-    violations = []
-    for name, n, shape in SPECTRUM_BANK:
-        grid = TFGrid(n)
-        mask = make_mask(grid, shape)
-        g = make_window(grid, "gaussian")
-        outcome = check_largeness(mask, g)
-        if not outcome.passed:
-            continue
-        passing += 1
-        spec = spectrum(assemble_locop(mask, g), measure(mask))
-        count = plateau_violations(spec)
-        if count:
-            violations.append((name, count))
-    ok = passing >= 4 and not violations
+    counts = bank_plateau_violations()
+    violations = [(name, count) for name, count in counts.items() if count]
+    ok = len(counts) >= 4 and not violations
     _report(4, "eigenvalue plateau", ok,
-            f"{passing} bank masks pass largeness, violations {violations}",
+            f"{len(counts)} bank masks pass largeness, violations {violations}",
             120.0, started)
 
 
 def test_c05_noise_eigen_expansion():
     started = time.perf_counter()
-    n = 16
-    grid = TFGrid(n)
-    g = make_window(grid, "gaussian")
+    grid = TFGrid(16)
     mask = disc_mask(grid, 4.0)
-    H = assemble_locop(mask, g)
-    spec = spectrum(H, measure(mask))
-    batch = sample_noise(grid, 10, 1.0, seed=1005)
-    filtered = filter_batch(batch, H)
-    coeffs = batch.realizations @ np.conj(spec.eigenvectors)
-    rebuilt = (coeffs * spec.eigenvalues) @ spec.eigenvectors.T
-    worst = float(np.max(np.abs(filtered - rebuilt)))
+    spec = spectrum(assemble_locop(mask, make_window(grid, "gaussian")), measure(mask))
+    worst = eigen_expansion_defect(spec, sample_noise(grid, 10, 1.0, seed=1005))
     _report(5, "noise eigen-expansion", worst < 1e-9,
             f"max reconstruction defect {worst:.2e} over 10 realizations",
             5.0, started)
@@ -160,26 +140,15 @@ def test_c06_unbiasedness_rho_equals_theta():
 
 def test_c07_noise_level_invariance():
     started = time.perf_counter()
-    identical = True
-    for preset_name, preset in PRESETS.items():
-        pipeline = build_pipeline(replace(preset, trials=3))
-        for trial in range(3):
-            seed = harness.trial_seed(preset.seed, trial)
-            reference = None
-            for sigma in (0.1, 1.0, 10.0):
-                batch = sample_noise(
-                    pipeline.grid, preset.count, sigma, kind=preset.noise_kind, seed=seed
-                )
-                est = estimator.estimate_mask(
-                    estimator.average_spectrogram(
-                        filter_batch(batch, pipeline.H), pipeline.recon
-                    )
-                )
-                if reference is None:
-                    reference = est.cells
-                elif not np.array_equal(est.cells, reference):
-                    identical = False
-    _report(7, "noise-level invariance", identical,
+    defects = []
+    for preset in PRESETS.values():
+        pipeline = build_pipeline(preset)
+        defects += [
+            sigma_invariance_defect(pipeline.H, pipeline.recon, preset.count,
+                                    harness.trial_seed(preset.seed, trial), preset.noise_kind)
+            for trial in range(3)
+        ]
+    _report(7, "noise-level invariance", max(defects) == 0.0,
             "bit-identical masks across sigma in {0.1, 1, 10}, both presets",
             60.0, started)
 

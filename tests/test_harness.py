@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import maskrec
-from maskrec import cli, errors, harness, maskgeom, noise, tfcore
+from maskrec import cli, errors, estimator, harness, locop, maskgeom, noise, tfcore, verify
 from maskrec.harness import (
     PRESET_KEYS,
     PRESETS,
@@ -534,7 +534,10 @@ def test_a_complex_k_sweep_filters_each_trial_once(
     "axis, values, shape, threads, message",
     [("K", [4, 8], SMALL.shape, 0, "thread count"),
      ("measure", [4.0, 8.0], SMALL.shape, 0, "thread count"),
-     ("K", [4, 8], "full", 1, "no boundary")],
+     ("K", [4, 8], "full", 1, "no boundary"),
+     # a later value's truth, the full plane or a disc past it, fails before any draw
+     ("measure", [4.0, 32.0], SMALL.shape, 1, "no boundary"),
+     ("measure", [4.0, 1000.0], SMALL.shape, 1, r"disc measure 1000\.0 outside \[0, 32\.0\]")],
 )
 def test_a_sweep_rejects_bad_threads_and_a_boundaryless_truth_before_drawing(
     axis, values, shape, threads, message, tmp_path, monkeypatch
@@ -721,6 +724,57 @@ def test_verify_corrupted_window_fails_isometry(monkeypatch):
     checks = run_verify(ns=(8,), seed=5)
     failing = {c.name for c in checks if not c.passed}
     assert any(name.startswith("tfcore.isometry") for name in failing)
+
+
+def _disc_operator():
+    grid = tfcore.TFGrid(16)
+    g = tfcore.make_window(grid, tfcore.WINDOW_GAUSSIAN)
+    disc = maskgeom.disc_mask(grid, 4.0)
+    return disc, g, locop.assemble_locop(disc, g)
+
+
+def _corrupted_trace(monkeypatch):
+    disc, _, H = _disc_operator()
+    return verify.trace_defect(disc, H * (1.0 + 1e-6))
+
+
+def _corrupted_eigen_expansion(monkeypatch):
+    # filtered rows scaled by 1 + 1e-6, as an operator off by that much would give
+    disc, _, H = _disc_operator()
+    filter_batch = noise.filter_batch
+    monkeypatch.setattr(noise, "filter_batch", lambda batch, H: filter_batch(batch, H) * (1 + 1e-6))
+    batch = noise.sample_noise(disc.grid, 10, 1.0, seed=5)
+    return verify.eigen_expansion_defect(locop.spectrum(H, maskgeom.measure(disc)), batch)
+
+
+def _corrupted_sigma_invariance(monkeypatch):
+    # a fixed absolute threshold in place of a quarter of max rho sees the noise level
+    _, g, H = _disc_operator()
+    monkeypatch.setattr(estimator, "estimate_mask", lambda avg: estimator.MaskEstimate(
+        cells=avg.rho >= 0.25, threshold=0.25, max_rho=float(avg.rho.max())
+    ))
+    return verify.sigma_invariance_defect(H, g, 8, 5, noise.KIND_COMPLEX)
+
+
+def _corrupted_plateau(monkeypatch):
+    # every operator scaled by 0.7 puts its plateau below the 0.75 level
+    assemble = locop.assemble_locop
+    monkeypatch.setattr(locop, "assemble_locop", lambda mask, g: 0.7 * assemble(mask, g))
+    return max(verify.bank_plateau_violations(64).values())
+
+
+# each defect that an acceptance criterion shares with a verify row, against
+# that row's tolerance
+@pytest.mark.parametrize(
+    "corrupted, tolerance",
+    [(_corrupted_trace, 1e-9), (_corrupted_eigen_expansion, 1e-9),
+     (_corrupted_sigma_invariance, 0.0), (_corrupted_plateau, 0.0)],
+    ids=["trace", "eigen_expansion", "sigma_invariance", "plateau"],
+)
+def test_a_shared_verify_defect_exceeds_its_tolerance_on_a_corrupted_input(
+    corrupted, tolerance, monkeypatch
+):
+    assert corrupted(monkeypatch) > tolerance
 
 
 # the child blocks scipy before the first import of maskrec, so any scipy
