@@ -244,10 +244,9 @@ def _draw(scenario: Scenario, seed: int, count: int) -> np.ndarray:
 
 def _filtered(pipeline: Pipeline, drawn: np.ndarray) -> np.ndarray:
     """A trial's realizations through H; real ones are paired by ``complexify`` first."""
-    batch = noise.NoiseBatch(drawn, kind=pipeline.scenario.noise_kind)
-    if batch.kind == noise.KIND_REAL:
-        batch = noise.complexify(batch)
-    return noise.filter_batch(batch, pipeline.H)
+    if pipeline.scenario.noise_kind == noise.KIND_REAL:
+        drawn = noise.complexify(drawn)
+    return noise.filter_batch(drawn, pipeline.H)
 
 
 def run_trial(

@@ -30,10 +30,10 @@ SIGMA_RANGE = (1e-100, 1e100)
 
 @dataclass(frozen=True)
 class NoiseBatch:
-    """K realizations of white noise, complex or real."""
+    """The (K, n) complex draws of :func:`sample_noise`; the rest of the noise layer
+    takes plain arrays.  Kept until perfbench's tracer stops reading its ``count``."""
 
     realizations: np.ndarray
-    kind: str
 
     @property
     def count(self) -> int:
@@ -92,31 +92,29 @@ def sample_noise(
     else:
         out.imag = 0.0
     out *= sigma
-    return NoiseBatch(realizations=out, kind=kind)
+    return NoiseBatch(out)
 
 
-def complexify(batch: NoiseBatch) -> NoiseBatch:
-    """Pair realizations as N'_k = N_k + i N_{k+K'}, K' = floor(K/2).
+def complexify(rows: np.ndarray) -> np.ndarray:
+    """Pair K real realizations as N'_k = N_k + i N_{k+K'}, K' = floor(K/2).
 
     Turns real noise into K' complex realizations of variance 2 sigma^2.
-    The result is complex noise, so it cannot be complexified again.
+    Rows with a nonzero imaginary part are complex draws, or were paired
+    already, and raise :class:`ConfigurationError`.
     """
-    if batch.kind != KIND_REAL:
-        raise ConfigurationError(f"complexify needs real noise, got {batch.kind!r}")
-    if batch.count < 2:
+    if np.any(np.imag(rows)):
+        raise ConfigurationError("complexify needs real noise, got rows with an imaginary part")
+    if len(rows) < 2:
         raise ConfigurationError("complexification needs at least 2 realizations")
-    half = batch.count // 2
-    paired = batch.realizations[:half] + 1j * batch.realizations[half : 2 * half]
-    return NoiseBatch(realizations=paired, kind=KIND_COMPLEX)
+    half = len(rows) // 2
+    return rows[:half] + 1j * rows[half : 2 * half]
 
 
-def filter_batch(batch: NoiseBatch, H: np.ndarray) -> np.ndarray:
-    """Apply the operator to every realization; returns a (K, n) array."""
+def filter_batch(rows: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Apply the operator to every row of a (K, n) array; returns a (K, n) array."""
     H = np.asarray(H)
-    if H.shape != (batch.realizations.shape[1],) * 2:
+    if H.shape != (rows.shape[1],) * 2:
         raise ConfigurationError(
-            f"operator shape {H.shape} does not match realizations of length "
-            f"{batch.realizations.shape[1]}"
+            f"operator shape {H.shape} does not match realizations of length {rows.shape[1]}"
         )
-    return batch.realizations @ H.T
-
+    return rows @ H.T

@@ -64,11 +64,11 @@ def trace_defect(mask: Mask, H: np.ndarray) -> float:
     return abs(float(np.trace(H).real) - maskgeom.measure(mask))
 
 
-def eigen_expansion_defect(spec: LocOpSpectrum, batch: noise.NoiseBatch) -> float:
-    """Max gap between ``H y`` and ``sum_m lambda_m <y, f_m> f_m`` over the batch."""
-    coeffs = batch.realizations @ np.conj(spec.eigenvectors)
+def eigen_expansion_defect(spec: LocOpSpectrum, rows: np.ndarray) -> float:
+    """Max gap between ``H y`` and ``sum_m lambda_m <y, f_m> f_m`` over the rows y."""
+    coeffs = rows @ np.conj(spec.eigenvectors)
     rebuilt = (coeffs * spec.eigenvalues) @ spec.eigenvectors.T
-    return float(np.max(np.abs(noise.filter_batch(batch, spec.H) - rebuilt)))
+    return float(np.max(np.abs(noise.filter_batch(rows, spec.H) - rebuilt)))
 
 
 def sigma_invariance_defect(H: np.ndarray, phi: Window, count: int, seed: int, kind: str) -> float:
@@ -76,7 +76,7 @@ def sigma_invariance_defect(H: np.ndarray, phi: Window, count: int, seed: int, k
     grid = TFGrid(H.shape[0])
     first, *rest = (
         estimator.estimate_mask(estimator.average_spectrogram(noise.filter_batch(
-            noise.sample_noise(grid, count, sigma, kind=kind, seed=seed), H
+            noise.sample_noise(grid, count, sigma, kind=kind, seed=seed).realizations, H
         ), phi)).cells
         for sigma in (0.1, 1.0, 10.0)
     )
@@ -199,7 +199,7 @@ def _size_rows(n: int, seed: int, rng: np.random.Generator) -> list:
     H = locop.assemble_locop(disc, g)
     spec = locop.spectrum(H, maskgeom.measure(disc))
     th = locop.theta(spec, phi).values
-    batch = noise.sample_noise(grid, 10, 1.0, seed=seed + n)
+    draws = noise.sample_noise(grid, 10, 1.0, seed=seed + n).realizations
 
     def covariance():
         z0 = (n // 3, (2 * n) // 3)
@@ -270,13 +270,13 @@ def _size_rows(n: int, seed: int, rng: np.random.Generator) -> list:
         ("locop.regularization_t2", 0.0,
          lambda: regularization(make_window(grid, tfcore.WINDOW_GAUSSIAN_T2))),
         ("noise.parseval", 1e-9, lambda: float(np.max(np.abs(
-            np.sum(np.abs(batch.realizations @ np.conj(spec.eigenvectors)) ** 2, axis=1)
-            - np.sum(np.abs(batch.realizations) ** 2, axis=1)
+            np.sum(np.abs(draws @ np.conj(spec.eigenvectors)) ** 2, axis=1)
+            - np.sum(np.abs(draws) ** 2, axis=1)
         )))),
-        ("noise.eigen_expansion", 1e-9, lambda: eigen_expansion_defect(spec, batch)),
+        ("noise.eigen_expansion", 1e-9, lambda: eigen_expansion_defect(spec, draws)),
         ("noise.sigma_scaling", 0.0, lambda: float(np.max(np.abs(
             noise.sample_noise(grid, 10, 2.0, seed=seed + n).realizations
-            - 2.0 * batch.realizations
+            - 2.0 * draws
         )))),
         ("estimator.sigma_invariance", 0.0,
          lambda: sigma_invariance_defect(H, phi, 8, seed + n, noise.KIND_COMPLEX)),

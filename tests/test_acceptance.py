@@ -116,7 +116,7 @@ def test_c05_noise_eigen_expansion():
     grid = TFGrid(16)
     mask = disc_mask(grid, 4.0)
     spec = spectrum(assemble_locop(mask, make_window(grid, "gaussian")), measure(mask))
-    worst = eigen_expansion_defect(spec, sample_noise(grid, 10, 1.0, seed=1005))
+    worst = eigen_expansion_defect(spec, sample_noise(grid, 10, 1.0, seed=1005).realizations)
     _report(5, "noise eigen-expansion", worst < 1e-9,
             f"max reconstruction defect {worst:.2e} over 10 realizations",
             5.0, started)
@@ -131,8 +131,8 @@ def test_c06_unbiasedness_rho_equals_theta():
     H = assemble_locop(mask, g)
     spec = spectrum(H, measure(mask))
     th = theta(spec, g).values
-    batch = sample_noise(grid, 2000, 1.0, seed=12345)
-    rho = estimator.average_spectrogram(filter_batch(batch, H), g).rho
+    rows = sample_noise(grid, 2000, 1.0, seed=12345).realizations
+    rho = estimator.average_spectrogram(filter_batch(rows, H), g).rho
     gap = float(np.max(np.abs(rho - th)))
     _report(6, "unbiasedness E{rho} = theta", gap < 0.05,
             f"sup-norm gap {gap:.4f} with 2000 realizations", 60.0, started)

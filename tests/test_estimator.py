@@ -3,6 +3,7 @@ import inspect
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from maskrec import errors, estimator
 from maskrec.estimator import (
@@ -10,6 +11,7 @@ from maskrec.estimator import (
     average_spectrogram,
     estimate_mask,
 )
+from maskrec.harness import Scenario, build_pipeline, trial_seed
 from maskrec.locop import assemble_locop, spectrum, theta
 from maskrec.maskgeom import disc_mask, measure
 from maskrec.noise import complexify, filter_batch, sample_noise
@@ -23,8 +25,8 @@ def _pipeline(n=32, mask_measure=8.0, seed=41, count=16, sigma=1.0, kind="comple
     g = make_window(grid, "gaussian")
     mask = disc_mask(grid, mask_measure)
     H = assemble_locop(mask, g)
-    batch = sample_noise(grid, count, sigma, kind=kind, seed=seed)
-    return grid, g, mask, H, batch
+    rows = sample_noise(grid, count, sigma, kind=kind, seed=seed).realizations
+    return grid, g, mask, H, rows
 
 
 @pytest.mark.parametrize("n", [16, 17, 64, 65, 256])
@@ -35,7 +37,7 @@ def test_rho_equals_the_gathered_field_of_the_covariance(n):
     g = make_window(grid, "gaussian")
     H = assemble_locop(disc_mask(grid, n / 8), g)
     for count in (1, 2, 5, 20, 64):
-        filtered = filter_batch(sample_noise(grid, count, 1.0, seed=n + count), H)
+        filtered = filter_batch(sample_noise(grid, count, 1.0, seed=n + count).realizations, H)
         rho = average_spectrogram(filtered, g).rho
         want = gathered_field(filtered.T @ np.conj(filtered), g) / count
         assert np.max(np.abs(rho - want)) <= 1e-13 * np.max(np.abs(want)), count
@@ -73,8 +75,8 @@ def test_rho_matches_brute_spectrograms(n):
 
 
 def test_sigma_squared_scaling_of_rho():
-    _, phi, _, H, batch = _pipeline(count=6)
-    filtered = filter_batch(batch, H)
+    _, phi, _, H, rows = _pipeline(count=6)
+    filtered = filter_batch(rows, H)
     rho1 = average_spectrogram(filtered, phi).rho
     rho2 = average_spectrogram(2.0 * filtered, phi).rho
     assert np.array_equal(rho2, 4.0 * rho1)
@@ -83,12 +85,44 @@ def test_sigma_squared_scaling_of_rho():
 def test_rho_concentrates_on_theta():
     # loose concentration sanity at K = 300; the tight 0.05 band at
     # K = 2000 is asserted by the acceptance suite
-    grid, phi, mask, H, batch = _pipeline(count=300, seed=42)
-    filtered = filter_batch(batch, H)
+    grid, phi, mask, H, rows = _pipeline(count=300, seed=42)
+    filtered = filter_batch(rows, H)
     rho = average_spectrogram(filtered, phi).rho
     spec = spectrum(H, measure(mask))
     th = theta(spec, phi).values
     assert np.max(np.abs(rho - th)) < 0.15
+
+
+@pytest.mark.parametrize(
+    "kind, model, shape, variance",
+    [("complex", "gaussian", 8, 1.0), ("complex", "gaussian_t2", 8, 1.0),
+     ("real", "gaussian_t2", 4, 2.0)],
+)
+def test_rho_follows_its_exact_gamma_law(kind, model, shape, variance):
+    # each filtered row's STFT at z is circular complex Gaussian with mean
+    # power variance * theta(z), for any pair of windows; real noise is paired
+    # into K' = 4 rows of variance 2.  So rho(z), the mean of `shape` such
+    # powers, is Gamma(shape, scale variance * theta / shape).  Cells far from
+    # the disc have theta = 0, so the three cells all have theta > 0.1
+    scenario = Scenario(n=64, shape="disc:measure=8", model_window=model,
+                        count=8, noise_kind=kind, trials=1000)
+    pipeline = build_pipeline(scenario)
+    th = theta(spectrum(pipeline.H, measure(pipeline.truth)), pipeline.recon).values
+    cells = [np.unravel_index(np.argmax(th), th.shape)] + [
+        np.unravel_index(np.argmin(np.abs(th - level)), th.shape) for level in (0.5, 0.2)
+    ]
+    picked = []
+    for trial in range(scenario.trials):
+        y = sample_noise(pipeline.grid, scenario.count, scenario.sigma, kind=kind,
+                         seed=trial_seed(scenario.seed, trial)).realizations
+        if kind == "real":
+            y = complexify(y)
+        rho = average_spectrogram(filter_batch(y, pipeline.H), pipeline.recon).rho
+        picked.append([rho[cell] for cell in cells])
+    for cell, values in zip(cells, np.transpose(picked)):
+        assert th[cell] > 0.1
+        law = (shape, 0.0, variance * th[cell] / shape)
+        assert kstest(values, "gamma", args=law).pvalue >= 0.01, (cell, th[cell])
 
 
 def test_estimate_mask_on_idealized_indicator():
@@ -111,8 +145,8 @@ def test_estimate_mask_includes_threshold_ties():
 
 
 def test_estimate_mask_scale_free():
-    _, phi, _, H, batch = _pipeline(count=8)
-    filtered = filter_batch(batch, H)
+    _, phi, _, H, rows = _pipeline(count=8)
+    filtered = filter_batch(rows, H)
     est1 = estimate_mask(average_spectrogram(filtered, phi))
     est2 = estimate_mask(average_spectrogram(np.float64(7.5) * filtered, phi))
     assert np.array_equal(est1.cells, est2.cells)
@@ -126,8 +160,8 @@ def test_estimate_mask_bit_identical_across_sigma():
     reference = None
     # the ends of noise.SIGMA_RANGE included
     for sigma in (1e-100, 0.1, 1.0, 10.0, 1e100):
-        batch = sample_noise(grid, 12, sigma, seed=43)
-        est = estimate_mask(average_spectrogram(filter_batch(batch, H), phi))
+        rows = sample_noise(grid, 12, sigma, seed=43).realizations
+        est = estimate_mask(average_spectrogram(filter_batch(rows, H), phi))
         if reference is None:
             reference = est.cells
         assert np.array_equal(est.cells, reference)
@@ -143,18 +177,18 @@ def test_estimate_mask_degenerate_zero():
 def test_estimate_mask_rejects_a_non_finite_sample(bad):
     # one bad sample spreads through the covariance; an empty mask with
     # max_rho = nan must not reach trials.csv
-    _, phi, _, H, batch = _pipeline(count=4)
-    filtered = filter_batch(batch, H)
+    _, phi, _, H, rows = _pipeline(count=4)
+    filtered = filter_batch(rows, H)
     filtered[1, 5] = bad
     with np.errstate(invalid="ignore"), pytest.raises(errors.NumericError):
         estimate_mask(average_spectrogram(filtered, phi))
 
 
 def test_complexify_commutes_with_filtering():
-    grid, phi, mask, H, batch = _pipeline(count=8, kind="real", seed=48)
-    via_pairs = filter_batch(complexify(batch), H)
-    filtered = filter_batch(batch, H)
-    half = batch.count // 2
+    grid, phi, mask, H, rows = _pipeline(count=8, kind="real", seed=48)
+    via_pairs = filter_batch(complexify(rows), H)
+    filtered = filter_batch(rows, H)
+    half = len(rows) // 2
     via_filter = filtered[:half] + 1j * filtered[half : 2 * half]
     assert np.max(np.abs(via_pairs - via_filter)) < 1e-12
 

@@ -500,11 +500,11 @@ def test_a_complex_k_sweep_filters_each_trial_once(
     filter_names = set()
     filter_batch, sample_noise = noise.filter_batch, noise.sample_noise
 
-    def counting_filter(batch, H):
-        filtered.append(batch.count)
+    def counting_filter(rows, H):
+        filtered.append(len(rows))
         filter_threads.add(threading.get_ident())
         filter_names.add(threading.current_thread().name)
-        return filter_batch(batch, H)
+        return filter_batch(rows, H)
 
     def counting_draw(*args, **kwargs):
         draw_threads.add(threading.get_ident())
@@ -742,9 +742,9 @@ def _corrupted_eigen_expansion(monkeypatch):
     # filtered rows scaled by 1 + 1e-6, as an operator off by that much would give
     disc, _, H = _disc_operator()
     filter_batch = noise.filter_batch
-    monkeypatch.setattr(noise, "filter_batch", lambda batch, H: filter_batch(batch, H) * (1 + 1e-6))
-    batch = noise.sample_noise(disc.grid, 10, 1.0, seed=5)
-    return verify.eigen_expansion_defect(locop.spectrum(H, maskgeom.measure(disc)), batch)
+    monkeypatch.setattr(noise, "filter_batch", lambda rows, H: filter_batch(rows, H) * (1 + 1e-6))
+    rows = noise.sample_noise(disc.grid, 10, 1.0, seed=5).realizations
+    return verify.eigen_expansion_defect(locop.spectrum(H, maskgeom.measure(disc)), rows)
 
 
 def _corrupted_sigma_invariance(monkeypatch):
@@ -847,8 +847,8 @@ def test_cli_preset_with_overrides(tmp_path):
 def test_cli_non_finite_samples_exit_3_without_a_csv(tmp_path, monkeypatch, capsys):
     real = noise.filter_batch
 
-    def poisoned(batch, H):
-        out = real(batch, H)
+    def poisoned(rows, H):
+        out = real(rows, H)
         out[0, 0] = np.nan
         return out
 

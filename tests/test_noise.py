@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from maskrec import errors, noise
+from maskrec import errors
 from maskrec.locop import assemble_locop, spectrum
 from maskrec.maskgeom import disc_mask
 from maskrec.noise import complexify, filter_batch, sample_noise
@@ -13,6 +13,7 @@ from maskrec.tfcore import TFGrid, make_window
 from helpers import oracle_noise
 
 GRID64 = TFGrid(64)
+NOT_REAL = "needs real noise, got rows with an imaginary part"
 
 
 def test_complex_noise_second_moment():
@@ -133,72 +134,76 @@ def test_sample_rejects_unknown_kind():
 
 
 def test_complexify_pairs_k4():
-    batch = sample_noise(GRID64, 4, 1.0, kind="real", seed=11)
-    paired = complexify(batch)
-    assert paired.count == 2
-    r = batch.realizations
-    assert np.array_equal(paired.realizations[0], r[0] + 1j * r[2])
-    assert np.array_equal(paired.realizations[1], r[1] + 1j * r[3])
-    assert paired.kind == noise.KIND_COMPLEX
+    r = sample_noise(GRID64, 4, 1.0, kind="real", seed=11).realizations
+    paired = complexify(r)
+    assert paired.shape == (2, 64)
+    assert paired.dtype == np.complex128
+    assert np.array_equal(paired[0], r[0] + 1j * r[2])
+    assert np.array_equal(paired[1], r[1] + 1j * r[3])
 
 
 def test_complexify_k5_drops_last():
-    batch = sample_noise(GRID64, 5, 1.0, kind="real", seed=12)
-    paired = complexify(batch)
-    assert paired.count == 2
-    r = batch.realizations
-    assert np.array_equal(paired.realizations[1], r[1] + 1j * r[3])
+    r = sample_noise(GRID64, 5, 1.0, kind="real", seed=12).realizations
+    paired = complexify(r)
+    assert len(paired) == 2
+    assert np.array_equal(paired[1], r[1] + 1j * r[3])
 
 
 def test_complexify_doubles_variance():
-    batch = sample_noise(GRID64, 1000, 1.0, kind="real", seed=13)
-    paired = complexify(batch)
-    mean_power = np.mean(np.abs(paired.realizations) ** 2)
+    paired = complexify(sample_noise(GRID64, 1000, 1.0, kind="real", seed=13).realizations)
+    mean_power = np.mean(np.abs(paired) ** 2)
     # 500 x 64 paired draws, each |N'|^2 with variance 4: 5-sigma band
     assert abs(mean_power - 2.0) < 5 * np.sqrt(4 / (500 * 64))
 
 
 def test_complexify_rejects_complex_noise():
-    batch = sample_noise(GRID64, 8, 1.0, kind="complex", seed=47)
-    with pytest.raises(errors.ConfigurationError, match="real noise"):
-        complexify(batch)
+    rows = sample_noise(GRID64, 8, 1.0, kind="complex", seed=47).realizations
+    with pytest.raises(errors.ConfigurationError, match=NOT_REAL):
+        complexify(rows)
+
+
+def test_complexify_rejects_one_imaginary_entry():
+    rows = sample_noise(GRID64, 4, 1.0, kind="real", seed=15).realizations.copy()
+    rows[3, 63] += 1e-300j
+    with pytest.raises(errors.ConfigurationError, match=NOT_REAL):
+        complexify(rows)
 
 
 def test_complexify_requires_two():
-    batch = sample_noise(GRID64, 1, 1.0, kind="real", seed=14)
+    rows = sample_noise(GRID64, 1, 1.0, kind="real", seed=14).realizations
     with pytest.raises(errors.ConfigurationError):
-        complexify(batch)
+        complexify(rows)
 
 
 def test_complexify_rejects_double_application():
-    batch = sample_noise(GRID64, 4, 1.0, kind="real", seed=15)
-    with pytest.raises(errors.ConfigurationError, match="needs real noise, got 'complex'"):
-        complexify(complexify(batch))
+    rows = sample_noise(GRID64, 4, 1.0, kind="real", seed=15).realizations
+    with pytest.raises(errors.ConfigurationError, match=NOT_REAL):
+        complexify(complexify(rows))
 
 
 # ------------------------------------------------------------------ filtering
 
 
 def test_filter_zero_and_identity():
-    batch = sample_noise(GRID64, 4, 1.0, seed=16)
-    assert np.all(filter_batch(batch, np.zeros((64, 64))) == 0)
-    assert np.array_equal(filter_batch(batch, np.eye(64)), batch.realizations)
+    rows = sample_noise(GRID64, 4, 1.0, seed=16).realizations
+    assert np.all(filter_batch(rows, np.zeros((64, 64))) == 0)
+    assert np.array_equal(filter_batch(rows, np.eye(64)), rows)
 
 
 def test_filter_dimension_mismatch():
-    batch = sample_noise(GRID64, 4, 1.0, seed=17)
+    rows = sample_noise(GRID64, 4, 1.0, seed=17).realizations
     with pytest.raises(errors.ConfigurationError):
-        filter_batch(batch, np.eye(32))
+        filter_batch(rows, np.eye(32))
 
 
 def test_filter_scaling_equivariance():
     # power-of-two scales commute with the matmul bit-for-bit; other scales
     # commute up to one rounding per accumulation step
     H = np.diag(np.linspace(0, 1, 64))
-    a = sample_noise(GRID64, 6, 1.0, seed=18)
-    b = sample_noise(GRID64, 6, 2.0, seed=18)
+    a = sample_noise(GRID64, 6, 1.0, seed=18).realizations
+    b = sample_noise(GRID64, 6, 2.0, seed=18).realizations
     assert np.array_equal(filter_batch(b, H), 2.0 * filter_batch(a, H))
-    c = sample_noise(GRID64, 6, 3.0, seed=18)
+    c = sample_noise(GRID64, 6, 3.0, seed=18).realizations
     lhs = filter_batch(c, H)
     rhs = 3.0 * filter_batch(a, H)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
