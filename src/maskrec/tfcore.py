@@ -32,8 +32,9 @@ Both kernels work on the diagonals ``A[t, t + tau]`` of a Hermitian matrix
 at the n/2 + 1 non-negative lags only: the negative lags are the conjugates
 of the positive ones, so the field Q is one inverse real FFT over the lags,
 and M is its half-lag diagonals plus their conjugate transpose, written
-straight into the output.  :func:`lag_band` computes those diagonals of
-``L @ R`` alone, block by block, so no n x n product is formed.  What
+straight into the output through the same lag view of the indices.
+:func:`lag_band` computes those diagonals of ``L @ R`` alone, block by
+block, so no n x n product is formed.  What
 depends on the window alone, the transformed lag products
 ``conj(phi(u)) phi(u + tau)``, is the window's :attr:`Window.lag_plan`,
 computed on first use from a sliding view of the samples and kept for the
@@ -92,6 +93,14 @@ class TFGrid:
         return float(self.n)
 
 
+def _lag_view(v: np.ndarray) -> np.ndarray:
+    """The read-only view whose row t is v(t), v(t + 1), ..., v(t + n/2), each
+    index mod n: a window of length n/2 + 1 sliding over v extended by its
+    first n/2 entries, with no n x (n/2 + 1) copy."""
+    h = v.shape[0] // 2
+    return sliding_window_view(np.concatenate((v, v[:h])), h + 1)
+
+
 @dataclass(frozen=True)
 class Window:
     """A unit-norm analysis/synthesis window.
@@ -132,11 +141,7 @@ class Window:
         """``P``, the inverse DFT over u of the lag products
         ``conj(phi(u)) phi(u + tau)`` at the lags tau = 0..n/2; built once,
         read-only."""
-        h = self.n // 2
-        # row u of a window of length h + 1 sliding over the extended
-        # samples is phi(u), phi(u + 1), ..., phi(u + h), each index mod n
-        shifted = sliding_window_view(np.concatenate((self.samples, self.samples[:h])), h + 1)
-        P = np.conj(self.samples)[:, None] * shifted
+        P = np.conj(self.samples)[:, None] * _lag_view(self.samples)
         np.fft.ifft(P, axis=0, out=P)
         P.flags.writeable = False
         return P
@@ -294,49 +299,40 @@ def product_field(L: np.ndarray, R: np.ndarray, phi: Window) -> np.ndarray:
     return np.fft.irfft(D, n, axis=1, norm="forward")
 
 
-def _lag_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of ``M[t, t + tau]`` and of ``M[t + tau, t]``, indices
-    mod n and tau = 0..n/2, in a C-ordered n x n matrix."""
-    h = n // 2
-    t = np.arange(n)
-    # row t of a window of length h + 1 sliding over the extended sequence
-    # is t, t + 1, ..., t + h, each taken mod n
-    lags = sliding_window_view(np.concatenate((t, t[:h])), h + 1)
-    transposed = lags * n
-    transposed += t[:, None]
-    return lags + (t * n)[:, None], transposed
-
-
 def mask_operator(cells: np.ndarray, g: Window) -> np.ndarray:
     """The matrix ``sum_z chi(z) pi(z)g (pi(z)g)^H`` of real cell weights chi.
 
     The adjoint of :func:`product_field`, taking its steps in reverse: a
     real DFT of chi over frequency, then a cyclic convolution over time with
     the lag products ``g(u) conj(g(u + tau))`` (the window's plan,
-    conjugated) gives the diagonals at lags 0..n/2.  They go straight into
-    the output, as they are and, conjugated, at the transposed positions;
-    then the diagonal becomes ``d + conj(d)`` with d lag 0 halved, and for
-    even n lag n/2, its own transpose, ``e + conj(roll(e, -n/2))`` with e
-    lag n/2 halved.  These are the values of the halved diagonals plus their
-    conjugate transpose, with no n x n temporary; the result is exactly
-    Hermitian.
+    conjugated) gives the diagonals ``X[t, tau]`` at lags 0..n/2.  They go
+    straight into the output through the lag view of the indices, the one
+    the plan is read from (row t is t, t + 1, ..., t + n/2 mod n): as they
+    are at ``M[t, lags]`` and, conjugated, at ``M[lags, t]``.  Then the
+    diagonal becomes ``d + conj(d)`` with d lag 0 halved, and for even n lag
+    n/2, its own transpose, ``e + conj(roll(e, -n/2))`` with e lag n/2
+    halved.  These are the values of the halved diagonals plus their
+    conjugate transpose, with no n x n temporary and no index table; the
+    result is exactly Hermitian.
     """
     cells = np.asarray(cells, dtype=float)
     n = g.n
     if cells.shape != (n, n):
         raise ConfigurationError(f"cell array shape {cells.shape} != window length {n}")
-    index, transposed = _lag_positions(n)
     X = np.fft.rfft2(cells)
     X *= np.conj(g.lag_plan)
     np.fft.ifft(X, axis=0, norm="forward", out=X)
     d = X[:, 0] / 2
     e = X[:, -1] / 2
+    t = np.arange(n)
+    lags = _lag_view(t)
     M = np.empty((n, n), dtype=np.complex128)
-    flat = M.ravel()
-    flat[index] = X
-    flat[transposed] = np.conjugate(X, out=X)
+    M[t[:, None], lags] = X
+    # lag by lag, so that consecutive writes walk down a diagonal of M
+    # rather than down a column
+    M[lags.T, t] = np.conjugate(X, out=X).T
     # lag 0, and lag n/2 for even n, are their own transposes
-    flat[index[:, 0]] = d + np.conj(d)
+    M[t, t] = d + np.conj(d)
     if n % 2 == 0:
-        flat[index[:, -1]] = e + np.conj(np.roll(e, -(n // 2)))
+        M[t, lags[:, -1]] = e + np.conj(np.roll(e, -(n // 2)))
     return M

@@ -71,12 +71,13 @@ def eigen_expansion_defect(spec: LocOpSpectrum, rows: np.ndarray) -> float:
     return float(np.max(np.abs(noise.filter_batch(rows, spec.H) - rebuilt)))
 
 
-def sigma_invariance_defect(H: np.ndarray, phi: Window, count: int, seed: int, kind: str) -> float:
-    """0 when the masks estimated from one seed at sigma 0.1, 1 and 10 are equal, else 1."""
+def sigma_invariance_defect(H: np.ndarray, phi: Window, count: int, seed: int) -> float:
+    """0 when the masks estimated from one seed of complex noise at sigma 0.1,
+    1 and 10 are equal, else 1."""
     grid = TFGrid(H.shape[0])
     first, *rest = (
         estimator.estimate_mask(estimator.average_spectrogram(noise.filter_batch(
-            noise.sample_noise(grid, count, sigma, kind=kind, seed=seed).realizations, H
+            noise.sample_noise(grid, count, sigma, seed=seed).realizations, H
         ), phi)).cells
         for sigma in (0.1, 1.0, 10.0)
     )
@@ -279,7 +280,7 @@ def _size_rows(n: int, seed: int, rng: np.random.Generator) -> list:
             - 2.0 * draws
         )))),
         ("estimator.sigma_invariance", 0.0,
-         lambda: sigma_invariance_defect(H, phi, 8, seed + n, noise.KIND_COMPLEX)),
+         lambda: sigma_invariance_defect(H, phi, 8, seed + n)),
         ("maskgeom.geometry", 1e-12, geometry),
     ]
 

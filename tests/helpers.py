@@ -48,12 +48,13 @@ def brute_locop(cells, g):
 
 
 def gather_lag_plan(g):
-    """``(index, transposed, P)`` from ``% n`` index arithmetic and gathers."""
+    """``(index, P)``: the flat positions of the lags 0..n/2 and the plan,
+    from ``% n`` index arithmetic and gathers."""
     n = g.n
     t = np.arange(n)[:, None]
     lags = (t + np.arange(n // 2 + 1)) % n
     P = np.fft.ifft(np.conj(g.samples[t]) * g.samples[lags], axis=0)
-    return t * n + lags, lags * n + t, P
+    return t * n + lags, P
 
 
 def gather_translates(g):
@@ -72,7 +73,7 @@ def lag_band_of_product(L, R):
 def gathered_field(A, phi):
     """``<A pi(z)phi, pi(z)phi>`` of a Hermitian n x n A: its lags 0..n/2
     gathered with ``take``, then the correlation and lag FFTs."""
-    index, _, P = gather_lag_plan(phi)
+    index, P = gather_lag_plan(phi)
     X = np.asarray(A, dtype=np.complex128).take(index)
     np.fft.fft(X, axis=0, out=X)
     X *= P
@@ -89,7 +90,7 @@ def zero_fill_mask_operator(cells, g):
     """``sum_z chi(z) pi(z)g (pi(z)g)^H`` by the halved lag diagonals plus their
     conjugate transpose, on a zero-filled matrix."""
     n = g.n
-    index, _, P = gather_lag_plan(g)
+    index, P = gather_lag_plan(g)
     X = np.fft.rfft2(np.asarray(cells, dtype=float))
     X *= np.conj(P)
     np.fft.ifft(X, axis=0, norm="forward", out=X)

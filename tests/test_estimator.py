@@ -3,6 +3,8 @@ import inspect
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import gammainc, gammaincc
 from scipy.stats import kstest
 
 from maskrec import errors, estimator
@@ -93,36 +95,82 @@ def test_rho_concentrates_on_theta():
     assert np.max(np.abs(rho - th)) < 0.15
 
 
-@pytest.mark.parametrize(
+# each filtered row's STFT at z is circular complex Gaussian with mean power
+# variance * theta(z), for any pair of windows; real noise is paired into
+# K' = 4 rows of variance 2.  So rho(z), the mean of `shape` such powers, is
+# Gamma(shape, scale variance * theta / shape)
+_GAMMA_LAW_ROWS = pytest.mark.parametrize(
     "kind, model, shape, variance",
     [("complex", "gaussian", 8, 1.0), ("complex", "gaussian_t2", 8, 1.0),
      ("real", "gaussian_t2", 4, 2.0)],
 )
-def test_rho_follows_its_exact_gamma_law(kind, model, shape, variance):
-    # each filtered row's STFT at z is circular complex Gaussian with mean
-    # power variance * theta(z), for any pair of windows; real noise is paired
-    # into K' = 4 rows of variance 2.  So rho(z), the mean of `shape` such
-    # powers, is Gamma(shape, scale variance * theta / shape).  Cells far from
-    # the disc have theta = 0, so the three cells all have theta > 0.1
+
+
+def _gamma_law_trials(kind, model):
+    """The truth cells, theta and a generator of the rho of 1000 trials at
+    n=64, ``disc:measure=8``, K=8, seeded by ``trial_seed``; nothing is
+    drawn before the generator is read."""
     scenario = Scenario(n=64, shape="disc:measure=8", model_window=model,
                         count=8, noise_kind=kind, trials=1000)
     pipeline = build_pipeline(scenario)
     th = theta(spectrum(pipeline.H, measure(pipeline.truth)), pipeline.recon).values
+
+    def rhos():
+        for trial in range(scenario.trials):
+            y = sample_noise(pipeline.grid, scenario.count, scenario.sigma, kind=kind,
+                             seed=trial_seed(scenario.seed, trial)).realizations
+            if kind == "real":
+                y = complexify(y)
+            yield average_spectrogram(filter_batch(y, pipeline.H), pipeline.recon).rho
+
+    return pipeline.truth.cells, th, rhos()
+
+
+@_GAMMA_LAW_ROWS
+def test_rho_follows_its_exact_gamma_law(kind, model, shape, variance):
+    # cells far from the disc have theta = 0, so the three cells all have
+    # theta > 0.1
+    _, th, rhos = _gamma_law_trials(kind, model)
     cells = [np.unravel_index(np.argmax(th), th.shape)] + [
         np.unravel_index(np.argmin(np.abs(th - level)), th.shape) for level in (0.5, 0.2)
     ]
-    picked = []
-    for trial in range(scenario.trials):
-        y = sample_noise(pipeline.grid, scenario.count, scenario.sigma, kind=kind,
-                         seed=trial_seed(scenario.seed, trial)).realizations
-        if kind == "real":
-            y = complexify(y)
-        rho = average_spectrogram(filter_batch(y, pipeline.H), pipeline.recon).rho
-        picked.append([rho[cell] for cell in cells])
+    picked = [[rho[cell] for cell in cells] for rho in rhos]
     for cell, values in zip(cells, np.transpose(picked)):
         assert th[cell] > 0.1
         law = (shape, 0.0, variance * th[cell] / shape)
         assert kstest(values, "gamma", args=law).pvalue >= 0.01, (cell, th[cell])
+
+
+@_GAMMA_LAW_ROWS
+def test_fixed_level_counts_match_their_exact_gamma_sums(kind, model, shape, variance):
+    # at a fixed level delta, the expected misses in the disc and false
+    # positives outside it are sums of Gamma tails over the cells.  Cells far
+    # from the disc have theta = 0 up to rounding (some read below 0) and never
+    # reach the level set, so the sums skip every cell with theta <= 0.  Each
+    # count gets its own delta, set from the law before anything is drawn so
+    # that it expects 10 cells a trial
+    truth, th, rhos = _gamma_law_trials(kind, model)
+    scale = variance * th / shape
+
+    def expected_misses(delta):
+        return gammainc(shape, delta / scale[truth & (th > 0)]).sum()
+
+    def expected_false_positives(delta):
+        return gammaincc(shape, delta / scale[~truth & (th > 0)]).sum()
+
+    # at ten times the largest mean, every cell's lower tail is about 1 and
+    # every upper tail about 0, so each root lies between 0 and there
+    top = 10.0 * variance * th.max()
+    miss_level = brentq(lambda delta: expected_misses(delta) - 10.0, 0.0, top)
+    false_level = brentq(lambda delta: expected_false_positives(delta) - 10.0, 0.0, top)
+    counts = np.array([
+        (np.count_nonzero(rho[truth] < miss_level), np.count_nonzero(rho[~truth] >= false_level))
+        for rho in rhos
+    ])
+    for got, want in zip(counts.T, (expected_misses(miss_level),
+                                    expected_false_positives(false_level))):
+        standard_error = got.std(ddof=1) / np.sqrt(got.size)
+        assert abs(got.mean() - want) <= 4.0 * standard_error, (got.mean(), want, standard_error)
 
 
 def test_estimate_mask_on_idealized_indicator():

@@ -753,7 +753,7 @@ def _corrupted_sigma_invariance(monkeypatch):
     monkeypatch.setattr(estimator, "estimate_mask", lambda avg: estimator.MaskEstimate(
         cells=avg.rho >= 0.25, threshold=0.25, max_rho=float(avg.rho.max())
     ))
-    return verify.sigma_invariance_defect(H, g, 8, 5, noise.KIND_COMPLEX)
+    return verify.sigma_invariance_defect(H, g, 8, 5)
 
 
 def _corrupted_plateau(monkeypatch):

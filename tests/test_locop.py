@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gammainc
@@ -80,6 +82,25 @@ def test_assemble_grid_mismatch():
     g = make_window(TFGrid(16), "gaussian")
     with pytest.raises(errors.ConfigurationError):
         assemble_locop(_empty(8), g)
+
+
+def test_assemble_peak_memory_is_three_arrays():
+    # H (16 n^2 bytes), one lag plane (16 n (n/2 + 1)) and the float copy of
+    # the cells (8 n^2), with 1 KiB a row for what is O(n); the window's plan
+    # is kept for its lifetime, so it is built before the measurement
+    n = 512
+    grid = TFGrid(n)
+    g = make_window(grid, "gaussian")
+    disc = disc_mask(grid, 16.0)
+    g.lag_plan
+    bound = 16 * n * n + 16 * n * (n // 2 + 1) + 8 * n * n + 1024 * n
+    tracemalloc.start()
+    try:
+        assemble_locop(disc, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
 
 
 # ------------------------------------------------------------------ spectrum

@@ -339,15 +339,30 @@ def test_mask_operator_matches_brute_locop_and_is_hermitian(n):
         assert np.array_equal(M, M.conj().T)
 
 
-@pytest.mark.parametrize("n", [8, 9, 15, 16, 64])
-def test_mask_operator_equals_the_zero_filled_conjugate_transpose_sum(n):
-    # real, non-boolean weights of both signs reach every lag with a value
-    rng = np.random.default_rng(50 + n)
-    weights = 3.0 * rng.random((n, n)) - 1.0
-    for g in _windows(n, rng):
-        M = tfcore.mask_operator(weights, g)
-        assert np.array_equal(M, zero_fill_mask_operator(weights, g))
-        assert np.array_equal(M, M.conj().T)
+def _assert_equal_with_signed_zeros(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+# 16 and the sweep 17..512 take every size from 16 to 512, odd and even
+@pytest.mark.parametrize(
+    "sizes", [[8], [9], [15], [16], [64], range(17, 513)],
+    ids=["8", "9", "15", "16", "64", "17-512"],
+)
+def test_mask_operator_equals_the_zero_filled_conjugate_transpose_sum(sizes):
+    # real, non-boolean weights of both signs reach every lag with a value;
+    # mask_operator writes through the lag view of the indices, the oracle
+    # scatters to gathered flat positions.  The sweep takes only the random
+    # complex window, the most general plan: the positions do not depend on
+    # the window's values
+    rng = np.random.default_rng(50 + sizes[0])
+    for n in sizes:
+        weights = 3.0 * rng.random((n, n)) - 1.0
+        gaussian, random_complex = _windows(n, rng)
+        for g in (gaussian, random_complex) if len(sizes) == 1 else (random_complex,):
+            M = tfcore.mask_operator(weights, g)
+            _assert_equal_with_signed_zeros(M, zero_fill_mask_operator(weights, g))
+            assert np.array_equal(M, M.conj().T), n
 
 
 def test_lag_plan_is_built_once_per_window():
@@ -373,18 +388,18 @@ def test_lag_plan_is_one_read_only_array(n):
 
 @pytest.mark.parametrize("n", [9, 16])
 def test_lag_plan_index_is_the_flat_lag_diagonal(n):
-    # mask_operator scatters its lag diagonals to these flat positions
-    index, transposed = tfcore._lag_positions(n)
+    # the plan reads the samples and mask_operator writes its lag diagonals
+    # through one lag view; over the indices it is the lag diagonal t, t + tau
+    lags = tfcore._lag_view(np.arange(n))
     P = make_window(TFGrid(n), "gaussian").lag_plan
-    assert index.shape == P.shape == (n, n // 2 + 1)
-    rows, cols = np.divmod(index, n)
+    assert lags.shape == P.shape == (n, n // 2 + 1)
     t, tau = np.meshgrid(np.arange(n), np.arange(n // 2 + 1), indexing="ij")
-    assert np.array_equal(rows, t)
-    assert np.array_equal(cols, (t + tau) % n)
-    assert np.array_equal(transposed, cols * n + rows)
+    assert np.array_equal(lags, (t + tau) % n)
     # together the lags 0..n/2 and their transposes reach every position
-    covered = np.union1d(index, transposed)
+    covered = np.union1d(t * n + lags, lags * n + t)
     assert np.array_equal(covered, np.arange(n * n))
+    with pytest.raises(ValueError):
+        lags[0, 0] = 0
     with pytest.raises(ValueError):
         P[0, 0] = 0
 
@@ -410,17 +425,14 @@ def test_lag_plan_shared_by_concurrent_callers():
 
 
 def test_lag_plan_positions_and_translates_equal_the_gathered_oracles():
-    # the positions and the index pattern of the translates do not depend on
-    # the window's values; a random complex window is the most general plan
+    # the index patterns of the plan and the translates do not depend on the
+    # window's values; a random complex window is the most general plan.
+    # mask_operator's positions are checked by the zero-filled oracle above
     rng = np.random.default_rng(60)
     for n in range(16, 513):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         g = tfcore.Window(v / np.linalg.norm(v))
-        index, transposed, P = gather_lag_plan(g)
-        assert np.array_equal(g.lag_plan, P), n
-        got_index, got_transposed = tfcore._lag_positions(n)
-        assert np.array_equal(got_index, index), n
-        assert np.array_equal(got_transposed, transposed), n
+        assert np.array_equal(g.lag_plan, gather_lag_plan(g)[1]), n
         assert np.array_equal(tfcore.translates(g), gather_translates(g)), n
 
 
@@ -428,7 +440,7 @@ def test_lag_plan_positions_and_translates_equal_the_gathered_oracles():
 def test_stock_window_lag_plans_equal_the_gathered_oracle(label):
     for n in (16, 17, 64, 65, 255, 256, 512):
         g = make_window(TFGrid(n), label)
-        assert np.array_equal(g.lag_plan, gather_lag_plan(g)[2]), n
+        assert np.array_equal(g.lag_plan, gather_lag_plan(g)[1]), n
 
 
 def test_translates_is_a_read_only_view_of_the_samples():
