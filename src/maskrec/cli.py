@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     for pooled in (p_sim, p_sweep):
         pooled.add_argument(
             "--threads", action=_Once, type=int, default=1,
-            help="worker threads (default 1; at most one per trial and per usable CPU)",
+            help="trial workers, the calling thread among them (default 1, which starts"
+            " no thread; at most one per trial and per usable CPU)",
         )
 
     p_spec = sub.add_parser("spectrum", help="eigenvalue profile of the operator")

@@ -3,8 +3,8 @@
 Reproducibility contract: a (scenario, seed) pair fully determines every
 emitted mask and every numeric CSV cell except wall_time.  Each trial owns
 an RNG stream derived from the scenario seed and the trial index, so runs
-are identical whether trials execute serially or on a thread pool, and
-results are merged in trial order.
+are identical whether trials run on one worker or on several, and results
+are merged in trial order.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -291,7 +292,10 @@ def _usable_cpus() -> int:
 
 
 def _workers(sc: Scenario, truth: Mask | None, threads: int) -> int:
-    """The pool size for the scenario's trials: at most one worker per trial and per usable CPU.
+    """The worker count for the scenario's trials: at most one per trial and per usable CPU.
+
+    The calling thread is one of the workers, so ``w`` workers start ``w - 1``
+    threads.
 
     A thread count below 1 raises :class:`ConfigurationError`, and so does
     a ``truth`` with no boundary, the full plane or the empty mask, which
@@ -309,23 +313,45 @@ def _workers(sc: Scenario, truth: Mask | None, threads: int) -> int:
 def run_trials(
     pipeline: Pipeline, threads: int = 1, rows: Callable[[int], np.ndarray] | None = None
 ) -> tuple[list[TrialResult], dict]:
-    """Run all trials of a scenario on :func:`_workers` threads; ordered merge.
+    """Run all trials of a scenario on :func:`_workers` workers; merged by trial index.
 
+    The calling thread is a worker, and ``w - 1`` pool threads join it when
+    there are ``w >= 2``; each worker takes the next trial index in turn.
     With ``rows``, a callable from a trial index to that trial's filtered
     rows, each trial's worker calls it and the trial scores what it returns.
+    Once a trial raises, no further trial starts; the workers finish, and
+    the error of the lowest failing trial index is raised.
     """
     workers = _workers(pipeline.scenario, pipeline.truth, threads)
-    indices = range(pipeline.scenario.trials)
+    trials = pipeline.scenario.trials
+    outcomes: list = [None] * trials
+    failures: dict[int, BaseException] = {}
+    pending = iter(range(trials))
+    lock = threading.Lock()
 
-    def one(t):
-        given = None if rows is None else rows(t)
-        return run_trial(pipeline, t, keep_fields=(t == 0), rows=given)
+    def take() -> int | None:
+        with lock:
+            return None if failures else next(pending, None)
+
+    def work() -> None:
+        t = -1  # an interrupt between two trials is charged to the one before
+        try:
+            while (t := take()) is not None:
+                given = None if rows is None else rows(t)
+                outcomes[t] = run_trial(pipeline, t, keep_fields=(t == 0), rows=given)
+        except BaseException as exc:
+            failures[t] = exc
 
     if workers == 1:
-        outcomes = [one(t) for t in indices]
+        work()
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, indices))
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            helpers = [pool.submit(work) for _ in range(workers - 1)]
+            work()
+        for helper in helpers:
+            helper.result()
+    if failures:
+        raise failures[min(failures)]
     return [r for r, _ in outcomes], outcomes[0][1]
 
 
@@ -529,7 +555,7 @@ def _draw_trials(
                 filter_rows(t)
         return drawn
     with ThreadPoolExecutor(max_workers=1) as helper:
-        # the pool's first error_report would compute the distances otherwise
+        # the workers' first error_report would compute the distances otherwise
         futures = [helper.submit(lambda: filter_with.truth.boundary_distance)]
         for t in range(scenario.trials):
             draw(t)

@@ -3,6 +3,8 @@ import re
 import subprocess
 import sys
 import threading
+import time
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -257,12 +259,15 @@ def test_simulate_outputs_are_deterministic(tmp_path):
 
 
 def test_parallel_matches_serial(tmp_path):
+    # trial 0's kept fields come from whichever worker ran trial 0
     out1, out2 = tmp_path / "serial", tmp_path / "pool"
     run_simulate(SMALL, out1, threads=1)
     run_simulate(SMALL, out2, threads=4)
     assert _csv_without_wall_time(out1 / "trials.csv") == _csv_without_wall_time(
         out2 / "trials.csv"
     )
+    for name in ("truth.pgm", "estimate.pgm", "symdiff.pgm", "rho.pgm", "rho.meta.txt"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -356,7 +361,9 @@ def test_threads_env_is_ignored(monkeypatch):
 
 
 def test_thread_pool_is_capped_at_the_trial_count(monkeypatch):
-    # and at the usable CPUs; the recording pool starts no thread
+    # and at the usable CPUs; the calling thread is one of the workers, so
+    # w workers make a pool of w - 1 and one worker makes none; the
+    # recording pool starts no thread
     sizes = []
 
     class RecordingPool:
@@ -369,17 +376,19 @@ def test_thread_pool_is_capped_at_the_trial_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
     pipeline = build_pipeline(SMALL)
     workers = min(SMALL.trials, harness._usable_cpus())
     results, _ = harness.run_trials(pipeline, threads=64)
-    assert sizes == ([workers] if workers > 1 else [])
+    assert sizes == ([workers - 1] if workers > 1 else [])
     assert [r.trial_index for r in results] == list(range(SMALL.trials))
     harness.run_trials(pipeline)
-    assert sizes == ([workers] if workers > 1 else [])
+    assert sizes == ([workers - 1] if workers > 1 else [])
     # two CPUs cap three trials at two workers; without an affinity call the
     # CPU count is the cap
     assert SMALL.trials == 3
@@ -389,7 +398,45 @@ def test_thread_pool_is_capped_at_the_trial_count(monkeypatch):
     monkeypatch.delattr(harness.os, "sched_getaffinity")
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     harness.run_trials(pipeline, threads=64)
-    assert sizes == [2, 2]
+    assert sizes == [1, 1]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("error", [errors.NumericError, KeyboardInterrupt])
+def test_a_failing_trial_stops_the_run_and_raises_the_lowest_index(error, threads, monkeypatch):
+    # trials 1 and 2 raise.  On 2 or 3 workers trial 1 waits until trial 2 has
+    # raised, yet trial 1's error propagates, as a serial run's would.  On 3,
+    # trial 0 also waits and then succeeds: its worker must not start trial 3
+    scenario = replace(SMALL, trials=6)
+    pipeline = build_pipeline(scenario)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    before = threading.active_count()
+    results, _ = run_trials(pipeline, threads=threads)
+    assert len(results) == scenario.trials
+    assert threading.active_count() == before
+
+    started, second_raised = [], threading.Event()
+    run_trial = harness.run_trial
+
+    def failing(pipeline, t, **kwargs):
+        started.append(t)
+        if t == 2:
+            second_raised.set()
+            raise error("trial 2 failed")
+        if t == 1:
+            if threads >= 2:
+                second_raised.wait(timeout=10)
+            raise error("trial 1 failed")
+        if t == 0 and threads == 3:
+            second_raised.wait(timeout=10)
+            time.sleep(0.05)  # trial 2's worker records its error meanwhile
+        return run_trial(pipeline, t, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", failing)
+    with pytest.raises(error, match="trial 1 failed"):
+        run_trials(pipeline, threads=threads)
+    assert threading.active_count() == before
+    assert sorted(started) == ([0, 1] if threads == 1 else [0, 1, 2])
 
 
 def test_fmt_keeps_the_sign_of_infinity():
@@ -497,21 +544,28 @@ def test_a_complex_k_sweep_filters_each_trial_once(
     # K and a measure value has its own H, so those filter per (trial, value)
     caller = threading.get_ident()
     filtered, filter_threads, draw_threads = [], set(), set()
-    filter_names = set()
+    events = {}  # thread -> its filter_batch outputs and run_trial calls, in order
     filter_batch, sample_noise = noise.filter_batch, noise.sample_noise
+    run_trial = harness.run_trial
 
     def counting_filter(rows, H):
         filtered.append(len(rows))
         filter_threads.add(threading.get_ident())
-        filter_names.add(threading.current_thread().name)
-        return filter_batch(rows, H)
+        out = filter_batch(rows, H)
+        events.setdefault(threading.get_ident(), []).append(("filter", out))
+        return out
 
     def counting_draw(*args, **kwargs):
         draw_threads.add(threading.get_ident())
         return sample_noise(*args, **kwargs)
 
+    def recording_trial(pipeline, t, **kwargs):
+        events.setdefault(threading.get_ident(), []).append(("trial", kwargs["rows"]))
+        return run_trial(pipeline, t, **kwargs)
+
     monkeypatch.setattr(noise, "filter_batch", counting_filter)
     monkeypatch.setattr(noise, "sample_noise", counting_draw)
+    monkeypatch.setattr(harness, "run_trial", recording_trial)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     if threads == 1:
         # one worker starts no thread, neither a pool nor a helper
@@ -523,11 +577,17 @@ def test_a_complex_k_sweep_filters_each_trial_once(
         assert filter_threads == {caller}
     elif (kind, axis) == ("complex", "K"):
         assert len(filter_threads) == 1 and caller not in filter_threads
-    else:
-        # each trial's worker filters its rows: rows filtered before the
-        # pool started would all have run on the calling thread
-        assert caller not in filter_threads
-        assert all(name.startswith("ThreadPoolExecutor") for name in filter_names)
+    if (kind, axis) != ("complex", "K"):
+        # each trial's worker filters its rows just before it scores them:
+        # rows filtered before the trials started would be followed by
+        # another filter, or scored after another trial, on their thread
+        trials = 0
+        for log in events.values():
+            for i, (event, scored) in enumerate(log):
+                if event == "trial":
+                    trials += 1
+                    assert i > 0 and log[i - 1][0] == "filter" and log[i - 1][1] is scored
+        assert trials == len(values) * SMALL.trials
 
 
 @pytest.mark.parametrize(
@@ -554,16 +614,26 @@ def test_a_sweep_rejects_bad_threads_and_a_boundaryless_truth_before_drawing(
 
 def test_a_k_sweep_keeps_its_rows_under_rapid_thread_switches(tmp_path, monkeypatch):
     # the helper filters trial t in place while the calling thread draws
-    # t + 1 and a 4-worker pool waits; a row filtered before its draw
-    # landed, or twice, would change that trial's results
+    # t + 1; then 4 workers, the calling thread among them, share each
+    # value's trials.  A row filtered before its draw landed, or twice,
+    # would change that trial's results; a trial index taken twice or never
+    # would show in the calls
     scenario = replace(SMALL, trials=24)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    calls, run_trial = [], harness.run_trial
+
+    def counting(pipeline, t, **kwargs):
+        calls.append((pipeline.scenario.count, t))
+        return run_trial(pipeline, t, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", counting)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         pooled = run_sweep(scenario, "K", [2, 8], tmp_path, threads=4)
     finally:
         sys.setswitchinterval(interval)
+    assert sorted(calls) == [(K, t) for K in (2, 8) for t in range(scenario.trials)]
     serial = run_sweep(scenario, "K", [2, 8], tmp_path, threads=1)
     for got, want in zip(pooled, serial):
         assert [replace(r, wall_time=0.0) for r in got["results"]] == [
