@@ -165,9 +165,10 @@ def error_report(truth: Mask, estimate: np.ndarray) -> ErrorReport:
         )
     grid = truth.grid
     err = truth.cells ^ est
-    sym = float(np.count_nonzero(err)) * grid.cell_measure
+    wrong = np.count_nonzero(err)
+    sym = float(wrong) * grid.cell_measure
     perim = truth.perimeter
-    if not err.any():
+    if wrong == 0:
         radius = 0.0
     else:
         dist = truth.boundary_distance

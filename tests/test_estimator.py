@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -177,7 +178,7 @@ def test_estimate_mask_on_idealized_indicator():
     grid = TFGrid(16)
     phi = make_window(grid, "gaussian")
     disc = disc_mask(grid, 4.0)
-    avg = AvgSpectrogram(rho=disc.cells.astype(float), count=1)
+    avg = AvgSpectrogram(total=disc.cells.astype(float), count=1)
     est = estimate_mask(avg)
     assert np.array_equal(est.cells, disc.cells)
     assert est.threshold == pytest.approx(0.25)
@@ -187,9 +188,66 @@ def test_estimate_mask_includes_threshold_ties():
     rho = np.full((16, 16), 0.1)
     rho[0, 0] = 1.0
     rho[3, 3] = 0.25  # exactly max/4: tie is included
-    est = estimate_mask(AvgSpectrogram(rho=rho, count=1))
+    est = estimate_mask(AvgSpectrogram(total=rho, count=1))
     assert est.cells[0, 0] and est.cells[3, 3]
     assert est.cells.sum() == 2
+
+
+def test_rho_is_the_total_divided_on_read():
+    _, phi, _, H, rows = _pipeline(count=7)
+    avg = average_spectrogram(filter_batch(rows, H), phi)
+    assert avg.count == 7
+    assert np.array_equal(avg.rho, avg.total / 7)
+    with pytest.raises(AttributeError):
+        avg.rho = avg.total
+
+
+def _ulps(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@pytest.mark.parametrize("count", [3, 5, 7, 20, 64])
+def test_estimate_mask_thresholds_the_sum_at_the_exact_level(count):
+    # the cells of total >= level must be those of total / count >= threshold.
+    # threshold * count is an ulp off for some maxima, so a seeded search picks
+    # one where it is; at the power of two 64 division is exact and it never is
+    rng = np.random.default_rng(count)
+    for _ in range(1000):
+        top = float(rng.uniform(1.0, 2.0)) * count
+        threshold = top / count / 4.0
+        naive = threshold * count
+        near = [_ulps(naive, step) for step in range(-4, 5)]
+        least = min(x for x in near if x / count >= threshold)
+        if least != naive:
+            break
+    assert (least != naive) == (count != 64)
+    below = math.nextafter(least, -math.inf)
+    assert below / count < threshold
+    total = np.array([[top, least], [below, naive]])
+    est = estimate_mask(AvgSpectrogram(total=total, count=count))
+    rho = total / count
+    assert est.max_rho == rho.max()
+    assert est.threshold == rho.max() / 4.0
+    assert np.array_equal(est.cells, rho >= rho.max() / 4.0)
+    assert est.cells.tolist() == [[True, True], [False, naive >= least]]
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_least_level_searches_both_ways(side):
+    # for a threshold that is not a quotient by count, threshold * count can
+    # also fall an ulp below the least level; a seeded search finds each side
+    rng = np.random.default_rng(17)
+    for _ in range(1000):
+        threshold = float(rng.uniform(1.0, 2.0)) * 2.0 ** int(rng.integers(-50, 50))
+        count = int(rng.integers(3, 10**6))
+        naive = threshold * count
+        level = estimator._least_level(threshold, count)
+        if np.sign(naive - level) == side:
+            break
+    assert np.sign(naive - level) == side
+    assert level / count >= threshold > math.nextafter(level, -math.inf) / count
 
 
 def test_estimate_mask_scale_free():
@@ -216,7 +274,7 @@ def test_estimate_mask_bit_identical_across_sigma():
 
 
 def test_estimate_mask_degenerate_zero():
-    avg = AvgSpectrogram(rho=np.zeros((16, 16)), count=1)
+    avg = AvgSpectrogram(total=np.zeros((16, 16)), count=1)
     with pytest.raises(errors.NumericError):
         estimate_mask(avg)
 
