@@ -291,7 +291,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _workers(sc: Scenario, truth: Mask | None, threads: int) -> int:
+def _workers(sc: Scenario, truth: Mask, threads: int) -> int:
     """The worker count for the scenario's trials: at most one per trial and per usable CPU.
 
     The calling thread is one of the workers, so ``w`` workers start ``w - 1``
@@ -303,7 +303,7 @@ def _workers(sc: Scenario, truth: Mask | None, threads: int) -> int:
     """
     if threads < 1:
         raise ConfigurationError(f"thread count must be >= 1, got {threads}")
-    if truth is not None and truth.perimeter == 0:
+    if truth.perimeter == 0:
         raise ConfigurationError(
             f"shape {sc.shape!r} has no boundary, so every containment radius and ratio is inf"
         )
@@ -587,7 +587,7 @@ def run_spectrum(scenario: Scenario, out_dir: str | Path) -> Path:
     spec = locop.spectrum(pipeline.H, omega)
     largeness = locop.check_largeness(pipeline.truth, pipeline.model)
     violations = locop.plateau_violations(spec)
-    perim = maskgeom.perimeter(pipeline.truth)
+    perim = pipeline.truth.perimeter
 
     columns = ["m", "eigenvalue", "measure", "perimeter", "largeness_pass",
                "largeness_lhs", "largeness_rhs", "plateau_violations"]

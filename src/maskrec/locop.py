@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .maskgeom import Mask, measure, perimeter
+from .maskgeom import Mask, measure
 from .tfcore import Window, mask_operator, offset_distances, product_field, stft
 
 _EIG_RANGE_TOL = 1e-8
@@ -162,7 +162,7 @@ class LargenessCheck:
 def check_largeness(mask: Mask, g: Window) -> LargenessCheck:
     """Check |mask| >= max(2, 8 * moment(g, g) * perimeter)."""
     lhs = measure(mask)
-    rhs = float(max(2.0, 8.0 * ambiguity_moment(g, g) * perimeter(mask)))
+    rhs = float(max(2.0, 8.0 * ambiguity_moment(g, g) * mask.perimeter))
     return LargenessCheck(passed=bool(lhs >= rhs), lhs=lhs, rhs=rhs)
 
 

@@ -100,17 +100,17 @@ def bank_plateau_violations(max_n: float = float("inf")) -> dict[str, int]:
     return violations
 
 
-def theta_first_moment(spec: LocOpSpectrum, phi: Window, mask: Mask, g: Window) -> float:
+def theta_first_moment(H: np.ndarray, phi: Window, mask: Mask, g: Window) -> float:
     """Defect of the first-moment identity, computed by two independent routes.
 
-    The field of H, ``<H pi(z)phi, pi(z)phi>`` (equal to
-    ``sum_m lambda_m * n * |stft(f_m, phi)(z)|^2``), read from the lag band
-    of H with no eigensolve, must equal the cyclic convolution of the mask
-    indicator with ``|stft(g, phi)|^2`` (the latter already carries one
-    factor of the cell measure), computed by 2-D FFTs.  Returns the maximum
-    absolute difference over the lattice; expected < 1e-8.
+    The field of ``H = assemble_locop(mask, g)``, ``<H pi(z)phi, pi(z)phi>``
+    (equal to ``sum_m lambda_m * n * |stft(f_m, phi)(z)|^2``), read from the
+    lag band of H with no eigensolve, must equal the cyclic convolution of
+    the mask indicator with ``|stft(g, phi)|^2`` (the latter already carries
+    one factor of the cell measure), computed by 2-D FFTs.  Returns the
+    maximum absolute difference over the lattice; expected < 1e-8.
     """
-    lhs = tfcore.product_field(spec.H, np.eye(spec.H.shape[0]), phi)
+    lhs = tfcore.product_field(H, np.eye(H.shape[0]), phi)
     return float(np.max(np.abs(lhs - _smooth(mask, locop._density(g, phi)))))
 
 
@@ -129,15 +129,15 @@ def double_orthogonality_defect(spec: LocOpSpectrum, mask: Mask, g: Window, m_ma
     return float(np.max(np.abs(gram - np.diag(spec.eigenvalues[:m_max]))))
 
 
-def far_field_defect(spec: LocOpSpectrum, mask: Mask, g: Window, phi: Window) -> float:
+def far_field_defect(th: np.ndarray, mask: Mask, g: Window, phi: Window) -> float:
     """Max violation of the pointwise tail bound on |chi - theta|.
 
     For each cell z let R_z be the torus distance to the nearest
-    opposite-value cell; then ``|chi(z) - theta(z)|`` is bounded by four
-    times the mass of |stft(g, phi)|^2 outside radius R_z.  Returns the
-    maximum of (left side - right side); values <= 0 mean the bound holds.
+    opposite-value cell; then ``|chi(z) - th(z)|``, with ``th`` the theta
+    field of ``assemble_locop(mask, g)`` under phi, is bounded by four times
+    the mass of |stft(g, phi)|^2 outside radius R_z.  Returns the maximum
+    of (left side - right side); values <= 0 mean the bound holds.
     """
-    th = locop.theta(spec, phi).values
     chi = mask.cells.astype(float)
     inside = maskgeom.distance_field(~mask.cells)
     outside = maskgeom.distance_field(mask.cells)
@@ -166,7 +166,7 @@ def regularization_defect(mask: Mask, g: Window, phi: Window) -> tuple[float, fl
     q = locop._density(g, phi)
     defect = _smooth(mask, q) - q.sum() * mask.cells
     lhs = float(np.sum(np.abs(defect)) * mask.grid.cell_measure)
-    return lhs, locop.ambiguity_moment(g, phi) * maskgeom.perimeter(mask)
+    return lhs, locop.ambiguity_moment(g, phi) * mask.perimeter
 
 
 def _reproducing_defect(g: Window, rng: np.random.Generator) -> float:
@@ -257,7 +257,7 @@ def _size_rows(n: int, seed: int, rng: np.random.Generator) -> list:
         ("locop.monotonicity", 1e-9, monotonicity),
         ("locop.double_orth", 1e-8,
          lambda: double_orthogonality_defect(spec, disc, g, m_max=8)),
-        ("locop.first_moment", 1e-8, lambda: theta_first_moment(spec, phi, disc, g)),
+        ("locop.first_moment", 1e-8, lambda: theta_first_moment(H, phi, disc, g)),
         ("locop.theta_bounds", 1e-9, lambda: max(
             float(th.max()) - 1.0,
             float(th.sum() * grid.cell_measure) - spec.omega_measure,
@@ -265,8 +265,8 @@ def _size_rows(n: int, seed: int, rng: np.random.Generator) -> list:
         )),
         ("locop.theta_l1_bound", 0.0,
          lambda: float(np.sum(np.abs(disc.cells - th)) * grid.cell_measure)
-         - 2.0 * locop.ambiguity_moment(g, phi) * maskgeom.perimeter(disc)),
-        ("locop.far_field", 1e-8, lambda: far_field_defect(spec, disc, g, phi)),
+         - 2.0 * locop.ambiguity_moment(g, phi) * disc.perimeter),
+        ("locop.far_field", 1e-8, lambda: far_field_defect(th, disc, g, phi)),
         ("locop.regularization", 0.0, lambda: regularization(g)),
         ("locop.regularization_t2", 0.0,
          lambda: regularization(make_window(grid, tfcore.WINDOW_GAUSSIAN_T2))),

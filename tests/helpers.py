@@ -4,7 +4,8 @@ match exactly."""
 
 import numpy as np
 
-from maskrec.maskgeom import _cell_distances_sq
+from maskrec.maskgeom import _cell_distances_sq, make_mask
+from maskrec.tfcore import TFGrid, make_window
 
 
 def brute_stft(f, g):
@@ -146,3 +147,37 @@ def oracle_noise(n, count, sigma, kind, seed):
         else:
             out[k] = rng.standard_normal(n)
     return out * sigma
+
+
+def brute_trial(scenario, t):
+    """Trial ``t`` of a scenario from the definitions: ``(rho, estimate, radius)``.
+
+    The trial's seed from its ``SeedSequence``, then :func:`oracle_noise`;
+    real rows paired as ``N_k + i N_{k+K'}`` for ``k < K' = floor(K/2)``;
+    the kernel sum :func:`brute_locop`; ``rho`` the mean of
+    ``n |brute_stft(H y)|^2``; the cells at or above a quarter of its
+    maximum; and the largest :func:`brute_torus_distance` from an error
+    cell to the truth's boundary cells, floored at half a cell side (0 for
+    a perfect estimate).
+    """
+    sc, n = scenario, scenario.n
+    state = np.random.SeedSequence(sc.seed, spawn_key=(t,)).generate_state(1, dtype=np.uint64)
+    rows = oracle_noise(n, sc.count, sc.sigma, sc.noise_kind, int(state[0]))
+    if sc.noise_kind == "real":
+        half = sc.count // 2
+        rows = np.array([rows[k].real + 1j * rows[k + half].real for k in range(half)])
+    grid = TFGrid(n)
+    truth = make_mask(grid, sc.shape).cells
+    model, recon = (make_window(grid, label).samples for label in (sc.model_window, sc.recon_window))
+    H = brute_locop(truth, model)
+    rho = np.mean([n * np.abs(brute_stft(H @ y, recon)) ** 2 for y in rows], axis=0)
+    estimate = rho >= rho.max() / 4
+    error = truth ^ estimate
+    if not error.any():
+        return rho, estimate, 0.0
+    interior = truth.copy()
+    for axis in (0, 1):
+        for shift in (1, -1):
+            interior &= np.roll(truth, shift, axis=axis)
+    distance = brute_torus_distance(truth & ~interior, n)
+    return rho, estimate, max(float(distance[error].max()), 0.5 / np.sqrt(n))

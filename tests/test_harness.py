@@ -29,6 +29,8 @@ from maskrec.harness import (
 )
 from maskrec.verify import run_verify
 
+from helpers import brute_trial
+
 SMALL = Scenario(
     n=32, shape="disc:measure=6", count=6, trials=3, seed=99,
     r_list=(0.2, 0.5, 1.0),
@@ -259,15 +261,18 @@ def test_simulate_outputs_are_deterministic(tmp_path):
 
 
 def test_parallel_matches_serial(tmp_path):
-    # trial 0's kept fields come from whichever worker ran trial 0
-    out1, out2 = tmp_path / "serial", tmp_path / "pool"
-    run_simulate(SMALL, out1, threads=1)
-    run_simulate(SMALL, out2, threads=4)
-    assert _csv_without_wall_time(out1 / "trials.csv") == _csv_without_wall_time(
-        out2 / "trials.csv"
-    )
-    for name in ("truth.pgm", "estimate.pgm", "symdiff.pgm", "rho.pgm", "rho.meta.txt"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # trial 0's kept fields come from whichever worker ran trial 0; real
+    # noise with an odd K draws, pairs and drops a realization
+    real_K5 = Scenario(n=32, trials=6, noise_kind="real", count=5)
+    for i, (scenario, threads) in enumerate(((SMALL, 4), (real_K5, 2))):
+        out1, out2 = tmp_path / f"serial{i}", tmp_path / f"pool{i}"
+        run_simulate(scenario, out1, threads=1)
+        run_simulate(scenario, out2, threads=threads)
+        assert _csv_without_wall_time(out1 / "trials.csv") == _csv_without_wall_time(
+            out2 / "trials.csv"
+        )
+        for name in ("truth.pgm", "estimate.pgm", "symdiff.pgm", "rho.pgm", "rho.meta.txt"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -442,6 +447,80 @@ def test_a_failing_trial_stops_the_run_and_raises_the_lowest_index(error, thread
 def test_fmt_keeps_the_sign_of_infinity():
     assert harness._fmt(float("-inf")) == "-inf"
     assert harness._fmt(float("inf")) == "inf"
+
+
+# ------------------------------------------------------------------ whole trial
+
+
+def _oracle_scenarios():
+    """40 one-trial scenarios: two seeds of four truths at each n, under
+    matched and mismatched windows, complex noise at K = 1 and 7 and real
+    noise at K = 5."""
+    noises = (("complex", 1), ("complex", 7), ("real", 5))
+    windows = (("gaussian", "gaussian"), ("gaussian_t2", "gaussian"))
+    truths = [
+        (n, shape)
+        for n in (16, 17, 20, 24, 32)
+        for shape in (
+            f"disc:measure={0.3 * n:g}", f"annulus:measure={0.3 * n:g},hole={0.1 * n:g}",
+            f"not:disc:measure={0.2 * n:g}", f"rect:x0=2,f0=3,w={n // 2},h={n // 3}",
+        )
+        for _ in range(2)
+    ]
+    for i, (n, shape) in enumerate(truths):
+        (kind, K), (model, recon) = noises[i % 3], windows[i // 3 % 2]
+        yield Scenario(n=n, shape=shape, count=K, noise_kind=kind, model_window=model,
+                       recon_window=recon, trials=1, seed=100 + i)
+
+
+def test_a_trial_matches_the_brute_force_trial():
+    near_threshold = 0
+    for scenario in _oracle_scenarios():
+        rho, estimate, radius = brute_trial(scenario, 0)
+        result, fields = run_trial(build_pipeline(scenario), 0, keep_fields=True)
+        top = rho.max()
+        assert abs(result.max_rho - top) <= 1e-13 * top, scenario
+        near = np.abs(rho - top / 4) <= 1e-12 * top
+        near_threshold += int(np.count_nonzero(near))
+        assert np.array_equal(fields["estimate"][~near], estimate[~near]), scenario
+        if np.array_equal(fields["estimate"], estimate):
+            # the package multiplies sqrt(d^2) by the cell side and the oracle
+            # divides it by sqrt(n): the two may round 1 ulp apart
+            got = result.error.containment_radius
+            assert abs(got - radius) <= 2 * np.spacing(max(got, radius)), scenario
+    print(f"{near_threshold} cells within 1e-12 of the threshold in 40 trials")
+
+
+# the defects of a whole trial under a time-frequency shift measured 7.7e-16
+# to 6.4e-15 at n = 16, 17 and 64; 1e-13 leaves a margin of 15
+_SHIFT_TOL = 1e-13
+
+
+@pytest.mark.parametrize("n, kind, K", [(16, "complex", 6), (17, "real", 5), (64, "complex", 6)])
+def test_shifting_the_truth_and_the_noise_shifts_the_trial(n, kind, K):
+    scenario = Scenario(n=n, count=K, noise_kind=kind, model_window="gaussian_t2", trials=1,
+                        seed=11)
+    z = (n // 3, 2 * n // 3 + 1)
+
+    def roll(a):
+        return np.roll(a, z, axis=(0, 1))
+
+    base = build_pipeline(scenario)
+    truth = maskgeom.Mask(roll(base.truth.cells))
+    moved = replace(base, truth=truth, H=locop.assemble_locop(truth, base.model))
+    P = tfcore.tf_shift(np.eye(n), z).T  # column s is pi(z) e_s
+    assert np.max(np.abs(moved.H - P @ base.H @ P.conj().T)) <= _SHIFT_TOL
+
+    drawn = harness._draw(scenario, trial_seed(scenario.seed, 0), K)
+    paired = noise.complexify(drawn) if kind == "real" else drawn
+    rows = noise.filter_batch(tfcore.tf_shift(paired, z), moved.H)
+    result, fields = run_trial(base, 0, keep_fields=True)
+    shifted, shifted_fields = run_trial(moved, 0, keep_fields=True, rows=rows)
+    top = result.max_rho
+    assert np.max(np.abs(shifted_fields["rho"] - roll(fields["rho"]))) <= _SHIFT_TOL * top
+    off = roll(np.abs(fields["rho"] - top / 4) > 1e-12 * top)
+    assert np.array_equal(shifted_fields["estimate"][off], roll(fields["estimate"])[off])
+    assert shifted.error == result.error
 
 
 # ------------------------------------------------------------------ sweeps
@@ -787,6 +866,14 @@ def test_verify_check_names_in_order():
     assert [c.line() for c in checks if not c.passed] == []
 
 
+def test_verify_computes_theta_once_per_size(monkeypatch):
+    sizes = []
+    theta = locop.theta
+    monkeypatch.setattr(locop, "theta", lambda spec, phi: sizes.append(phi.n) or theta(spec, phi))
+    run_verify(ns=(8, 16))
+    assert sizes == [8, 16]
+
+
 def test_verify_corrupted_window_fails_isometry(monkeypatch):
     # transforms scaled by 1 + 1e-4, as a window off unit norm would give
     stft = tfcore.stft
@@ -806,6 +893,12 @@ def _disc_operator():
 def _corrupted_trace(monkeypatch):
     disc, _, H = _disc_operator()
     return verify.trace_defect(disc, H * (1.0 + 1e-6))
+
+
+def _corrupted_first_moment(monkeypatch):
+    # an operator off by 1 + 1e-6 moves its field by as much
+    disc, g, H = _disc_operator()
+    return verify.theta_first_moment(H * (1.0 + 1e-6), g, disc, g)
 
 
 def _corrupted_eigen_expansion(monkeypatch):
@@ -837,9 +930,10 @@ def _corrupted_plateau(monkeypatch):
 # that row's tolerance
 @pytest.mark.parametrize(
     "corrupted, tolerance",
-    [(_corrupted_trace, 1e-9), (_corrupted_eigen_expansion, 1e-9),
-     (_corrupted_sigma_invariance, 0.0), (_corrupted_plateau, 0.0)],
-    ids=["trace", "eigen_expansion", "sigma_invariance", "plateau"],
+    [(_corrupted_trace, 1e-9), (_corrupted_first_moment, 1e-8),
+     (_corrupted_eigen_expansion, 1e-9), (_corrupted_sigma_invariance, 0.0),
+     (_corrupted_plateau, 0.0)],
+    ids=["trace", "first_moment", "eigen_expansion", "sigma_invariance", "plateau"],
 )
 def test_a_shared_verify_defect_exceeds_its_tolerance_on_a_corrupted_input(
     corrupted, tolerance, monkeypatch

@@ -191,7 +191,7 @@ def test_spectrum_calls_eigh_only_when_eigenvectors_are_read(tmp_path, monkeypat
     disc = disc_mask(TFGrid(n), 4.0)
     spec = _spec(disc, g)
     theta(spec, g)
-    theta_first_moment(spec, g, disc, g)
+    theta_first_moment(spec.H, g, disc, g)
     harness.run_spectrum(harness.Scenario(n=n, shape="disc:measure=4"), tmp_path)
     assert calls == []
     assert spec.eigenvectors is spec.eigenvectors
@@ -395,8 +395,8 @@ def test_theta_l1_distance_bounded_by_moment(model_label):
 def test_first_moment_empty_and_full():
     n = 16
     g = make_window(TFGrid(n), "gaussian")
-    assert theta_first_moment(_spec(_empty(n), g), g, _empty(n), g) < 1e-12
-    assert theta_first_moment(_spec(_full(n), g), g, _full(n), g) < 1e-9
+    assert theta_first_moment(assemble_locop(_empty(n), g), g, _empty(n), g) < 1e-12
+    assert theta_first_moment(assemble_locop(_full(n), g), g, _full(n), g) < 1e-9
 
 
 def test_first_moment_random_mask():
@@ -406,7 +406,7 @@ def test_first_moment_random_mask():
     cells = np.zeros(n * n, bool)
     cells[rng.choice(n * n, size=20, replace=False)] = True
     mask = Mask(cells.reshape(n, n))
-    assert theta_first_moment(_spec(mask, g), g, mask, g) < 1e-8
+    assert theta_first_moment(assemble_locop(mask, g), g, mask, g) < 1e-8
 
 
 def test_first_moment_against_quadratic_form():
@@ -429,6 +429,17 @@ def test_first_moment_against_quadratic_form():
         assert lhs[z] == pytest.approx(direct, abs=1e-10)
 
 
+def test_the_first_moment_criterion_runs_no_eigensolve(monkeypatch):
+    import test_acceptance
+
+    def no_solve(_):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    test_acceptance.test_c03_theta_convolution_identity()
+
+
 @pytest.mark.parametrize("model_label", ["gaussian", "gaussian_t2"])
 def test_first_moment_both_window_pairings(model_label):
     n = 16
@@ -436,7 +447,7 @@ def test_first_moment_both_window_pairings(model_label):
     g = make_window(grid, model_label)
     phi = make_window(grid, "gaussian")
     mask = disc_mask(grid, 4.0)
-    assert theta_first_moment(_spec(mask, g), phi, mask, g) < 1e-8
+    assert theta_first_moment(assemble_locop(mask, g), phi, mask, g) < 1e-8
 
 
 # ------------------------------------------------------------------ largeness
@@ -496,7 +507,7 @@ def test_far_field_tail_bound():
     grid = TFGrid(n)
     g = make_window(grid, "gaussian")
     mask = disc_mask(grid, 8.0)
-    defect = verify.far_field_defect(_spec(mask, g), mask, g, g)
+    defect = verify.far_field_defect(theta(_spec(mask, g), g).values, mask, g, g)
     assert defect <= 1e-8
 
 
