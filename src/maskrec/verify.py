@@ -129,14 +129,14 @@ def double_orthogonality_defect(spec: LocOpSpectrum, mask: Mask, g: Window, m_ma
     return float(np.max(np.abs(gram - np.diag(spec.eigenvalues[:m_max]))))
 
 
-def far_field_defect(th: np.ndarray, mask: Mask, g: Window, phi: Window) -> float:
+def far_field_defect(theta: np.ndarray, mask: Mask, g: Window, phi: Window) -> float:
     """Max violation of the pointwise tail bound on |chi - theta|.
 
     For each cell z let R_z be the torus distance to the nearest
-    opposite-value cell; then ``|chi(z) - th(z)|``, with ``th`` the theta
-    field of ``assemble_locop(mask, g)`` under phi, is bounded by four times
-    the mass of |stft(g, phi)|^2 outside radius R_z.  Returns the maximum
-    of (left side - right side); values <= 0 mean the bound holds.
+    opposite-value cell; then ``|chi(z) - theta(z)|``, for the theta field
+    of ``assemble_locop(mask, g)`` under phi, is bounded by four times the
+    mass of |stft(g, phi)|^2 outside radius R_z.  Returns the maximum of
+    (left side - right side); values <= 0 mean the bound holds.
     """
     chi = mask.cells.astype(float)
     inside = maskgeom.distance_field(~mask.cells)
@@ -152,7 +152,7 @@ def far_field_defect(th: np.ndarray, mask: Mask, g: Window, phi: Window) -> floa
 
     idx = np.searchsorted(sorted_dist, radius.ravel(), side="left")
     tails = suffix[idx].reshape(radius.shape)
-    return float(np.max(np.abs(chi - th) - 4.0 * tails))
+    return float(np.max(np.abs(chi - theta) - 4.0 * tails))
 
 
 def regularization_defect(mask: Mask, g: Window, phi: Window) -> tuple[float, float]:

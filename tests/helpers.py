@@ -158,7 +158,7 @@ def brute_trial(scenario, t):
     ``n |brute_stft(H y)|^2``; the cells at or above a quarter of its
     maximum; and the largest :func:`brute_torus_distance` from an error
     cell to the truth's boundary cells, floored at half a cell side (0 for
-    a perfect estimate).
+    a perfect estimate).  The truth and the windows are the package's.
     """
     sc, n = scenario, scenario.n
     state = np.random.SeedSequence(sc.seed, spawn_key=(t,)).generate_state(1, dtype=np.uint64)
