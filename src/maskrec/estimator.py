@@ -57,7 +57,7 @@ def average_spectrogram(filtered: np.ndarray, phi: Window) -> AvgSpectrogram:
     that form of the sample covariance.
     """
     filtered = np.atleast_2d(np.asarray(filtered, dtype=np.complex128))
-    if filtered.shape[0] < 1 or filtered.size == 0:
+    if filtered.size == 0:
         raise ConfigurationError("average_spectrogram needs at least one realization")
     n = phi.n
     if filtered.shape[1] != n:

@@ -346,10 +346,9 @@ def run_trials(
         work()
     else:
         with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            helpers = [pool.submit(work) for _ in range(workers - 1)]
+            for _ in range(workers - 1):
+                pool.submit(work)  # no result to read: work() keeps every exception
             work()
-        for helper in helpers:
-            helper.result()
     if failures:
         raise failures[min(failures)]
     return [r for r, _ in outcomes], outcomes[0][1]

@@ -169,7 +169,4 @@ def check_largeness(mask: Mask, g: Window) -> LargenessCheck:
 def plateau_violations(spec: LocOpSpectrum) -> int:
     """Count of m <= |mask|/2 with lambda_m < 3/4 (expected 0 under largeness)."""
     m_half = int(np.floor(spec.omega_measure / 2))
-    if m_half < 1:
-        return 0
-    m_half = min(m_half, spec.eigenvalues.size)
-    return int(np.count_nonzero(spec.eigenvalues[:m_half] < 0.75))
+    return int(np.count_nonzero(spec.eigenvalues[: max(m_half, 0)] < 0.75))

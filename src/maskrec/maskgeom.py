@@ -169,16 +169,10 @@ def error_report(truth: Mask, estimate: np.ndarray) -> ErrorReport:
     sym = float(wrong) * grid.cell_measure
     perim = truth.perimeter
     if wrong == 0:
-        radius = 0.0
+        radius = ratio = 0.0
     else:
-        dist = truth.boundary_distance
-        radius = max(float(dist[err].max()), 0.5 * grid.cell_side)
-    if sym == 0.0:
-        ratio = 0.0
-    elif perim == 0.0:
-        ratio = np.inf
-    else:
-        ratio = sym / perim
+        radius = max(float(truth.boundary_distance[err].max()), 0.5 * grid.cell_side)
+        ratio = sym / perim if perim else np.inf
     return ErrorReport(
         sym_diff_measure=sym,
         perimeter=perim,

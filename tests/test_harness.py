@@ -4,7 +4,6 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -382,9 +381,7 @@ def test_thread_pool_is_capped_at_the_trial_count(monkeypatch):
             return False
 
         def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+            fn(*args)
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
     pipeline = build_pipeline(SMALL)
@@ -491,36 +488,68 @@ def test_a_trial_matches_the_brute_force_trial():
     print(f"{near_threshold} cells within 1e-12 of the threshold in 40 trials")
 
 
+def _check_a_moved_trial(scenario, move, U, move_rows, tol):
+    """Trial 0 of ``scenario``, its truth moved by ``move`` and its noise rows
+    by ``move_rows`` (the unitary ``U``): H becomes U H U* within ``tol``, rho
+    moves with the truth within ``tol`` of max rho, the mask moves but for
+    cells within 1e-12 of the threshold, and the ErrorReport is the same."""
+    base = build_pipeline(scenario)
+    truth = maskgeom.Mask(move(base.truth.cells))
+    moved = replace(base, truth=truth, H=locop.assemble_locop(truth, base.model))
+    assert np.max(np.abs(moved.H - U @ base.H @ U.conj().T)) <= tol
+
+    drawn = harness._draw(scenario, trial_seed(scenario.seed, 0), scenario.count)
+    paired = noise.complexify(drawn) if scenario.noise_kind == "real" else drawn
+    rows = noise.filter_batch(move_rows(paired), moved.H)
+    result, fields = run_trial(base, 0, keep_fields=True)
+    moved_result, moved_fields = run_trial(moved, 0, keep_fields=True, rows=rows)
+    top = result.max_rho
+    assert np.max(np.abs(moved_fields["rho"] - move(fields["rho"]))) <= tol * top
+    off = move(np.abs(fields["rho"] - top / 4) > 1e-12 * top)
+    assert np.array_equal(moved_fields["estimate"][off], move(fields["estimate"])[off])
+    assert moved_result.error == result.error
+
+
 # the defects of a whole trial under a time-frequency shift, H's and rho's,
-# measured 8.8e-16 to 6.4e-15 on these cases; 1e-13 leaves a margin of 15
+# measured 8.8e-16 to 2.6e-14 on these cases, the largest at n = 256; 1e-13
+# leaves a margin of about 4
 _SHIFT_TOL = 1e-13
 
 
-@pytest.mark.parametrize("n, kind, K", [(16, "complex", 6), (17, "real", 5), (64, "complex", 6)])
+@pytest.mark.parametrize(
+    "n, kind, K", [(16, "complex", 6), (17, "real", 5), (64, "complex", 6), (256, "complex", 6)]
+)
 def test_shifting_the_truth_and_the_noise_shifts_the_trial(n, kind, K):
     scenario = Scenario(n=n, count=K, noise_kind=kind, model_window="gaussian_t2", trials=1,
                         seed=11)
     z = (n // 3, 2 * n // 3 + 1)
-
-    def roll(a):
-        return np.roll(a, z, axis=(0, 1))
-
-    base = build_pipeline(scenario)
-    truth = maskgeom.Mask(roll(base.truth.cells))
-    moved = replace(base, truth=truth, H=locop.assemble_locop(truth, base.model))
     P = tfcore.tf_shift(np.eye(n), z).T  # column s is pi(z) e_s
-    assert np.max(np.abs(moved.H - P @ base.H @ P.conj().T)) <= _SHIFT_TOL
+    _check_a_moved_trial(scenario, lambda a: np.roll(a, z, axis=(0, 1)), P,
+                         lambda y: tfcore.tf_shift(y, z), _SHIFT_TOL)
 
-    drawn = harness._draw(scenario, trial_seed(scenario.seed, 0), K)
-    paired = noise.complexify(drawn) if kind == "real" else drawn
-    rows = noise.filter_batch(tfcore.tf_shift(paired, z), moved.H)
-    result, fields = run_trial(base, 0, keep_fields=True)
-    shifted, shifted_fields = run_trial(moved, 0, keep_fields=True, rows=rows)
-    top = result.max_rho
-    assert np.max(np.abs(shifted_fields["rho"] - roll(fields["rho"]))) <= _SHIFT_TOL * top
-    off = roll(np.abs(fields["rho"] - top / 4) > 1e-12 * top)
-    assert np.array_equal(shifted_fields["estimate"][off], roll(fields["estimate"])[off])
-    assert shifted.error == result.error
+
+def _centred_dft(a, axis):
+    """The centred unitary DFT along ``axis``: it maps the periodized Gaussian
+    centred at n/2 to itself."""
+    shifted = np.fft.ifftshift(a, axes=axis)
+    return np.fft.fftshift(np.fft.fft(shifted, axis=axis, norm="ortho"), axes=axis)
+
+
+# the defects of a whole trial under the Fourier rotation measured 8.3e-17 and
+# 1.4e-16 for H and 3.7e-16 and 3.8e-16 of max rho for rho, at n = 64 and
+# 256; 4e-15 leaves a margin of 10
+_ROTATION_TOL = 4e-15
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_rotating_the_truth_and_the_noise_by_the_fourier_transform_rotates_the_trial(n):
+    # with Gaussian windows, the centred DFT of the noise turns each
+    # spectrogram a quarter turn; an off-centre rect is far from its own turn
+    scenario = Scenario(n=n, shape=f"rect:x0={n // 8},f0={n // 5},w={n // 4},h={n // 8}",
+                        count=6, trials=1, seed=11)
+    _check_a_moved_trial(scenario, lambda a: np.roll(np.rot90(a, 3), (0, 1), axis=(0, 1)),
+                         _centred_dft(np.eye(n), 0), lambda y: _centred_dft(y, -1),
+                         _ROTATION_TOL)
 
 
 # ------------------------------------------------------------------ sweeps
@@ -676,19 +705,37 @@ def test_a_complex_k_sweep_filters_each_trial_once(
      ("K", [4, 8], "full", 1, "no boundary"),
      # a later value's truth, the full plane or a disc past it, fails before any draw
      ("measure", [4.0, 32.0], SMALL.shape, 1, "no boundary"),
-     ("measure", [4.0, 1000.0], SMALL.shape, 1, r"disc measure 1000\.0 outside \[0, 32\.0\]")],
+     ("measure", [4.0, 1000.0], SMALL.shape, 1, r"disc measure 1000\.0 outside \[0, 32\.0\]"),
+     ("K", [8, 4], SMALL.shape, 1, "strictly ascending"),
+     # a repeated value wrote duplicate rows, and a K sweep fitted its decay
+     # through a single K
+     ("K", [4, 4], SMALL.shape, 1, "strictly ascending"),
+     ("measure", [2.0, 4.0, 4.0], SMALL.shape, 1, "strictly ascending"),
+     # K values 4.2 and 4.7 once both ran K=4 and wrote two identical rows
+     ("K", [4.2, 4.7], SMALL.shape, 1, "count must be an integer"),
+     # an empty list once built the pipeline, drew every trial's noise and
+     # wrote a header-only summary.csv
+     ("K", [], SMALL.shape, 1, "at least one value"),
+     ("measure", [], SMALL.shape, 1, "at least one value"),
+     ("temperature", [1], SMALL.shape, 1, "unknown sweep axis 'temperature'"),
+     ("measure", [2.0, 4.0], "rect:x0=0,f0=0,w=4,h=4", 1,
+      "measure sweeps need a disc or annulus shape")],
 )
 def test_a_sweep_rejects_bad_threads_and_a_boundaryless_truth_before_drawing(
     axis, values, shape, threads, message, tmp_path, monkeypatch
 ):
     # it once drew, and for complex noise filtered, every trial before the
     # first run_trials raised
-    draws = []
+    draws, built, build = [], [], harness.build_pipeline
     monkeypatch.setattr(noise, "sample_noise", lambda *args, **kwargs: draws.append(args))
+    monkeypatch.setattr(harness, "build_pipeline", lambda sc: built.append(sc) or build(sc))
     with pytest.raises(errors.ConfigurationError, match=message):
         run_sweep(replace(SMALL, shape=shape), axis, values, tmp_path / "out", threads=threads)
     assert draws == []
     assert not (tmp_path / "out").exists()
+    # only a K sweep's shared pipeline is built before the threads and the
+    # truth are checked; bad values and a bad axis build nothing
+    assert len(built) == (axis == "K" and message in ("thread count", "no boundary"))
 
 
 def test_a_k_sweep_keeps_its_rows_under_rapid_thread_switches(tmp_path, monkeypatch):
@@ -742,50 +789,6 @@ def test_a_k_sweep_at_k_1_matches_a_fresh_run(threads, tmp_path, monkeypatch):
         assert np.array_equal(masks[1, t], run_trial(fresh, t, keep_fields=True)[1]["estimate"])
         assert (got.error, got.success_at_r) == (want.error, want.success_at_r)
         assert got.max_rho == pytest.approx(want.max_rho, rel=1e-15, abs=0.0)
-
-
-def test_sweep_requires_sorted_values(tmp_path):
-    with pytest.raises(errors.ConfigurationError):
-        run_sweep(SMALL, "K", [8, 4], tmp_path)
-
-
-@pytest.mark.parametrize("axis, values", [("K", [4, 4]), ("measure", [2.0, 4.0, 4.0])])
-def test_sweep_rejects_a_repeated_value(axis, values, tmp_path):
-    # a repeated value wrote duplicate rows, and a K sweep fitted its decay
-    # through a single K
-    with pytest.raises(errors.ConfigurationError, match="strictly ascending"):
-        run_sweep(SMALL, axis, values, tmp_path)
-    assert not (tmp_path / "summary.csv").exists()
-
-
-def test_sweep_rejects_a_non_integer_k(tmp_path):
-    # K values 4.2 and 4.7 once both ran K=4 and wrote two identical rows
-    with pytest.raises(errors.ConfigurationError, match="count must be an integer"):
-        run_sweep(SMALL, "K", [4.2, 4.7], tmp_path)
-    assert not (tmp_path / "summary.csv").exists()
-
-
-@pytest.mark.parametrize("axis", ["K", "measure"])
-def test_sweep_rejects_an_empty_value_list(axis, tmp_path, monkeypatch):
-    # it once built the pipeline, drew every trial's noise and wrote a
-    # header-only summary.csv
-    built = []
-    monkeypatch.setattr(harness, "build_pipeline", built.append)
-    with pytest.raises(errors.ConfigurationError, match="at least one value"):
-        run_sweep(SMALL, axis, [], tmp_path / "out")
-    assert built == []
-    assert not (tmp_path / "out").exists()
-
-
-def test_sweep_unknown_axis(tmp_path):
-    with pytest.raises(errors.ConfigurationError):
-        run_sweep(SMALL, "temperature", [1], tmp_path)
-
-
-def test_sweep_measure_requires_disc_like_shape(tmp_path):
-    sc = Scenario(n=32, shape="rect:x0=0,f0=0,w=4,h=4", count=4, trials=1, seed=1)
-    with pytest.raises(errors.ConfigurationError):
-        run_sweep(sc, "measure", [2.0, 4.0], tmp_path)
 
 
 def test_sweep_k_writes_decay_diagnostic(tmp_path):

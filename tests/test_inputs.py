@@ -58,6 +58,7 @@ CLI_ROWS = {
     "threads-negative": ["simulate", *_SMALL, *_DISC, "--threads", "-3"],
     "threads-zero": ["sweep", "--axis", "K", "--values", "4", *_SMALL, *_DISC, "--threads", "0"],
     "pgm-maxval-zero": ["simulate", *_SMALL, "--shape", "image:{tmp}/maxval0.pgm"],
+    "pgm-16-bit": ["simulate", *_SMALL, "--shape", "image:{tmp}/deep.pgm"],
     "pgm-sample-above-maxval": ["simulate", *_SMALL, "--shape", "image:{tmp}/above.pgm"],
     "disc-repeated-key": ["simulate", *_SMALL, "--shape", "disc:measure=4,measure=8"],
     "config-repeated-key": ["simulate", "--config", "{tmp}/repeated.cfg"],
@@ -107,6 +108,7 @@ def test_malformed_input_exits_2_with_one_error_line(row, tmp_path, capsys):
     (tmp_path / "head.pgm").write_bytes(b"P5\n16 ")
     (tmp_path / "payload.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(100))
     (tmp_path / "maxval0.pgm").write_bytes(b"P5\n16 16\n0\n" + bytes(256))
+    (tmp_path / "deep.pgm").write_bytes(b"P5\n16 16\n65535\n" + bytes(512))
     (tmp_path / "above.pgm").write_bytes(b"P5\n16 16\n1\n" + bytes(255) + b"\x02")
     (tmp_path / "repeated.cfg").write_text("n = 32\nn = 64\nK = 4\ntrials = 1\n")
     (tmp_path / "small.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(64))

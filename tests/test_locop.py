@@ -128,6 +128,36 @@ def test_spectrum_rejects_non_hermitian():
         spectrum(H, 0.0)
 
 
+@pytest.mark.parametrize("shape", [(8, 4), (8,), (2, 8, 8)])
+def test_spectrum_rejects_an_operator_that_is_not_square(shape):
+    with pytest.raises(errors.ConfigurationError, match="square"):
+        spectrum(np.zeros(shape), 0.0)
+
+
+@pytest.mark.parametrize(
+    "solver, solve, message",
+    [("eigvalsh", lambda H: spectrum(H, 8.0), "eigenvalue solve failed"),
+     ("eigh", lambda H: spectrum(H, 8.0).eigenvectors, "eigendecomposition failed")],
+)
+def test_a_failed_eigensolve_is_a_numeric_error(solver, solve, message, monkeypatch):
+    def no_convergence(_):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, no_convergence)
+    with pytest.raises(errors.NumericError, match=message):
+        solve(np.eye(8))
+
+
+# every eigenvalue of the zero operator lies below 3/4, so the count is the
+# number of eigenvalues read: m_half clamped to [0, n]
+@pytest.mark.parametrize(
+    "omega, count", [(-1.0, 0), (0.0, 0), (1.9, 0), (2.0, 1), (7.9, 3), (16.0, 8), (17.0, 8)]
+)
+def test_plateau_violations_reads_the_first_m_half_eigenvalues(omega, count):
+    assert plateau_violations(spectrum(np.zeros((8, 8)), omega)) == count
+    assert plateau_violations(spectrum(np.eye(8), omega)) == 0
+
+
 def _half_identity(n, i, j, defect):
     """0.5 I with ``defect`` added at (i, j) alone."""
     H = 0.5 * np.eye(n, dtype=complex)

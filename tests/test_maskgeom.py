@@ -163,7 +163,9 @@ def test_make_mask_specs():
 
 @pytest.mark.parametrize(
     "bad",
-    ["blob:measure=3", "disc:radius=2", "disc:measure=9999", "rect:x0=0", "disc"],
+    ["blob:measure=3", "disc:radius=2", "disc:measure=9999", "rect:x0=0", "disc",
+     "rect:x0=0,f0=0,w=-1,h=2", "rect:x0=0,f0=0,w=2,h=17", "annulus:measure=-1",
+     "annulus:measure=4,hole=-1"],
 )
 def test_make_mask_bad_specs(bad):
     with pytest.raises(errors.ConfigurationError):
@@ -356,6 +358,11 @@ def test_dilate_zero_radius_identity():
     assert np.array_equal(dilate(m, 0.0).cells, m.cells)
 
 
+def test_dilate_rejects_a_negative_radius():
+    with pytest.raises(errors.ConfigurationError, match="radius"):
+        dilate(disc_mask(TFGrid(16), 4.0), -0.5)
+
+
 def test_dilate_empty_stays_empty():
     m = _empty(16)
     assert not dilate(m, 3.0).cells.any()
@@ -524,6 +531,12 @@ def test_field_pgm_quantization():
     data = np.frombuffer(raw[raw.index(b"255\n") + 4 :], dtype=np.uint8, count=256)
     recon = data.reshape(16, 16) / 255.0 * max_used
     assert np.max(np.abs(recon - values)) <= max_used / 255.0
+
+
+def test_field_pgm_of_a_zero_field_is_black():
+    raw, max_used = maskgeom.field_pgm(np.zeros((16, 8)))
+    assert max_used == 0.0
+    assert raw == b"P5\n8 16\n255\n" + bytes(128)
 
 
 def test_read_pgm_from_image_spec(tmp_path):

@@ -35,6 +35,14 @@ CASES = {
     "simulate-real-K5": [
         "simulate", "--n", "32", "--trials", "6", "--noise-kind", "real", "--K", "5",
     ],
+    "simulate-real-K5-n17": [
+        "simulate", "--n", "17", "--trials", "6", "--noise-kind", "real", "--K", "5",
+    ],
+    "simulate-sigma-least": ["simulate", "--n", "32", "--trials", "4", "--sigma", "1e-100"],
+    "simulate-sigma-greatest-real": [
+        "simulate", "--n", "32", "--trials", "4", "--sigma", "1e100", "--noise-kind", "real",
+        "--K", "4",
+    ],
     "simulate-t2": ["simulate", "--n", "32", "--trials", "6", "--model-window", "gaussian_t2"],
     "sweep-K": ["sweep", "--n", "32", "--axis", "K", "--values", "1,2,4,8", "--trials", "4"],
     "sweep-K-real": [
@@ -49,6 +57,8 @@ CASES = {
         "--noise-kind", "real",
     ],
     "spectrum": ["spectrum", "--n", "32"],
+    # a disc of measure 1 has m_half = 0, so no eigenvalue is a plateau candidate
+    "spectrum-disc-measure-1": ["spectrum", "--n", "16", "--shape", "disc:measure=1"],
     "verify": ["verify", "--sizes", "8,16"],
 }
 

@@ -77,6 +77,12 @@ def test_window_rejects_fewer_than_4_samples(samples):
         tfcore.Window(samples=samples)
 
 
+@pytest.mark.parametrize("samples", [np.ones((2, 8)) / 4.0, np.array(1.0)])
+def test_window_rejects_samples_that_are_not_a_vector(samples):
+    with pytest.raises(errors.ConfigurationError, match="1-D"):
+        tfcore.Window(samples=samples)
+
+
 def test_window_samples_are_a_read_only_copy():
     source = np.ones(8, dtype=complex) / np.sqrt(8)
     w = tfcore.Window(samples=source)
