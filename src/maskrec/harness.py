@@ -236,10 +236,10 @@ def trial_seed(scenario_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _draw(scenario: Scenario, seed: int, count: int) -> np.ndarray:
-    """Realizations ``0 .. count-1`` of the trial stream ``seed``, as a (count, n) array."""
+def _draw(scenario: Scenario, seed: int) -> np.ndarray:
+    """Realizations ``0 .. K-1`` of the trial stream ``seed``, as a (K, n) array."""
     return noise.sample_noise(
-        TFGrid(scenario.n), count, scenario.sigma, kind=scenario.noise_kind, seed=seed
+        TFGrid(scenario.n), scenario.count, scenario.sigma, kind=scenario.noise_kind, seed=seed
     ).realizations
 
 
@@ -266,7 +266,7 @@ def run_trial(
     started = time.perf_counter()
     seed = trial_seed(sc.seed, trial_index)
     if rows is None:
-        rows = _filtered(pipeline, _draw(sc, seed, sc.count))
+        rows = _filtered(pipeline, _draw(sc, seed))
     avg = estimator.average_spectrogram(rows, pipeline.recon)
     est = estimator.estimate_mask(avg)
     report = maskgeom.error_report(pipeline.truth, est.cells)
@@ -460,36 +460,33 @@ def run_sweep(
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ConfigurationError("sweep values must be strictly ascending")
 
-    filter_with = None
+    shared = None
     if axis == "K":
         # every K is validated before anything runs: the drawn array is sized from them
         scenarios = [replace(scenario, count=value) for value in values]
         shared = build_pipeline(scenario)
-        pipelines = (replace(shared, scenario=sc) for sc in scenarios)
-        count = max(sc.count for sc in scenarios)
-        workers = _workers(scenario, shared.truth, threads)
-        if scenario.noise_kind == noise.KIND_COMPLEX:
-            filter_with = shared
     else:
         scenarios = [
             replace(scenario, shape=scaled_shape_spec(scenario.shape, float(value)))
             for value in values
         ]
-        # every value's truth is checked before the draw; its H waits for its trials
-        workers = min(_workers(sc, make_mask(TFGrid(sc.n), sc.shape), threads) for sc in scenarios)
-        pipelines = (build_pipeline(sc) for sc in scenarios)
-        count = scenario.count
-    drawn = _draw_trials(scenario, count, filter_with, workers)
-
-    def rows_of(pipeline):
-        K = pipeline.scenario.count
-        if filter_with is None:
-            return lambda t: _filtered(pipeline, drawn[t, :K])
-        return lambda t: drawn[t, :K]
+    # every value's truth is checked before the draw; a measure value's H waits for its trials
+    workers = min(
+        _workers(sc, shared.truth if shared else make_mask(TFGrid(sc.n), sc.shape), threads)
+        for sc in scenarios
+    )
+    filter_with = shared if scenario.noise_kind == noise.KIND_COMPLEX else None
+    drawn = _draw_trials(scenarios[-1], filter_with, workers)
 
     summary_rows: list[dict] = []
-    for value, pipeline in zip(values, pipelines):
-        results, _ = run_trials(pipeline, threads, rows=rows_of(pipeline))
+    for value, sc in zip(values, scenarios):
+        pipeline = replace(shared, scenario=sc) if shared else build_pipeline(sc)
+
+        def rows(t):
+            kept = drawn[t, :sc.count]
+            return kept if filter_with else _filtered(pipeline, kept)
+
+        results, _ = run_trials(pipeline, threads, rows=rows)
         sym = np.array([r.error.sym_diff_measure for r in results])
         ratios = np.array([r.error.ratio for r in results])
         successes = np.array([r.success_at_r for r in results], dtype=float)
@@ -522,27 +519,26 @@ def run_sweep(
     return summary_rows
 
 
-def _draw_trials(
-    scenario: Scenario, count: int, filter_with: Pipeline | None, workers: int
-) -> np.ndarray:
-    """Draw realizations ``0 .. count-1`` of every trial into one (trials, count, n) array.
+def _draw_trials(scenario: Scenario, filter_with: Pipeline | None, workers: int) -> np.ndarray:
+    """Draw realizations ``0 .. K-1`` of every trial into one (trials, K, n) array.
 
-    A sweep's sharing rule: ``count`` is a K sweep's largest K or a measure
-    sweep's one K, and every value's trials take their first K rows.  The
-    draws run on the calling thread: each realization's Python-level re-key
-    holds the interpreter lock.  A complex K sweep passes its pipeline as
-    ``filter_with``, and each trial's rows are filtered once, in place: on
-    one helper thread while the next trial draws when ``workers >= 2``, on
-    the calling thread otherwise.  That gives each value a fresh run's
-    results bit for bit for K >= 2; at K = 1 a fresh run filters its row as
-    a matrix-vector product, so ``max_rho`` may differ by 1e-15 relative.
-    Real noise pairs its rows differently for each K and a measure value
-    has its own H, so those sweeps filter each value's rows on its worker.
+    A sweep's sharing rule: it passes its last value's scenario, whose K is
+    a K sweep's largest or a measure sweep's one K, and every value's trials
+    take their first K rows.  The draws run on the calling thread: each
+    realization's Python-level re-key holds the interpreter lock.  A complex
+    K sweep passes its pipeline as ``filter_with``, and each trial's rows
+    are filtered once, in place: on one helper thread while the next trial
+    draws when ``workers >= 2``, on the calling thread otherwise.  That
+    gives each value a fresh run's results bit for bit for K >= 2; at K = 1
+    a fresh run filters its row as a matrix-vector product, so ``max_rho``
+    may differ by 1e-15 relative.  Real noise pairs its rows differently for
+    each K and a measure value has its own H, so those sweeps filter each
+    value's rows on its worker.
     """
-    drawn = np.empty((scenario.trials, count, scenario.n), dtype=np.complex128)
+    drawn = np.empty((scenario.trials, scenario.count, scenario.n), dtype=np.complex128)
 
     def draw(t):
-        drawn[t] = _draw(scenario, trial_seed(scenario.seed, t), count)
+        drawn[t] = _draw(scenario, trial_seed(scenario.seed, t))
 
     def filter_rows(t):
         drawn[t] = _filtered(filter_with, drawn[t])

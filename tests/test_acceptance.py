@@ -177,6 +177,40 @@ def test_c09_perimeter_dominated_error(tmp_path):
             + f" (cap {RATIO_CAP})", 900.0, started)
 
 
+# five rectangles of measure 25 whose perimeters grow from 20 to 32
+_MEASURE_25_RECTS = (
+    "rect:x0=88,f0=88,w=80,h=80", "rect:x0=64,f0=103,w=128,h=50",
+    "rect:x0=48,f0=108,w=160,h=40", "rect:x0=28,f0=112,w=200,h=32",
+    "rect:x0=0,f0=116,w=256,h=25",
+)
+
+
+def test_at_fixed_measure_the_error_grows_with_the_perimeter():
+    # c09's discs grow their perimeter with their measure, so they cannot
+    # tell the two apart; these rectangles hold the measure fixed.  The
+    # inverse-variance-weighted least-squares slope of the mean sym_diff on
+    # the perimeter measured 8.1 standard errors at seed 7, and 6.6-8.0 at
+    # seeds 3, 5, 11 and 13
+    base = Scenario(n=256, count=64, trials=40, seed=7)
+    perimeters, means, variances = [], [], []
+    for shape in _MEASURE_25_RECTS:
+        pipeline = build_pipeline(replace(base, shape=shape))
+        assert measure(pipeline.truth) == 25.0
+        results, _ = run_trials(pipeline)
+        sym = np.array([r.error.sym_diff_measure for r in results])
+        perimeters.append(pipeline.truth.perimeter)
+        means.append(sym.mean())
+        variances.append(sym.var(ddof=1) / sym.size)
+    assert perimeters == [20.0, 22.25, 25.0, 29.0, 32.0]
+    x, y, w = np.array(perimeters), np.array(means), 1.0 / np.array(variances)
+    centred = x - np.average(x, weights=w)
+    slope = np.sum(w * centred * y) / np.sum(w * centred**2)
+    standard_error = 1.0 / np.sqrt(np.sum(w * centred**2))
+    print(f"sym_diff slope on perimeter {slope:.4f} ({slope / standard_error:.1f} SE); "
+          "means " + ", ".join(f"{m:.3f}" for m in means))
+    assert slope > 4.0 * standard_error
+
+
 def test_c10_logarithmic_measurement_sufficiency(tmp_path):
     started = time.perf_counter()
     radius = CALIBRATED_R["figure1-left"]

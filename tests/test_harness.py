@@ -498,7 +498,7 @@ def _check_a_moved_trial(scenario, move, U, move_rows, tol):
     moved = replace(base, truth=truth, H=locop.assemble_locop(truth, base.model))
     assert np.max(np.abs(moved.H - U @ base.H @ U.conj().T)) <= tol
 
-    drawn = harness._draw(scenario, trial_seed(scenario.seed, 0), scenario.count)
+    drawn = harness._draw(scenario, trial_seed(scenario.seed, 0))
     paired = noise.complexify(drawn) if scenario.noise_kind == "real" else drawn
     rows = noise.filter_batch(move_rows(paired), moved.H)
     result, fields = run_trial(base, 0, keep_fields=True)
@@ -571,6 +571,38 @@ def test_sweep_builds_one_pipeline_per_scenario_layout(axis, values, builds, tmp
     rows = run_sweep(SMALL, axis, values, tmp_path)
     assert len(calls) == builds
     assert [row["value"] for row in rows] == values
+
+
+@pytest.mark.parametrize(
+    "axis, values, order",
+    [("K", [2, 4, 8], [("build", 6), ("trials", 2), ("trials", 4), ("trials", 8)]),
+     ("measure", [4.0, 6.0, 8.0], [("build", 4.0), ("trials", 4.0), ("build", 6.0),
+                                   ("trials", 6.0), ("build", 8.0), ("trials", 8.0)])],
+)
+def test_a_sweep_builds_each_pipeline_just_before_its_trials(
+    axis, values, order, tmp_path, monkeypatch
+):
+    # a measure value's pipeline, H with it, is built only when its trials
+    # run, not every value's before the first pool; a K sweep builds its
+    # shared pipeline once, before its first pool
+    events, build, trials = [], harness.build_pipeline, harness.run_trials
+    value_of = {maskgeom.scaled_shape_spec(SMALL.shape, v): v for v in values}
+
+    def label(scenario):
+        return scenario.count if axis == "K" else value_of[scenario.shape]
+
+    def recording_build(scenario):
+        events.append(("build", label(scenario)))
+        return build(scenario)
+
+    def recording_trials(pipeline, *args, **kwargs):
+        events.append(("trials", label(pipeline.scenario)))
+        return trials(pipeline, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_pipeline", recording_build)
+    monkeypatch.setattr(harness, "run_trials", recording_trials)
+    run_sweep(SMALL, axis, values, tmp_path)
+    assert events == order
 
 
 def _sweep_pipeline(axis, value, scenario=SMALL):
