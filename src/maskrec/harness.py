@@ -315,8 +315,8 @@ def run_trials(
 ) -> tuple[list[TrialResult], dict]:
     """Run all trials of a scenario on :func:`_workers` workers; merged by trial index.
 
-    The calling thread is a worker, and ``w - 1`` pool threads join it when
-    there are ``w >= 2``; each worker takes the next trial index in turn.
+    The calling thread is a worker, and ``w - 1`` plain threads join it, so
+    one worker starts none; each worker takes the next trial index in turn.
     With ``rows``, a callable from a trial index to that trial's filtered
     rows, each trial's worker calls it and the trial scores what it returns.
     Once a trial raises, no further trial starts; the workers finish, and
@@ -342,13 +342,12 @@ def run_trials(
         except BaseException as exc:
             failures[t] = exc
 
-    if workers == 1:
-        work()
-    else:
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            for _ in range(workers - 1):
-                pool.submit(work)  # no result to read: work() keeps every exception
-            work()
+    others = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for other in others:
+        other.start()
+    work()
+    for other in others:
+        other.join()
     if failures:
         raise failures[min(failures)]
     return [r for r, _ in outcomes], outcomes[0][1]

@@ -90,8 +90,8 @@ def distance_field(source: np.ndarray) -> np.ndarray:
     +inf everywhere if the source is empty.  The squared distance in cells
     is an integer, found exactly by the separable transform (Saito-Toriwaki
     1994, Meijster et al. 2000) on the torus: pass 1 takes the circular
-    distance g to the nearest source in the same frequency column, pass 2
-    the minimum over frequency shifts s of g(x, xi +- s)^2 + s^2.
+    distance g to the nearest source in the same time row, pass 2 the
+    minimum over time shifts s of g(x +- s, xi)^2 + s^2.
     """
     source = np.asarray(source, dtype=bool)
     if source.ndim != 2 or source.shape[0] != source.shape[1]:
@@ -99,31 +99,31 @@ def distance_field(source: np.ndarray) -> np.ndarray:
     n = source.shape[0]
     if not source.any():
         return np.full((n, n), np.inf)
-    # a sourceless column counts as ceil(3n/4) away, whose square exceeds the
+    # a sourceless row counts as ceil(3n/4) away, whose square exceeds the
     # largest true squared distance n^2 / 2; pass 2 adds at most (n/2)^2 to
     # it, so the narrowest unsigned type that holds the sum is exact
     sentinel = -(-3 * n // 4)
     dtype = np.min_scalar_type(sentinel * sentinel + (n // 2) ** 2)
     index = np.min_scalar_type(-3 * n)
 
-    # pass 1, along time over two periods: the last source at or before x + n
-    # and the next one at or after x; a sourceless column gives gaps above n
-    rows = np.arange(2 * n, dtype=index)[:, None]
-    twice = np.concatenate([source, source])
-    last = np.maximum.accumulate(np.where(twice, rows, -n), axis=0)[n:]
-    after = np.minimum.accumulate(np.where(twice, rows, 3 * n)[::-1], axis=0)[::-1][:n]
-    gap = np.minimum(rows[n:] - last, after - rows[:n])
+    # pass 1, along frequency over two periods: the last source at or before
+    # xi + n and the next one at or after xi; a sourceless row gives gaps above n
+    cols = np.arange(2 * n, dtype=index)
+    twice = np.concatenate([source, source], axis=1)
+    last = np.maximum.accumulate(np.where(twice, cols, -n), axis=1)[:, n:]
+    after = np.minimum.accumulate(np.where(twice, cols, 3 * n)[:, ::-1], axis=1)[:, ::-1][:, :n]
+    gap = np.minimum(cols[n:] - last, after - cols[:n])
     d2 = np.minimum(gap, sentinel).astype(dtype)
     d2 *= d2
 
-    # pass 2, along frequency: columns xi + s and xi - s of the doubled g^2;
-    # no shift with s^2 >= the current maximum can lower any cell
-    wide = np.concatenate([d2, d2], axis=1)
+    # pass 2, along time: rows x + s and x - s of the doubled g^2, two contiguous
+    # slabs; no shift with s^2 >= the current maximum can lower any cell
+    wide = np.concatenate([d2, d2])
     shifted = np.empty_like(d2)
     for s in range(1, n // 2 + 1):
         if s % 8 == 1 and s * s >= d2.max():
             break
-        np.minimum(wide[:, s : s + n], wide[:, n - s : 2 * n - s], out=shifted)
+        np.minimum(wide[s : s + n], wide[n - s : 2 * n - s], out=shifted)
         shifted += s * s
         np.minimum(d2, shifted, out=d2)
     return np.sqrt(d2, dtype=np.float64) * TFGrid(n).cell_side

@@ -366,41 +366,37 @@ def test_threads_env_is_ignored(monkeypatch):
 
 def test_thread_pool_is_capped_at_the_trial_count(monkeypatch):
     # and at the usable CPUs; the calling thread is one of the workers, so
-    # w workers make a pool of w - 1 and one worker makes none; the
-    # recording pool starts no thread
-    sizes = []
+    # w workers start w - 1 threads and one worker starts none
+    starts = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class CountingThread(threading.Thread):
+        def start(self):
+            starts.append(self)
+            super().start()
 
-        def __enter__(self):
-            return self
+    def started(**kwargs):
+        starts.clear()
+        results, _ = harness.run_trials(pipeline, **kwargs)
+        assert [r.trial_index for r in results] == list(range(SMALL.trials))
+        return len(starts)
 
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fn(*args)
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.threading, "Thread", CountingThread)
     pipeline = build_pipeline(SMALL)
     workers = min(SMALL.trials, harness._usable_cpus())
-    results, _ = harness.run_trials(pipeline, threads=64)
-    assert sizes == ([workers - 1] if workers > 1 else [])
-    assert [r.trial_index for r in results] == list(range(SMALL.trials))
-    harness.run_trials(pipeline)
-    assert sizes == ([workers - 1] if workers > 1 else [])
-    # two CPUs cap three trials at two workers; without an affinity call the
-    # CPU count is the cap
+    assert started(threads=64) == workers - 1
+    assert started() == 0
+    # eight CPUs cap nothing, so three trials start two threads; two CPUs
+    # cap three trials at two workers; without an affinity call the CPU
+    # count is the cap
     assert SMALL.trials == 3
-    sizes.clear()
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    harness.run_trials(pipeline, threads=64)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert started(threads=64) == 2
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    counts = [started(threads=64)]
     monkeypatch.delattr(harness.os, "sched_getaffinity")
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    harness.run_trials(pipeline, threads=64)
-    assert sizes == [1, 1]
+    counts.append(started(threads=64))
+    assert counts == [1, 1]
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -708,8 +704,13 @@ def test_a_complex_k_sweep_filters_each_trial_once(
     monkeypatch.setattr(harness, "run_trial", recording_trial)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     if threads == 1:
-        # one worker starts no thread, neither a pool nor a helper
+        # one worker starts no thread, neither a trial worker nor a helper
         monkeypatch.setattr(harness, "ThreadPoolExecutor", None)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("one worker started a thread")
+
+        monkeypatch.setattr(harness.threading, "Thread", no_thread)
     run_sweep(replace(SMALL, noise_kind=kind), axis, values, tmp_path, threads=threads)
     assert sorted(filtered) == sorted(rows * SMALL.trials)
     assert draw_threads == {caller}

@@ -165,7 +165,7 @@ def test_make_mask_specs():
     "bad",
     ["blob:measure=3", "disc:radius=2", "disc:measure=9999", "rect:x0=0", "disc",
      "rect:x0=0,f0=0,w=-1,h=2", "rect:x0=0,f0=0,w=2,h=17", "annulus:measure=-1",
-     "annulus:measure=4,hole=-1"],
+     "annulus:measure=4,hole=-1", "disc:measure", "discs:measure=3"],
 )
 def test_make_mask_bad_specs(bad):
     with pytest.raises(errors.ConfigurationError):
@@ -235,13 +235,15 @@ def test_distance_field_is_identical_to_the_tiled_scipy_edt(n):
         assert np.array_equal(got, _tiled_scipy_distance(source, n)), label
 
 
-def test_distance_field_takes_the_shift_at_a_stop_check():
-    # on the 18-torus with sources (0, 0) and (9, 8), the farthest cells are
-    # at 9^2 + 1 after eight frequency shifts and at 9^2 after the ninth, so
-    # a stop rule one shift too eager leaves them at 9^2 + 1
+@pytest.mark.parametrize("second", [(9, 8), (8, 9)])
+def test_distance_field_takes_the_shift_at_a_stop_check(second):
+    # on the 18-torus with sources (0, 0) and (8, 9), the farthest cells are
+    # at 9^2 + 1 after eight time shifts and at 9^2 after the ninth, so a
+    # stop rule one shift too eager leaves them at 9^2 + 1; the transposed
+    # (9, 8) would catch it were pass 2 to run along frequency
     n = 18
     source = np.zeros((n, n), bool)
-    source[0, 0] = source[9, 8] = True
+    source[0, 0] = source[second] = True
     got = maskgeom.distance_field(source)
     assert np.array_equal(got, _tiled_scipy_distance(source, n))
     assert got.max() == 9 * TFGrid(n).cell_side
@@ -249,8 +251,8 @@ def test_distance_field_takes_the_shift_at_a_stop_check():
 
 @pytest.mark.parametrize("n", [16, 17, 64, 256])
 def test_distance_field_is_exact_from_one_source_cell(n):
-    # every other frequency column has no source, so the value standing in
-    # for a sourceless column must stay above the antipode's (n/2)^2 * 2;
+    # every other time row has no source, so the value standing in for a
+    # sourceless row must stay above the antipode's (n/2)^2 * 2;
     # the oracle is the min-image distance over the four torus images
     source = np.zeros((n, n), bool)
     source[3, 5] = True
