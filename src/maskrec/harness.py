@@ -115,7 +115,7 @@ class Scenario:
 def load_config(path: str | Path) -> dict[str, str]:
     """Parse a key/value config file: one ``key = value`` per line, # comments."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {str(path)!r}: {exc}") from exc
     values: dict[str, str] = {}

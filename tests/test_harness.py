@@ -193,6 +193,15 @@ def test_config_round_trip(tmp_path):
     assert override.trials == 7 and override.n == 32
 
 
+def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    # the mark once became part of the first key: unknown scenario key '\ufeffn'
+    text = "n = 16\nK = 4\ntrials = 2\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_config(marked) == load_config(plain) == {"n": "16", "K": "4", "trials": "2"}
+
+
 def test_config_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("n 32\n")
@@ -262,8 +271,9 @@ def test_simulate_outputs_are_deterministic(tmp_path):
 def test_parallel_matches_serial(tmp_path):
     # trial 0's kept fields come from whichever worker ran trial 0; real
     # noise with an odd K draws, pairs and drops a realization
+    complex_K20 = Scenario(n=32, trials=6)
     real_K5 = Scenario(n=32, trials=6, noise_kind="real", count=5)
-    for i, (scenario, threads) in enumerate(((SMALL, 4), (real_K5, 2))):
+    for i, (scenario, threads) in enumerate(((SMALL, 4), (complex_K20, 2), (real_K5, 2))):
         out1, out2 = tmp_path / f"serial{i}", tmp_path / f"pool{i}"
         run_simulate(scenario, out1, threads=1)
         run_simulate(scenario, out2, threads=threads)
@@ -276,7 +286,11 @@ def test_parallel_matches_serial(tmp_path):
 
 @pytest.mark.parametrize(
     "axis, values, kind",
-    [("K", "4,5,8", "complex"), ("K", "4,5,8", "real"), ("measure", "4,8", "complex")],
+    # a complex K sweep filters on the calling thread with 1 worker and on a
+    # helper thread with 2, and K = 1 scores the first of those rows; real
+    # noise and measure sweeps filter each value's rows on the trial's worker
+    [("K", "1,2,4,8", "complex"), ("K", "4,5,8", "complex"), ("K", "4,5,8", "real"),
+     ("measure", "4,8", "complex"), ("measure", "4,8", "real")],
 )
 def test_sweep_summary_is_the_same_on_one_and_two_threads(axis, values, kind, tmp_path):
     argv = ["sweep", "--axis", axis, "--values", values, "--n", "32", "--trials", "4",
@@ -1003,6 +1017,23 @@ def test_simulate_and_verify_run_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ran without scipy"
     assert (tmp_path / "trials.csv").exists()
+
+
+def test_the_line_tracer_fails_on_unrun_lines_and_passes_pytest_status_through(tmp_path):
+    # CI's one test run is this tool; a test file that only imports maskrec
+    # leaves most of src/maskrec unrun, and selecting no test is pytest's 5
+    tool = Path(__file__).resolve().parents[1] / "tools" / "unrun_lines.py"
+    (tmp_path / "test_import.py").write_text("def test_ok(): import maskrec\n")
+    codes = []
+    for extra in ([], ["-k", "no_such_test"]):
+        done = subprocess.run(
+            [sys.executable, str(tool), "-p", "no:cacheprovider", *extra, "test_import.py"],
+            cwd=tmp_path, env=_child_env(PYTEST_DISABLE_PLUGIN_AUTOLOAD="1"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert re.search(r"^src/maskrec/\w+\.py:\d+: ", done.stdout, re.MULTILINE), done.stdout
+        codes.append(done.returncode)
+    assert codes == [1, 5]
 
 
 def test_verify_rejects_out_of_range_sizes():

@@ -4,6 +4,12 @@ Usage, from the repository root, with pytest installed::
 
     python tools/unrun_lines.py [pytest arguments...]
 
+This is CI's one run of the test suite, in dev mode::
+
+    PYTHONPATH=src python -X dev tools/unrun_lines.py --continue-on-collection-errors --durations=5
+
+so the times that ``--durations`` reports are times under the tracer.
+
 The tracer (``sys.settrace`` and ``threading.settrace``) is installed
 before maskrec is imported, and follows only frames whose code lives under
 ``src/maskrec``; pytest then runs in this process.  A module's executable
