@@ -32,7 +32,7 @@ from .locop import (
     spectrum,
     theta,
 )
-from .noise import NoiseBatch, complexify, filter_batch, sample_noise
+from .noise import NoiseBatch, filter_batch, sample_noise
 from .estimator import (
     AvgSpectrogram,
     MaskEstimate,

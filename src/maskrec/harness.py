@@ -77,8 +77,6 @@ class Scenario:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if self.count < 1:
             raise ConfigurationError(f"K must be >= 1, got {self.count}")
-        if self.noise_kind == noise.KIND_REAL and self.count < 4:
-            raise ConfigurationError("real noise needs K >= 4")
         if self.noise_kind not in (noise.KIND_COMPLEX, noise.KIND_REAL):
             raise ConfigurationError(f"unknown noise kind {self.noise_kind!r}")
         lo, hi = noise.SIGMA_RANGE
@@ -243,21 +241,14 @@ def _draw(scenario: Scenario, seed: int) -> np.ndarray:
     ).realizations
 
 
-def _filtered(pipeline: Pipeline, drawn: np.ndarray) -> np.ndarray:
-    """A trial's realizations through H; real ones are paired by ``complexify`` first."""
-    if pipeline.scenario.noise_kind == noise.KIND_REAL:
-        drawn = noise.complexify(drawn)
-    return noise.filter_batch(drawn, pipeline.H)
-
-
 def run_trial(
     pipeline: Pipeline,
     trial_index: int,
     keep_fields: bool = False,
     rows: np.ndarray | None = None,
 ) -> tuple[TrialResult, dict]:
-    """Estimate and score one trial from its filtered ``rows``: K of them, or
-    floor(K/2) for real noise; with ``None`` it draws and filters its own.
+    """Estimate and score one trial from its K filtered ``rows``, real or
+    complex noise alike; with ``None`` it draws and filters its own.
 
     Returns the result and, when ``keep_fields`` is set, the rho field and
     estimate cells for artifact emission.
@@ -266,7 +257,7 @@ def run_trial(
     started = time.perf_counter()
     seed = trial_seed(sc.seed, trial_index)
     if rows is None:
-        rows = _filtered(pipeline, _draw(sc, seed))
+        rows = noise.filter_batch(_draw(sc, seed), pipeline.H)
     avg = estimator.average_spectrogram(rows, pipeline.recon)
     est = estimator.estimate_mask(avg)
     report = maskgeom.error_report(pipeline.truth, est.cells)
@@ -474,8 +465,7 @@ def run_sweep(
         _workers(sc, shared.truth if shared else make_mask(TFGrid(sc.n), sc.shape), threads)
         for sc in scenarios
     )
-    filter_with = shared if scenario.noise_kind == noise.KIND_COMPLEX else None
-    drawn = _draw_trials(scenarios[-1], filter_with, workers)
+    drawn = _draw_trials(scenarios[-1], shared, workers)
 
     summary_rows: list[dict] = []
     for value, sc in zip(values, scenarios):
@@ -483,7 +473,7 @@ def run_sweep(
 
         def rows(t):
             kept = drawn[t, :sc.count]
-            return kept if filter_with else _filtered(pipeline, kept)
+            return kept if shared else noise.filter_batch(kept, pipeline.H)
 
         results, _ = run_trials(pipeline, threads, rows=rows)
         sym = np.array([r.error.sym_diff_measure for r in results])
@@ -524,15 +514,15 @@ def _draw_trials(scenario: Scenario, filter_with: Pipeline | None, workers: int)
     A sweep's sharing rule: it passes its last value's scenario, whose K is
     a K sweep's largest or a measure sweep's one K, and every value's trials
     take their first K rows.  The draws run on the calling thread: each
-    realization's Python-level re-key holds the interpreter lock.  A complex
-    K sweep passes its pipeline as ``filter_with``, and each trial's rows
-    are filtered once, in place: on one helper thread while the next trial
-    draws when ``workers >= 2``, on the calling thread otherwise.  That
-    gives each value a fresh run's results bit for bit for K >= 2; at K = 1
-    a fresh run filters its row as a matrix-vector product, so ``max_rho``
-    may differ by 1e-15 relative.  Real noise pairs its rows differently for
-    each K and a measure value has its own H, so those sweeps filter each
-    value's rows on its worker.
+    realization's Python-level re-key holds the interpreter lock.  A K
+    sweep, of real or complex noise, passes its pipeline as ``filter_with``,
+    and each trial's rows are filtered once, in place: on one helper thread
+    while the next trial draws when ``workers >= 2``, on the calling thread
+    otherwise.  That gives each value a fresh run's results bit for bit for
+    K >= 2; at K = 1 a fresh run filters its row as a matrix-vector
+    product, so ``max_rho`` may differ by 1e-15 relative.  A measure value
+    has its own H, so a measure sweep filters each value's rows on its
+    worker.
     """
     drawn = np.empty((scenario.trials, scenario.count, scenario.n), dtype=np.complex128)
 
@@ -540,7 +530,7 @@ def _draw_trials(scenario: Scenario, filter_with: Pipeline | None, workers: int)
         drawn[t] = _draw(scenario, trial_seed(scenario.seed, t))
 
     def filter_rows(t):
-        drawn[t] = _filtered(filter_with, drawn[t])
+        drawn[t] = noise.filter_batch(drawn[t], filter_with.H)
 
     if filter_with is None or workers < 2:
         for t in range(scenario.trials):

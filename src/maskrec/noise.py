@@ -1,4 +1,4 @@
-"""Seeded white-noise batches, complexification, and filtering.
+"""Seeded white-noise batches and filtering.
 
 Realization k of a seed's stream is drawn from the counter-based Philox
 stream keyed by ``(seed, k)``, so a realization depends only on the seed
@@ -7,7 +7,9 @@ and safe to produce in parallel.  The first K rows of a larger batch equal
 the K-row batch bit for bit, so one batch drawn for the largest K serves
 every smaller K.
 Standard-normal draws are scaled by sigma, which makes sigma-scaling of a
-batch exact (same seed, entries multiplied by sigma).
+batch exact (same seed, entries multiplied by sigma).  Real draws are
+stored complex with a zero imaginary part, so both kinds take one path:
+every one of the K rows is filtered and its spectrogram averaged.
 """
 
 from __future__ import annotations
@@ -106,21 +108,6 @@ def sample_noise(
     out.real = draws[:, 0]
     out.imag = draws[:, 1] if kind == KIND_COMPLEX else 0.0
     return NoiseBatch(out)
-
-
-def complexify(rows: np.ndarray) -> np.ndarray:
-    """Pair K real realizations as N'_k = N_k + i N_{k+K'}, K' = floor(K/2).
-
-    Turns real noise into K' complex realizations of variance 2 sigma^2.
-    Rows with a nonzero imaginary part are complex draws, or were paired
-    already, and raise :class:`ConfigurationError`.
-    """
-    if np.any(np.imag(rows)):
-        raise ConfigurationError("complexify needs real noise, got rows with an imaginary part")
-    if len(rows) < 2:
-        raise ConfigurationError("complexification needs at least 2 realizations")
-    half = len(rows) // 2
-    return rows[:half] + 1j * rows[half : 2 * half]
 
 
 def filter_batch(rows: np.ndarray, H: np.ndarray) -> np.ndarray:

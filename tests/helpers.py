@@ -153,19 +153,16 @@ def brute_trial(scenario, t):
     """Trial ``t`` of a scenario from the definitions: ``(rho, estimate, radius)``.
 
     The trial's seed from its ``SeedSequence``, then :func:`oracle_noise`;
-    real rows paired as ``N_k + i N_{k+K'}`` for ``k < K' = floor(K/2)``;
     the kernel sum :func:`brute_locop`; ``rho`` the mean of
-    ``n |brute_stft(H y)|^2``; the cells at or above a quarter of its
-    maximum; and the largest :func:`brute_torus_distance` from an error
-    cell to the truth's boundary cells, floored at half a cell side (0 for
-    a perfect estimate).  The truth and the windows are the package's.
+    ``n |brute_stft(H y)|^2`` over all K rows, real or complex; the cells at
+    or above a quarter of its maximum; and the largest
+    :func:`brute_torus_distance` from an error cell to the truth's boundary
+    cells, floored at half a cell side (0 for a perfect estimate).  The
+    truth and the windows are the package's.
     """
     sc, n = scenario, scenario.n
     state = np.random.SeedSequence(sc.seed, spawn_key=(t,)).generate_state(1, dtype=np.uint64)
     rows = oracle_noise(n, sc.count, sc.sigma, sc.noise_kind, int(state[0]))
-    if sc.noise_kind == "real":
-        half = sc.count // 2
-        rows = np.array([rows[k].real + 1j * rows[k + half].real for k in range(half)])
     grid = TFGrid(n)
     truth = make_mask(grid, sc.shape).cells
     model, recon = (make_window(grid, label).samples for label in (sc.model_window, sc.recon_window))

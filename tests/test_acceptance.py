@@ -235,11 +235,9 @@ def test_c11_real_noise_pipeline():
     started = time.perf_counter()
     radius = CALIBRATED_R["figure1-left"]
     complex_rate = _success_rate(PRESETS["figure1-left"], radius)
-    real_scenario = replace(
-        PRESETS["figure1-left"], noise_kind=noise.KIND_REAL, count=40
-    )
+    real_scenario = replace(PRESETS["figure1-left"], noise_kind=noise.KIND_REAL)
     real_rate = _success_rate(real_scenario, radius)
     gap = abs(real_rate - complex_rate)
     _report(11, "real-noise pipeline", gap <= 0.10,
-            f"complex K=20 {complex_rate:.0%} vs real K=40 {real_rate:.0%} "
+            f"complex K=20 {complex_rate:.0%} vs real K=20 {real_rate:.0%} "
             f"(gap {gap:.0%})", 600.0, started)

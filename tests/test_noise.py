@@ -7,13 +7,12 @@ from scipy.stats import kstest
 from maskrec import errors
 from maskrec.locop import assemble_locop, spectrum
 from maskrec.maskgeom import disc_mask
-from maskrec.noise import complexify, filter_batch, sample_noise
+from maskrec.noise import filter_batch, sample_noise
 from maskrec.tfcore import TFGrid, make_window
 
 from helpers import oracle_noise
 
 GRID64 = TFGrid(64)
-NOT_REAL = "needs real noise, got rows with an imaginary part"
 
 
 def test_complex_noise_second_moment():
@@ -128,57 +127,6 @@ def test_sample_takes_numpy_integers():
 def test_sample_rejects_unknown_kind():
     with pytest.raises(errors.ConfigurationError):
         sample_noise(GRID64, 4, 1.0, kind="pink")
-
-
-# --------------------------------------------------------------- complexify
-
-
-def test_complexify_pairs_k4():
-    r = sample_noise(GRID64, 4, 1.0, kind="real", seed=11).realizations
-    paired = complexify(r)
-    assert paired.shape == (2, 64)
-    assert paired.dtype == np.complex128
-    assert np.array_equal(paired[0], r[0] + 1j * r[2])
-    assert np.array_equal(paired[1], r[1] + 1j * r[3])
-
-
-def test_complexify_k5_drops_last():
-    r = sample_noise(GRID64, 5, 1.0, kind="real", seed=12).realizations
-    paired = complexify(r)
-    assert len(paired) == 2
-    assert np.array_equal(paired[1], r[1] + 1j * r[3])
-
-
-def test_complexify_doubles_variance():
-    paired = complexify(sample_noise(GRID64, 1000, 1.0, kind="real", seed=13).realizations)
-    mean_power = np.mean(np.abs(paired) ** 2)
-    # 500 x 64 paired draws, each |N'|^2 with variance 4: 5-sigma band
-    assert abs(mean_power - 2.0) < 5 * np.sqrt(4 / (500 * 64))
-
-
-def test_complexify_rejects_complex_noise():
-    rows = sample_noise(GRID64, 8, 1.0, kind="complex", seed=47).realizations
-    with pytest.raises(errors.ConfigurationError, match=NOT_REAL):
-        complexify(rows)
-
-
-def test_complexify_rejects_one_imaginary_entry():
-    rows = sample_noise(GRID64, 4, 1.0, kind="real", seed=15).realizations.copy()
-    rows[3, 63] += 1e-300j
-    with pytest.raises(errors.ConfigurationError, match=NOT_REAL):
-        complexify(rows)
-
-
-def test_complexify_requires_two():
-    rows = sample_noise(GRID64, 1, 1.0, kind="real", seed=14).realizations
-    with pytest.raises(errors.ConfigurationError):
-        complexify(rows)
-
-
-def test_complexify_rejects_double_application():
-    rows = sample_noise(GRID64, 4, 1.0, kind="real", seed=15).realizations
-    with pytest.raises(errors.ConfigurationError, match=NOT_REAL):
-        complexify(complexify(rows))
 
 
 # ------------------------------------------------------------------ filtering
