@@ -15,7 +15,6 @@ import os
 import threading
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -301,23 +300,17 @@ def _workers(sc: Scenario, truth: Mask, threads: int) -> int:
     return min(threads, sc.trials, _usable_cpus())
 
 
-def run_trials(
-    pipeline: Pipeline, threads: int = 1, rows: Callable[[int], np.ndarray] | None = None
-) -> tuple[list[TrialResult], dict]:
-    """Run all trials of a scenario on :func:`_workers` workers; merged by trial index.
+def _each(count: int, job: Callable[[int], object], workers: int) -> list:
+    """Run ``job(i)`` for every ``i < count`` on ``workers`` workers; results in index order.
 
-    The calling thread is a worker, and ``w - 1`` plain threads join it, so
-    one worker starts none; each worker takes the next trial index in turn.
-    With ``rows``, a callable from a trial index to that trial's filtered
-    rows, each trial's worker calls it and the trial scores what it returns.
-    Once a trial raises, no further trial starts; the workers finish, and
-    the error of the lowest failing trial index is raised.
+    The calling thread is a worker, and ``workers - 1`` plain threads join
+    it, so one worker starts none; each worker takes the next index in turn.
+    Once a job raises, no further index starts; the workers finish, and the
+    error of the lowest failing index is raised.
     """
-    workers = _workers(pipeline.scenario, pipeline.truth, threads)
-    trials = pipeline.scenario.trials
-    outcomes: list = [None] * trials
+    outcomes: list = [None] * count
     failures: dict[int, BaseException] = {}
-    pending = iter(range(trials))
+    pending = iter(range(count))
     lock = threading.Lock()
 
     def take() -> int | None:
@@ -325,13 +318,12 @@ def run_trials(
             return None if failures else next(pending, None)
 
     def work() -> None:
-        t = -1  # an interrupt between two trials is charged to the one before
+        i = -1  # an interrupt between two jobs is charged to the one before
         try:
-            while (t := take()) is not None:
-                given = None if rows is None else rows(t)
-                outcomes[t] = run_trial(pipeline, t, keep_fields=(t == 0), rows=given)
+            while (i := take()) is not None:
+                outcomes[i] = job(i)
         except BaseException as exc:
-            failures[t] = exc
+            failures[i] = exc
 
     others = [threading.Thread(target=work) for _ in range(workers - 1)]
     for other in others:
@@ -341,6 +333,24 @@ def run_trials(
         other.join()
     if failures:
         raise failures[min(failures)]
+    return outcomes
+
+
+def run_trials(
+    pipeline: Pipeline, threads: int = 1, rows: Callable[[int], np.ndarray] | None = None
+) -> tuple[list[TrialResult], dict]:
+    """Run every trial of a scenario through :func:`_each` on :func:`_workers` workers.
+
+    With ``rows``, a callable from a trial index to that trial's filtered
+    rows, each trial's worker calls it and the trial scores what it returns.
+    """
+
+    def trial(t: int) -> tuple[TrialResult, dict]:
+        given = None if rows is None else rows(t)
+        return run_trial(pipeline, t, keep_fields=(t == 0), rows=given)
+
+    sc = pipeline.scenario
+    outcomes = _each(sc.trials, trial, _workers(sc, pipeline.truth, threads))
     return [r for r, _ in outcomes], outcomes[0][1]
 
 
@@ -441,7 +451,7 @@ def run_sweep(
     pipeline per value.  Bad values and threads, and a truth with no
     boundary, raise before any noise is drawn.  :func:`_draw_trials`
     draws and shares the noise; then each value runs one :func:`run_trials`,
-    in value order.
+    in value order.  Both run on the worker loop of :func:`_each`.
     """
     if axis not in ("K", "measure"):
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
@@ -513,39 +523,27 @@ def _draw_trials(scenario: Scenario, filter_with: Pipeline | None, workers: int)
 
     A sweep's sharing rule: it passes its last value's scenario, whose K is
     a K sweep's largest or a measure sweep's one K, and every value's trials
-    take their first K rows.  The draws run on the calling thread: each
-    realization's Python-level re-key holds the interpreter lock.  A K
-    sweep, of real or complex noise, passes its pipeline as ``filter_with``,
-    and each trial's rows are filtered once, in place: on one helper thread
-    while the next trial draws when ``workers >= 2``, on the calling thread
-    otherwise.  That gives each value a fresh run's results bit for bit for
-    K >= 2; at K = 1 a fresh run filters its row as a matrix-vector
-    product, so ``max_rho`` may differ by 1e-15 relative.  A measure value
-    has its own H, so a measure sweep filters each value's rows on its
-    worker.
+    take their first K rows.  A K sweep, of real or complex noise, passes
+    its pipeline as ``filter_with`` and draws through :func:`_each` on
+    ``workers`` workers; the worker that draws a trial filters its rows
+    once, in place, right after the draw.  That gives each value a
+    fresh run's results bit for bit for K >= 2; at K = 1 a fresh run
+    filters its row as a matrix-vector product, so ``max_rho`` may differ
+    by 1e-15 relative.  A measure value has its own H, so a measure sweep
+    draws on the calling thread alone and filters each value's rows on its
+    trial's worker.
     """
     drawn = np.empty((scenario.trials, scenario.count, scenario.n), dtype=np.complex128)
 
-    def draw(t):
+    def draw(t: int) -> None:
         drawn[t] = _draw(scenario, trial_seed(scenario.seed, t))
+        if filter_with is not None:
+            drawn[t] = noise.filter_batch(drawn[t], filter_with.H)
+            if t == 0:
+                # the first value's first error_report would compute the distances otherwise
+                filter_with.truth.boundary_distance
 
-    def filter_rows(t):
-        drawn[t] = noise.filter_batch(drawn[t], filter_with.H)
-
-    if filter_with is None or workers < 2:
-        for t in range(scenario.trials):
-            draw(t)
-            if filter_with is not None:
-                filter_rows(t)
-        return drawn
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        # the workers' first error_report would compute the distances otherwise
-        futures = [helper.submit(lambda: filter_with.truth.boundary_distance)]
-        for t in range(scenario.trials):
-            draw(t)
-            futures.append(helper.submit(filter_rows, t))
-    for future in futures:
-        future.result()
+    _each(scenario.trials, draw, workers if filter_with else 1)
     return drawn
 
 

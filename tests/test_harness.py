@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -287,9 +288,9 @@ def test_parallel_matches_serial(tmp_path):
 
 @pytest.mark.parametrize(
     "axis, values, kind",
-    # a K sweep filters on the calling thread with 1 worker and on a helper
-    # thread with 2, and K = 1 scores the first of those rows; a measure
-    # sweep filters each value's rows on the trial's worker
+    # a K sweep draws and filters on the calling thread with 1 worker and on
+    # both workers with 2, and K = 1 scores the first of those rows; a
+    # measure sweep filters each value's rows on the trial's worker
     [("K", "1,2,4,8", "complex"), ("K", "4,5,8", "complex"), ("K", "4,5,8", "real"),
      ("measure", "4,8", "complex"), ("measure", "4,8", "real")],
 )
@@ -591,24 +592,6 @@ def test_rotating_the_truth_and_the_noise_by_the_fourier_transform_rotates_the_t
 
 
 @pytest.mark.parametrize(
-    "axis,values,builds",
-    [("K", [2, 4, 8], 1), ("measure", [4.0, 6.0], 2)],
-)
-def test_sweep_builds_one_pipeline_per_scenario_layout(axis, values, builds, tmp_path, monkeypatch):
-    # K leaves truth, windows and H alone; a measure value changes the truth
-    calls = []
-
-    def counting(scenario):
-        calls.append(scenario)
-        return build_pipeline(scenario)
-
-    monkeypatch.setattr(harness, "build_pipeline", counting)
-    rows = run_sweep(SMALL, axis, values, tmp_path)
-    assert len(calls) == builds
-    assert [row["value"] for row in rows] == values
-
-
-@pytest.mark.parametrize(
     "axis, values, order",
     [("K", [2, 4, 8], [("build", 6), ("trials", 2), ("trials", 4), ("trials", 8)]),
      ("measure", [4.0, 6.0, 8.0], [("build", 4.0), ("trials", 4.0), ("build", 6.0),
@@ -617,9 +600,10 @@ def test_sweep_builds_one_pipeline_per_scenario_layout(axis, values, builds, tmp
 def test_a_sweep_builds_each_pipeline_just_before_its_trials(
     axis, values, order, tmp_path, monkeypatch
 ):
-    # a measure value's pipeline, H with it, is built only when its trials
-    # run, not every value's before the first pool; a K sweep builds its
-    # shared pipeline once, before its first pool
+    # K leaves truth, windows and H alone, so a K sweep builds its shared
+    # pipeline once, before its first pool; a measure value changes the
+    # truth, and its pipeline, H with it, is built only when its trials run,
+    # not every value's before the first pool
     events, build, trials = [], harness.build_pipeline, harness.run_trials
     value_of = {maskgeom.scaled_shape_spec(SMALL.shape, v): v for v in values}
 
@@ -636,8 +620,9 @@ def test_a_sweep_builds_each_pipeline_just_before_its_trials(
 
     monkeypatch.setattr(harness, "build_pipeline", recording_build)
     monkeypatch.setattr(harness, "run_trials", recording_trials)
-    run_sweep(SMALL, axis, values, tmp_path)
+    rows = run_sweep(SMALL, axis, values, tmp_path)
     assert events == order
+    assert [row["value"] for row in rows] == values
 
 
 def _sweep_pipeline(axis, value, scenario=SMALL):
@@ -677,8 +662,8 @@ def test_sweep_k_rows_match_separate_pipelines(tmp_path):
 def test_each_trial_draws_its_noise_once(run, tmp_path, monkeypatch):
     # realization k of a trial is keyed (seed, k), so a K sweep over 2, 4, 8
     # draws each trial's 8 realizations once (in one call), of real noise as
-    # of complex, and a measure sweep its K once; a sweep draws on the thread
-    # that called it, not in the pool
+    # of complex, and a measure sweep its K once; a measure sweep, with
+    # nothing to filter, draws on the thread that called it, not in the pool
     calls, drawn = {
         "K-sweep": (SMALL.trials, 8 * SMALL.trials),
         "real-K-sweep": (SMALL.trials, 8 * SMALL.trials),
@@ -703,7 +688,7 @@ def test_each_trial_draws_its_noise_once(run, tmp_path, monkeypatch):
     else:
         run_simulate(SMALL, tmp_path, threads=2)
     assert (len(counts), sum(counts)) == (calls, drawn)
-    if run != "simulate":
+    if run == "measure-sweep":
         assert threads == {threading.get_ident()}
 
 
@@ -717,27 +702,32 @@ def test_a_k_sweep_filters_each_trial_once(
     kind, axis, values, rows, threads, tmp_path, monkeypatch
 ):
     # a K sweep, of real or complex noise, filters each trial's 8 rows once,
-    # on one helper thread when it runs 2 workers; a measure value has its
-    # own H, so a measure sweep filters per (trial, value)
+    # on the worker that drew them, right after the draw; a measure value has
+    # its own H, so a measure sweep filters per (trial, value)
     caller = threading.get_ident()
-    filtered, filter_threads, draw_threads = [], set(), set()
-    events = {}  # thread -> its filter_batch outputs and run_trial calls, in order
+    filtered, draw_threads = [], set()
+    events = {}  # thread -> its draws, filter_batch calls and run_trial calls, in order
     filter_batch, sample_noise = noise.filter_batch, noise.sample_noise
     run_trial = harness.run_trial
 
+    def log(*event):
+        events.setdefault(threading.get_ident(), []).append(event)
+
     def counting_filter(rows, H):
         filtered.append(len(rows))
-        filter_threads.add(threading.get_ident())
+        given = rows.copy()  # a K sweep filters its rows in place
         out = filter_batch(rows, H)
-        events.setdefault(threading.get_ident(), []).append(("filter", out))
+        log("filter", given, out)
         return out
 
     def counting_draw(*args, **kwargs):
         draw_threads.add(threading.get_ident())
-        return sample_noise(*args, **kwargs)
+        batch = sample_noise(*args, **kwargs)
+        log("draw", batch.realizations)
+        return batch
 
     def recording_trial(pipeline, t, **kwargs):
-        events.setdefault(threading.get_ident(), []).append(("trial", kwargs["rows"]))
+        log("trial", kwargs["rows"])
         return run_trial(pipeline, t, **kwargs)
 
     monkeypatch.setattr(noise, "filter_batch", counting_filter)
@@ -745,8 +735,6 @@ def test_a_k_sweep_filters_each_trial_once(
     monkeypatch.setattr(harness, "run_trial", recording_trial)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     if threads == 1:
-        # one worker starts no thread, neither a trial worker nor a helper
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", None)
 
         def no_thread(*args, **kwargs):
             raise AssertionError("one worker started a thread")
@@ -754,22 +742,74 @@ def test_a_k_sweep_filters_each_trial_once(
         monkeypatch.setattr(harness.threading, "Thread", no_thread)
     run_sweep(replace(SMALL, noise_kind=kind), axis, values, tmp_path, threads=threads)
     assert sorted(filtered) == sorted(rows * SMALL.trials)
-    assert draw_threads == {caller}
+    filter_threads = {
+        thread for thread, log in events.items() if any(e[0] == "filter" for e in log)
+    }
+    if threads == 1 or axis != "K":
+        assert draw_threads == {caller}
     if threads == 1:
         assert filter_threads == {caller}
-    elif axis == "K":
-        assert len(filter_threads) == 1 and caller not in filter_threads
-    if axis != "K":
-        # each trial's worker filters its rows just before it scores them:
-        # rows filtered before the trials started would be followed by
-        # another filter, or scored after another trial, on their thread
-        trials = 0
-        for log in events.values():
-            for i, (event, scored) in enumerate(log):
-                if event == "trial":
-                    trials += 1
-                    assert i > 0 and log[i - 1][0] == "filter" and log[i - 1][1] is scored
+    trials = 0
+    for log in events.values():
+        for i, (event, *arrays) in enumerate(log):
+            if axis == "K" and event == "filter":
+                # the filtered rows are the ones this thread has just drawn
+                assert i > 0 and log[i - 1][0] == "draw"
+                assert np.array_equal(log[i - 1][1], arrays[0])
+            if axis != "K" and event == "trial":
+                # each trial's worker filters its rows just before it scores
+                # them: rows filtered before the trials started would be
+                # followed by another filter, or scored after another trial,
+                # on their thread
+                trials += 1
+                assert i > 0 and log[i - 1][0] == "filter" and log[i - 1][2] is arrays[0]
+    if axis == "K":
+        assert filter_threads == draw_threads
+    else:
         assert trials == len(values) * SMALL.trials
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("error", [errors.NumericError, KeyboardInterrupt])
+def test_a_failing_filter_stops_a_k_sweep_and_raises_the_lowest_index(
+    error, threads, tmp_path, monkeypatch
+):
+    # the filters of trials 1 and 2 raise.  On 2 or 3 workers trial 1 waits
+    # until trial 2 has raised, yet trial 1's error propagates, as a serial
+    # run's would.  On 3, trial 0 also waits and then succeeds: its worker
+    # must not start trial 3.  Every thread is joined and no summary.csv is
+    # written
+    scenario = replace(SMALL, trials=6)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    before = threading.active_count()
+    started, current, second_raised = [], threading.local(), threading.Event()
+    seed_of, filter_batch = harness.trial_seed, noise.filter_batch
+
+    def recording_seed(scenario_seed, t):
+        started.append(t)
+        current.t = t
+        return seed_of(scenario_seed, t)
+
+    def failing(rows, H):
+        if current.t == 2:
+            second_raised.set()
+            raise error("trial 2 failed")
+        if current.t == 1:
+            if threads >= 2:
+                second_raised.wait(timeout=10)
+            raise error("trial 1 failed")
+        if current.t == 0 and threads == 3:
+            second_raised.wait(timeout=10)
+            time.sleep(0.05)  # trial 2's worker records its error meanwhile
+        return filter_batch(rows, H)
+
+    monkeypatch.setattr(harness, "trial_seed", recording_seed)
+    monkeypatch.setattr(noise, "filter_batch", failing)
+    with pytest.raises(error, match="trial 1 failed"):
+        run_sweep(scenario, "K", [2, 4], tmp_path / "out", threads=threads)
+    assert threading.active_count() == before
+    assert sorted(started) == ([0, 1] if threads == 1 else [0, 1, 2])
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -813,11 +853,10 @@ def test_a_sweep_rejects_bad_threads_and_a_boundaryless_truth_before_drawing(
 
 
 def test_a_k_sweep_keeps_its_rows_under_rapid_thread_switches(tmp_path, monkeypatch):
-    # the helper filters trial t in place while the calling thread draws
-    # t + 1; then 4 workers, the calling thread among them, share each
-    # value's trials.  A row filtered before its draw landed, or twice,
-    # would change that trial's results; a trial index taken twice or never
-    # would show in the calls
+    # 4 workers, the calling thread among them, draw and filter every
+    # trial's rows in place, then share each value's trials.  A row
+    # filtered before its draw landed, or twice, would change that trial's
+    # results; a trial index taken twice or never would show in the calls
     scenario = replace(SMALL, trials=24)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
     calls, run_trial = [], harness.run_trial
@@ -954,6 +993,18 @@ def test_verify_computes_theta_once_per_size(monkeypatch):
     assert sizes == [8, 16]
 
 
+def test_the_verify_isometry_row_transforms_one_signal_at_a_time():
+    # all 100 transforms at once held 100 n^2 16 B: a peak of about 13 MB at n = 64
+    rows = {name: defect for name, _, defect in verify._size_rows(64, 1, np.random.default_rng(1))}
+    tracemalloc.start()
+    try:
+        assert rows["tfcore.isometry"]() <= 1e-10
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+
+
 def test_verify_corrupted_window_fails_isometry(monkeypatch):
     # transforms scaled by 1 + 1e-4, as a window off unit norm would give
     stft = tfcore.stft
@@ -1047,6 +1098,19 @@ def test_simulate_and_verify_run_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ran without scipy"
     assert (tmp_path / "trials.csv").exists()
+
+
+def test_importing_maskrec_loads_neither_concurrent_futures_nor_logging():
+    # the workers are plain threads; numpy alone loads neither module
+    code = (
+        "import sys, maskrec; "
+        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_the_line_tracer_fails_on_unrun_lines_and_passes_pytest_status_through(tmp_path):
