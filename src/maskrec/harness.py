@@ -447,11 +447,21 @@ def run_sweep(
     in trial order.
 
     K leaves the truth, the windows and H unchanged, so its values share one
-    pipeline and only its scenario is replaced; a measure sweep builds one
-    pipeline per value.  Bad values and threads, and a truth with no
-    boundary, raise before any noise is drawn.  :func:`_draw_trials`
-    draws and shares the noise; then each value runs one :func:`run_trials`,
-    in value order.  Both run on the worker loop of :func:`_each`.
+    pipeline and only its scenario is replaced; a measure sweep builds each
+    value's pipeline just before its trials.  Bad values and threads, and a
+    truth with no boundary, raise before any noise is drawn.
+
+    The noise is shared by one rule: realizations ``0 .. K-1`` of every
+    trial, for the last value's K (a K sweep's largest, a measure sweep's
+    one K), are drawn into one (trials, K, n) array through :func:`_each`
+    on the trials' workers, and every value's trials take their first K
+    rows.  In a K sweep, of real or complex noise, the worker that draws a
+    trial filters its rows once, in place, right after the draw; that gives
+    each value a fresh run's results bit for bit for K >= 2, while at K = 1
+    a fresh run filters its row as a matrix-vector product, so ``max_rho``
+    may differ by 1e-15 relative.  A measure value has its own H, so its
+    rows are filtered on its trial's worker.  Then each value runs one
+    :func:`run_trials`, in value order.
     """
     if axis not in ("K", "measure"):
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
@@ -475,7 +485,18 @@ def run_sweep(
         _workers(sc, shared.truth if shared else make_mask(TFGrid(sc.n), sc.shape), threads)
         for sc in scenarios
     )
-    drawn = _draw_trials(scenarios[-1], shared, workers)
+    last = scenarios[-1]
+    drawn = np.empty((last.trials, last.count, last.n), dtype=np.complex128)
+
+    def draw(t: int) -> None:
+        drawn[t] = _draw(last, trial_seed(last.seed, t))
+        if shared:
+            drawn[t] = noise.filter_batch(drawn[t], shared.H)
+            if t == 0:
+                # the first value's first error_report would compute the distances otherwise
+                shared.truth.boundary_distance
+
+    _each(last.trials, draw, workers)
 
     summary_rows: list[dict] = []
     for value, sc in zip(values, scenarios):
@@ -516,35 +537,6 @@ def run_sweep(
         comments.append(f"# diagnostic: {_failure_decay_comment(summary_rows)}")
     _write_files(Path(out_dir), {"summary.csv": _csv(columns, rows, comments).encode()})
     return summary_rows
-
-
-def _draw_trials(scenario: Scenario, filter_with: Pipeline | None, workers: int) -> np.ndarray:
-    """Draw realizations ``0 .. K-1`` of every trial into one (trials, K, n) array.
-
-    A sweep's sharing rule: it passes its last value's scenario, whose K is
-    a K sweep's largest or a measure sweep's one K, and every value's trials
-    take their first K rows.  A K sweep, of real or complex noise, passes
-    its pipeline as ``filter_with`` and draws through :func:`_each` on
-    ``workers`` workers; the worker that draws a trial filters its rows
-    once, in place, right after the draw.  That gives each value a
-    fresh run's results bit for bit for K >= 2; at K = 1 a fresh run
-    filters its row as a matrix-vector product, so ``max_rho`` may differ
-    by 1e-15 relative.  A measure value has its own H, so a measure sweep
-    draws on the calling thread alone and filters each value's rows on its
-    trial's worker.
-    """
-    drawn = np.empty((scenario.trials, scenario.count, scenario.n), dtype=np.complex128)
-
-    def draw(t: int) -> None:
-        drawn[t] = _draw(scenario, trial_seed(scenario.seed, t))
-        if filter_with is not None:
-            drawn[t] = noise.filter_batch(drawn[t], filter_with.H)
-            if t == 0:
-                # the first value's first error_report would compute the distances otherwise
-                filter_with.truth.boundary_distance
-
-    _each(scenario.trials, draw, workers if filter_with else 1)
-    return drawn
 
 
 def _failure_decay_comment(summary_rows: list[dict]) -> str:

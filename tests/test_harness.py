@@ -662,24 +662,30 @@ def test_sweep_k_rows_match_separate_pipelines(tmp_path):
 def test_each_trial_draws_its_noise_once(run, tmp_path, monkeypatch):
     # realization k of a trial is keyed (seed, k), so a K sweep over 2, 4, 8
     # draws each trial's 8 realizations once (in one call), of real noise as
-    # of complex, and a measure sweep its K once; a measure sweep, with
-    # nothing to filter, draws on the thread that called it, not in the pool
+    # of complex, and a measure sweep its K once.  Every run draws on its 2
+    # workers, the caller among them: the first two draws wait for each
+    # other, so draws on the caller alone break the barrier
     calls, drawn = {
         "K-sweep": (SMALL.trials, 8 * SMALL.trials),
         "real-K-sweep": (SMALL.trials, 8 * SMALL.trials),
         "measure-sweep": (SMALL.trials, SMALL.count * SMALL.trials),
         "simulate": (SMALL.trials, SMALL.count * SMALL.trials),
     }[run]
-    counts, threads = [], set()
+    counts, threads, entered = [], set(), []
     sample_noise = noise.sample_noise
+    both = threading.Barrier(2, timeout=10)
 
     def counting(*args, **kwargs):
+        entered.append(None)
+        if len(entered) <= 2:
+            both.wait()
         batch = sample_noise(*args, **kwargs)
         counts.append(batch.count)
         threads.add(threading.get_ident())
         return batch
 
     monkeypatch.setattr(noise, "sample_noise", counting)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     if run.endswith("K-sweep"):
         kind = "real" if run == "real-K-sweep" else "complex"
         run_sweep(replace(SMALL, noise_kind=kind), "K", [2, 4, 8], tmp_path, threads=2)
@@ -688,8 +694,7 @@ def test_each_trial_draws_its_noise_once(run, tmp_path, monkeypatch):
     else:
         run_simulate(SMALL, tmp_path, threads=2)
     assert (len(counts), sum(counts)) == (calls, drawn)
-    if run == "measure-sweep":
-        assert threads == {threading.get_ident()}
+    assert len(threads) == 2 and threading.get_ident() in threads
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -701,11 +706,14 @@ def test_each_trial_draws_its_noise_once(run, tmp_path, monkeypatch):
 def test_a_k_sweep_filters_each_trial_once(
     kind, axis, values, rows, threads, tmp_path, monkeypatch
 ):
-    # a K sweep, of real or complex noise, filters each trial's 8 rows once,
-    # on the worker that drew them, right after the draw; a measure value has
-    # its own H, so a measure sweep filters per (trial, value)
+    # both axes draw on the sweep's workers, the caller among them: on 2,
+    # the first two draws wait for each other.  A K sweep, of real or complex
+    # noise, filters each trial's 8 rows once, on the worker that drew them,
+    # right after the draw; a measure value has its own H, so a measure sweep
+    # filters per (trial, value)
     caller = threading.get_ident()
-    filtered, draw_threads = [], set()
+    filtered, draw_threads, entered = [], set(), []
+    together = threading.Barrier(threads, timeout=10)
     events = {}  # thread -> its draws, filter_batch calls and run_trial calls, in order
     filter_batch, sample_noise = noise.filter_batch, noise.sample_noise
     run_trial = harness.run_trial
@@ -721,6 +729,9 @@ def test_a_k_sweep_filters_each_trial_once(
         return out
 
     def counting_draw(*args, **kwargs):
+        entered.append(None)
+        if len(entered) <= threads:
+            together.wait()
         draw_threads.add(threading.get_ident())
         batch = sample_noise(*args, **kwargs)
         log("draw", batch.realizations)
@@ -745,8 +756,7 @@ def test_a_k_sweep_filters_each_trial_once(
     filter_threads = {
         thread for thread, log in events.items() if any(e[0] == "filter" for e in log)
     }
-    if threads == 1 or axis != "K":
-        assert draw_threads == {caller}
+    assert len(draw_threads) == threads and caller in draw_threads
     if threads == 1:
         assert filter_threads == {caller}
     trials = 0
@@ -769,12 +779,17 @@ def test_a_k_sweep_filters_each_trial_once(
         assert trials == len(values) * SMALL.trials
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize(
+    "threads, axis",
+    [pytest.param(1, "K", id="1"), pytest.param(2, "K", id="2"), pytest.param(3, "K", id="3"),
+     pytest.param(2, "measure", id="measure-2"), pytest.param(3, "measure", id="measure-3")],
+)
 @pytest.mark.parametrize("error", [errors.NumericError, KeyboardInterrupt])
 def test_a_failing_filter_stops_a_k_sweep_and_raises_the_lowest_index(
-    error, threads, tmp_path, monkeypatch
+    error, threads, axis, tmp_path, monkeypatch
 ):
-    # the filters of trials 1 and 2 raise.  On 2 or 3 workers trial 1 waits
+    # the filters of trials 1 and 2 raise, or, in a measure sweep, whose
+    # draw job filters nothing, their draws.  On 2 or 3 workers trial 1 waits
     # until trial 2 has raised, yet trial 1's error propagates, as a serial
     # run's would.  On 3, trial 0 also waits and then succeeds: its worker
     # must not start trial 3.  Every thread is joined and no summary.csv is
@@ -783,14 +798,15 @@ def test_a_failing_filter_stops_a_k_sweep_and_raises_the_lowest_index(
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
     before = threading.active_count()
     started, current, second_raised = [], threading.local(), threading.Event()
-    seed_of, filter_batch = harness.trial_seed, noise.filter_batch
+    step = "filter_batch" if axis == "K" else "sample_noise"
+    seed_of, original = harness.trial_seed, getattr(noise, step)
 
     def recording_seed(scenario_seed, t):
         started.append(t)
         current.t = t
         return seed_of(scenario_seed, t)
 
-    def failing(rows, H):
+    def failing(*args, **kwargs):
         if current.t == 2:
             second_raised.set()
             raise error("trial 2 failed")
@@ -801,12 +817,13 @@ def test_a_failing_filter_stops_a_k_sweep_and_raises_the_lowest_index(
         if current.t == 0 and threads == 3:
             second_raised.wait(timeout=10)
             time.sleep(0.05)  # trial 2's worker records its error meanwhile
-        return filter_batch(rows, H)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(harness, "trial_seed", recording_seed)
-    monkeypatch.setattr(noise, "filter_batch", failing)
+    monkeypatch.setattr(noise, step, failing)
+    values = [2, 4] if axis == "K" else [4.0, 6.0]
     with pytest.raises(error, match="trial 1 failed"):
-        run_sweep(scenario, "K", [2, 4], tmp_path / "out", threads=threads)
+        run_sweep(scenario, axis, values, tmp_path / "out", threads=threads)
     assert threading.active_count() == before
     assert sorted(started) == ([0, 1] if threads == 1 else [0, 1, 2])
     assert not (tmp_path / "out").exists()
@@ -852,28 +869,36 @@ def test_a_sweep_rejects_bad_threads_and_a_boundaryless_truth_before_drawing(
     assert len(built) == (axis == "K" and message in ("thread count", "no boundary"))
 
 
-def test_a_k_sweep_keeps_its_rows_under_rapid_thread_switches(tmp_path, monkeypatch):
-    # 4 workers, the calling thread among them, draw and filter every
-    # trial's rows in place, then share each value's trials.  A row
-    # filtered before its draw landed, or twice, would change that trial's
-    # results; a trial index taken twice or never would show in the calls
+@pytest.mark.parametrize(
+    "axis, values", [("K", [2, 8]), ("measure", [4.0, 8.0])], ids=["K", "measure"]
+)
+def test_a_sweep_keeps_its_rows_under_rapid_thread_switches(axis, values, tmp_path, monkeypatch):
+    # 4 workers, the calling thread among them, draw every trial's rows (and
+    # in a K sweep filter them in place), then share each value's trials.  A
+    # row filtered before its draw landed, or twice, or a draw landing in
+    # another trial's slot, would change that trial's results; a trial index
+    # taken twice or never would show in the calls
     scenario = replace(SMALL, trials=24)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
     calls, run_trial = [], harness.run_trial
 
     def counting(pipeline, t, **kwargs):
-        calls.append((pipeline.scenario.count, t))
+        sc = pipeline.scenario
+        calls.append((sc.count if axis == "K" else sc.shape, t))
         return run_trial(pipeline, t, **kwargs)
 
     monkeypatch.setattr(harness, "run_trial", counting)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        pooled = run_sweep(scenario, "K", [2, 8], tmp_path, threads=4)
+        pooled = run_sweep(scenario, axis, values, tmp_path, threads=4)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(calls) == [(K, t) for K in (2, 8) for t in range(scenario.trials)]
-    serial = run_sweep(scenario, "K", [2, 8], tmp_path, threads=1)
+    keys = values if axis == "K" else [
+        maskgeom.scaled_shape_spec(scenario.shape, value) for value in values
+    ]
+    assert sorted(calls) == sorted((key, t) for key in keys for t in range(scenario.trials))
+    serial = run_sweep(scenario, axis, values, tmp_path, threads=1)
     for got, want in zip(pooled, serial):
         assert [replace(r, wall_time=0.0) for r in got["results"]] == [
             replace(r, wall_time=0.0) for r in want["results"]
@@ -1134,7 +1159,26 @@ def test_verify_rejects_out_of_range_sizes():
     with pytest.raises(errors.ConfigurationError):
         run_verify(ns=(4,))
     with pytest.raises(errors.ConfigurationError):
-        run_verify(ns=(128,))
+        run_verify(ns=(513,))
+
+
+def test_verify_runs_at_a_simulation_size_and_reaches_the_large_bank_masks():
+    # n = 256 once exceeded verify's cap, so the plateau of the 128- and
+    # 256-grid bank masks went unchecked; its tracemalloc peak was 28.5 MiB
+    # (29.9 MB), and the bound leaves a third again on top
+    tracemalloc.start()
+    try:
+        checks = run_verify(ns=(256,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.line() for c in checks if not c.passed] == []
+    names = [c.name for c in checks]
+    assert names[:len(_VERIFY_ROWS) - 1] == [
+        f"{name}[n=256]" for name in _VERIFY_ROWS if name != "tfcore.reproducing"
+    ]
+    assert {"locop.plateau[band-160-256]", "locop.plateau[holey-plane-128]"} <= set(names)
+    assert peak < 40e6
 
 
 def test_verify_rejects_an_empty_size_list():
