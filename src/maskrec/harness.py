@@ -287,10 +287,14 @@ def _workers(sc: Scenario, truth: Mask, threads: int) -> int:
     The calling thread is one of the workers, so ``w`` workers start ``w - 1``
     threads.
 
-    A thread count below 1 raises :class:`ConfigurationError`, and so does
-    a ``truth`` with no boundary, the full plane or the empty mask, which
-    would score every trial inf.
+    A thread count that is not an integer or is below 1 raises
+    :class:`ConfigurationError`, and so does a ``truth`` with no boundary,
+    the full plane or the empty mask, which would score every trial inf.
     """
+    try:
+        threads = operator.index(threads)
+    except TypeError:
+        raise ConfigurationError(f"thread count must be an integer, got {threads!r}") from None
     if threads < 1:
         raise ConfigurationError(f"thread count must be >= 1, got {threads}")
     if truth.perimeter == 0:
@@ -465,7 +469,7 @@ def run_sweep(
     """
     if axis not in ("K", "measure"):
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
-    if not values:
+    if len(values) == 0:
         raise ConfigurationError("a sweep needs at least one value")
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ConfigurationError("sweep values must be strictly ascending")

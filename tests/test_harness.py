@@ -1,5 +1,6 @@
 import os
 import re
+import runpy
 import subprocess
 import sys
 import threading
@@ -385,8 +386,10 @@ def test_threads_env_is_ignored(monkeypatch):
     # --threads / threads= is the only source of the worker count
     monkeypatch.setenv("MASKREC_THREADS", "3")
     assert cli.build_parser().parse_args(["simulate", "--n", "16"]).threads == 1
-    with pytest.raises(errors.ConfigurationError, match="thread count"):
-        harness.run_trials(build_pipeline(SMALL), threads=0)
+    # a float, None or a string once raised a TypeError from the comparison
+    for threads in (0, 2.0, None, "2"):
+        with pytest.raises(errors.ConfigurationError, match="thread count"):
+            harness.run_trials(build_pipeline(SMALL), threads=threads)
 
 
 def test_thread_pool_is_capped_at_the_trial_count(monkeypatch):
@@ -833,6 +836,10 @@ def test_a_failing_filter_stops_a_k_sweep_and_raises_the_lowest_index(
     "axis, values, shape, threads, message",
     [("K", [4, 8], SMALL.shape, 0, "thread count"),
      ("measure", [4.0, 8.0], SMALL.shape, 0, "thread count"),
+     # these once raised a TypeError from the comparison with 1
+     ("K", [4, 8], SMALL.shape, 2.0, "thread count must be an integer"),
+     ("K", [4, 8], SMALL.shape, None, "thread count must be an integer"),
+     ("measure", [4.0, 8.0], SMALL.shape, "2", "thread count must be an integer"),
      ("K", [4, 8], "full", 1, "no boundary"),
      # a later value's truth, the full plane or a disc past it, fails before any draw
      ("measure", [4.0, 32.0], SMALL.shape, 1, "no boundary"),
@@ -866,7 +873,22 @@ def test_a_sweep_rejects_bad_threads_and_a_boundaryless_truth_before_drawing(
     assert not (tmp_path / "out").exists()
     # only a K sweep's shared pipeline is built before the threads and the
     # truth are checked; bad values and a bad axis build nothing
-    assert len(built) == (axis == "K" and message in ("thread count", "no boundary"))
+    assert len(built) == (axis == "K" and message.startswith(("thread count", "no boundary")))
+
+
+@pytest.mark.parametrize(
+    "axis, values", [("K", [4, 8]), ("measure", [4.0, 8.0])], ids=["K", "measure"]
+)
+def test_a_sweep_takes_its_values_as_a_numpy_array(axis, values, tmp_path):
+    # `if not values` once raised numpy's ambiguous truth value error
+    rows = {}
+    for kind, given in (("list", values), ("array", np.array(values))):
+        summary = run_sweep(SMALL, axis, given, tmp_path / kind)
+        rows[kind] = [{k: v for k, v in row.items() if k != "results"} for row in summary]
+    assert rows["array"] == rows["list"]
+    assert (tmp_path / "array" / "summary.csv").read_bytes() == (
+        tmp_path / "list" / "summary.csv"
+    ).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -1162,22 +1184,25 @@ def test_verify_rejects_out_of_range_sizes():
         run_verify(ns=(513,))
 
 
-def test_verify_runs_at_a_simulation_size_and_reaches_the_large_bank_masks():
-    # n = 256 once exceeded verify's cap, so the plateau of the 128- and
-    # 256-grid bank masks went unchecked; its tracemalloc peak was 28.5 MiB
-    # (29.9 MB), and the bound leaves a third again on top
+@pytest.mark.parametrize("n", [128, 256])
+def test_verify_runs_at_a_simulation_size_and_reaches_the_large_bank_masks(n):
+    # both sizes once exceeded verify's cap, so the plateau of the 128- and
+    # 256-grid bank masks went unchecked; the tracemalloc peak was 8.1 MiB at
+    # 128 and 28.5 MiB (29.9 MB) at 256, and the bound leaves a third again on top
     tracemalloc.start()
     try:
-        checks = run_verify(ns=(256,))
+        checks = run_verify(ns=(n,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert [c.line() for c in checks if not c.passed] == []
     names = [c.name for c in checks]
     assert names[:len(_VERIFY_ROWS) - 1] == [
-        f"{name}[n=256]" for name in _VERIFY_ROWS if name != "tfcore.reproducing"
+        f"{name}[n={n}]" for name in _VERIFY_ROWS if name != "tfcore.reproducing"
     ]
-    assert {"locop.plateau[band-160-256]", "locop.plateau[holey-plane-128]"} <= set(names)
+    # the bank masks past n = 64 that fit the grid
+    large = {name for name, size, _ in verify.SPECTRUM_BANK if 64 < size <= n}
+    assert {f"locop.plateau[{name}]" for name in large} <= set(names)
     assert peak < 40e6
 
 
@@ -1190,16 +1215,14 @@ def test_verify_rejects_an_empty_size_list():
 # ------------------------------------------------------------------ CLI
 
 
-def test_cli_simulate_and_artifacts(tmp_path, capsys):
-    code = cli.main(
-        [
-            "simulate", "--n", "32", "--shape", "disc:measure=6", "--K", "6",
-            "--trials", "2", "--seed", "11", "--out-dir", str(tmp_path),
-        ]
-    )
-    assert code == 0
-    assert (tmp_path / "trials.csv").exists()
-    assert (tmp_path / "rho.meta.txt").exists()
+def test_the_cli_module_run_as_main_exits_with_mains_status(monkeypatch, capsys):
+    # `python -m maskrec.cli`; the installed script calls main() itself
+    monkeypatch.delitem(sys.modules, "maskrec.cli")
+    monkeypatch.setattr(sys, "argv", ["maskrec", "verify", "--sizes", "8"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("maskrec.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.endswith(" checks passed\n")
 
 
 def test_cli_preset_with_overrides(tmp_path):
@@ -1230,19 +1253,6 @@ def test_cli_non_finite_samples_exit_3_without_a_csv(tmp_path, monkeypatch, caps
     assert not (tmp_path / "trials.csv").exists()
 
 
-def test_cli_requires_a_scenario():
-    assert cli.main(["simulate"]) == 2
-
-
-def test_cli_config_error_exit_code(tmp_path):
-    assert (
-        cli.main(
-            ["simulate", "--n", "8", "--shape", "full", "--out-dir", str(tmp_path)]
-        )
-        == 2
-    )
-
-
 def test_cli_spectrum(tmp_path):
     code = cli.main(
         [
@@ -1251,13 +1261,6 @@ def test_cli_spectrum(tmp_path):
         ]
     )
     assert code == 0
-
-
-def test_cli_verify_exit_zero(capsys):
-    assert cli.main(["verify", "--sizes", "8"]) == 0
-    out = capsys.readouterr().out
-    assert "checks passed" in out
-    assert "PASS tfcore.isometry[n=8]" in out
 
 
 def test_the_readme_library_block_runs(capsys):

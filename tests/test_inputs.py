@@ -39,6 +39,8 @@ CLI_ROWS = {
     "shape-full": ["simulate", *_SMALL, "--shape", "full"],
     "shape-empty": ["simulate", *_SMALL, "--shape", "empty"],
     "sweep-measure-full-plane": ["sweep", "--axis", "measure", "--values", "4,16", *_SMALL, *_DISC],
+    "sweep-K-full-plane": ["sweep", "--n", "16", "--shape", "full", "--axis", "K", "--values", "4,8"],
+    "no-scenario": ["simulate"],
     "config-shape-blank": ["simulate", "--config", "{tmp}/blank_shape.cfg"],
     "sweep-values-nan": ["sweep", "--axis", "measure", "--values", "1,nan", *_SMALL, *_DISC],
     "r-list-letters": ["simulate", *_SMALL, *_DISC, "--r-list", "a,b"],
