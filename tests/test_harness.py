@@ -1200,9 +1200,11 @@ def test_verify_runs_at_a_simulation_size_and_reaches_the_large_bank_masks(n):
     assert names[:len(_VERIFY_ROWS) - 1] == [
         f"{name}[n={n}]" for name in _VERIFY_ROWS if name != "tfcore.reproducing"
     ]
-    # the bank masks past n = 64 that fit the grid
-    large = {name for name, size, _ in verify.SPECTRUM_BANK if 64 < size <= n}
-    assert {f"locop.plateau[{name}]" for name in large} <= set(names)
+    large = {
+        128: {"band-96-128", "holey-plane-128"},
+        256: {"band-96-128", "band-160-256", "holey-plane-128"},
+    }
+    assert {f"locop.plateau[{name}]" for name in large[n]} <= set(names)
     assert peak < 40e6
 
 
